@@ -11,8 +11,8 @@ hot path of the placement engine needs:
   ``TreeNetwork.subtree_clients(root)`` -- so the clients of ``subtree(j)``
   form the contiguous span ``client_span_start[j] .. client_span_end[j]``
   *and* enumerate in the same order as the dict-based tree queries;
-* parent / depth / root-latency vectors for both populations and per-client
-  request vectors;
+* parent / depth vectors for both populations and per-client request
+  vectors;
 * ready-to-``copy()`` dict templates for the engine's mutable state
   (``remaining`` / ``inreq`` / ``residual``), so building a solver state
   costs three C-level dict copies instead of per-id dict comprehensions.
@@ -20,9 +20,12 @@ hot path of the placement engine needs:
 Scalar vectors are plain Python lists/tuples: the engine's span scans are
 dominated by element access from interpreted code, where list indexing
 beats both dict lookups (no hashing) and numpy arrays (no per-element C
-dispatch / unboxing).  Ancestor chains are shared with the tree's own
-cached tuples, so indexing a tree costs one DFS plus a handful of flat
-passes.
+dispatch / unboxing).  Indexing a tree costs one DFS plus a handful of flat,
+mostly C-level passes.  The DFS also builds the ancestor chains -- parents
+come before children, and siblings share their parent's chain tuple -- and
+hands them to the tree's memo, so ``TreeNetwork.ancestors`` reuses them.
+Views only latency QoS needs (uplink times, root latencies) are built on
+first use, like the numpy mirrors.
 
 The index is immutable, built once per tree (``TreeIndex.for_tree`` caches
 it on the tree instance) and shared by every state object built on the same
@@ -31,7 +34,9 @@ tree, which is what makes batch solving over many scenarios cheap.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from itertools import repeat
+from operator import add, attrgetter, sub
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.core.exceptions import TreeStructureError
 from repro.core.tree import NodeId, TreeNetwork
@@ -82,9 +87,6 @@ class TreeIndex:
         "client_ancestors",
         "client_requests",
         "client_repr",
-        "uplink_comm",
-        "node_root_latency",
-        "client_root_latency",
         "remaining_template",
         "inreq_template",
         "residual_template",
@@ -94,12 +96,11 @@ class TreeIndex:
 
     def __init__(self, tree: TreeNetwork):
         self.tree = tree
-        parent_map = tree._parent
         children_map = tree._children
         depth_map = tree._depth
         clients_map = tree._clients
         nodes_map = tree._nodes
-        ancestors_map = tree._ancestors
+        root = tree.root
         n_nodes = len(nodes_map)
         n_clients = len(clients_map)
         self.n_nodes = n_nodes
@@ -110,99 +111,90 @@ class TreeIndex:
         # Children are visited in link insertion order, which makes the client
         # layout identical to TreeNetwork.subtree_clients(root): that tuple is
         # built as the concatenation of the children's tuples in the same
-        # insertion order.
-        node_order: List[NodeId] = []
+        # insertion order.  One pass over positions, parents before children,
+        # also builds every node's ancestor chain through itself: a child's
+        # chain is its parent's, so siblings share one tuple.
+        root_kids = children_map[root]
+        node_order: List[NodeId] = [root]
         client_order: List[NodeId] = []
-        node_pos: Dict[NodeId, int] = {}
-        client_pos: Dict[NodeId, int] = {}
-        node_span_end: List[int] = [0] * n_nodes
-        client_span_start: List[int] = [0] * n_nodes
-        client_span_end: List[int] = [0] * n_nodes
-
-        # Iterative DFS carrying explicit "exit" frames to close the spans.
-        stack: List[Tuple[NodeId, bool]] = [(tree.root, False)]
+        node_parent: List[int] = [-1]
+        client_parent: List[int] = []
+        client_span_start: List[int] = [0]
+        #: elements of subtree(j), accumulated bottom-up below
+        size: List[int] = [len(root_kids) + 1]
+        through: List[Tuple[NodeId, ...]] = [(root,)]
+        stack: List[NodeId] = list(reversed(root_kids))
+        above: List[int] = [0] * len(root_kids)  # parent position per entry
+        pop, push, pop_above, push_above = stack.pop, stack.extend, above.pop, above.extend
+        add_node, add_client = node_order.append, client_order.append
+        children_of = children_map.get
         while stack:
-            element, leaving = stack.pop()
-            if leaving:
-                index = node_pos[element]
-                node_span_end[index] = len(node_order)
-                client_span_end[index] = len(client_order)
+            element = pop()
+            parent = pop_above()
+            kids = children_of(element)
+            if kids is None:  # clients have no entry
+                add_client(element)
+                client_parent.append(parent)
                 continue
-            if element in clients_map:
-                client_pos[element] = len(client_order)
-                client_order.append(element)
-                continue
-            index = len(node_order)
-            node_pos[element] = index
-            node_order.append(element)
-            client_span_start[index] = len(client_order)
-            stack.append((element, True))
-            children = children_map.get(element)
-            if children:
-                stack.extend((child, False) for child in reversed(children))
-
-        self.node_order = tuple(node_order)
-        self.client_order = tuple(client_order)
-        self.node_pos = node_pos
-        self.client_pos = client_pos
-        self.node_span_end = node_span_end
+            position = len(node_order)
+            add_node(element)
+            node_parent.append(parent)
+            client_span_start.append(len(client_order))
+            size.append(len(kids) + 1)
+            through.append((element,) + through[parent])
+            push(reversed(kids))
+            push_above(repeat(position, len(kids)))
+        nodes_in = [1] * n_nodes
+        for index in range(n_nodes - 1, 0, -1):  # children before parents
+            parent = node_parent[index]
+            size[parent] += size[index] - 1
+            nodes_in[parent] += nodes_in[index]
+        self.node_order = node_order = tuple(node_order)
+        self.client_order = client_order = tuple(client_order)
+        self.node_pos = dict(zip(node_order, range(n_nodes)))
+        self.client_pos = dict(zip(client_order, range(n_clients)))
+        self.node_span_end = list(map(add, range(n_nodes), nodes_in))
         self.client_span_start = client_span_start
-        self.client_span_end = client_span_end
+        self.client_span_end = list(map(sub, map(add, client_span_start, size), nodes_in))
 
-        # ---- parents and depths ------------------------------------------ #
-        root = tree.root
-        self.node_parent = [
-            node_pos[parent_map[nid]] if nid != root else -1 for nid in node_order
-        ]
-        self.node_depth = list(map(depth_map.__getitem__, node_order))
-        self.client_parent = [node_pos[parent_map[cid]] for cid in client_order]
-        self.client_depth = list(map(depth_map.__getitem__, client_order))
-
-        # ---- ancestor chains: share the tree's cached id tuples ---------- #
-        self.node_ancestors = tuple(map(ancestors_map.__getitem__, node_order))
-        self.client_ancestors = tuple(map(ancestors_map.__getitem__, client_order))
+        # ---- parents, ancestor chains and depths -------------------------- #
+        self.node_parent = node_parent
+        self.client_parent = client_parent
+        self.node_ancestors = ((),) + tuple(map(through.__getitem__, node_parent[1:]))
+        self.client_ancestors = tuple(map(through.__getitem__, client_parent))
+        self.node_depth = list(map(len, self.node_ancestors))
+        self.client_depth = list(map(len, self.client_ancestors))
+        if tree._memo.ancestors is None:  # hand them to tree.ancestors()
+            chains = dict(zip(node_order, self.node_ancestors))
+            chains.update(zip(client_order, self.client_ancestors))
+            tree._memo.ancestors = chains
 
         # ---- workload vectors -------------------------------------------- #
-        self.client_requests = [
-            float(clients_map[cid].requests) for cid in client_order
-        ]
+        self.client_requests = list(
+            map(float, map(attrgetter("requests"), map(clients_map.__getitem__, client_order)))
+        )
         #: repr() of every client id, for deterministic tie-breaking that
         #: matches the dict engine's ``repr`` sort keys.
         self.client_repr = tuple(map(repr, client_order))
 
-        # ---- uplink communication times and cumulative root latencies ----- #
-        self.uplink_comm = {
-            child: link.comm_time for (child, _parent), link in tree._links.items()
-        }
-        uplink = self.uplink_comm
-        node_lat: Dict[NodeId, float] = {root: 0.0}
-        for nid in node_order:  # pre-order: parents before children
-            if nid != root:
-                node_lat[nid] = node_lat[parent_map[nid]] + uplink[nid]
-        self.node_root_latency = node_lat
-        self.client_root_latency = {
-            cid: node_lat[parent_map[cid]] + uplink[cid] for cid in client_order
-        }
-
         # ---- dict templates for the engine's mutable state ---------------- #
-        self.remaining_template = {
-            cid: value for cid, value in zip(client_order, self.client_requests)
-        }
-        subtree_requests = tree._subtree_requests
-        self.inreq_template = {
-            nid: float(subtree_requests[nid]) for nid in node_order
-        }
-        self.residual_template = {
-            nid: float(nodes_map[nid].capacity) for nid in node_order
-        }
+        self.remaining_template = dict(zip(client_order, self.client_requests))
+        self.inreq_template = _float_map(node_order, tree._subtree_requests)
+        self.residual_template = dict(
+            zip(
+                node_order,
+                map(float, map(attrgetter("capacity"), map(nodes_map.__getitem__, node_order))),
+            )
+        )
 
         #: memoised per-client QoS depth thresholds, keyed by QoS mode
         #: (filled lazily by the fast engine; bounds live on the tree, so a
         #: mode fully determines the thresholds).
         self.qos_threshold_cache: Dict[object, List[int]] = {}
 
-        #: lazily-built *structural* numpy mirrors (no workload data), shared
-        #: verbatim by epoch forks; used by the vectorised LP assembly.
+        #: lazily-built *structural* views (no workload data), shared
+        #: verbatim by epoch forks: uplink times, root latencies and the
+        #: numpy mirrors of the vectorised LP assembly and native engine.
         self._np_cache: Dict[str, object] = {}
 
     # ------------------------------------------------------------------ #
@@ -274,9 +266,6 @@ class TreeIndex:
         fork.node_ancestors = self.node_ancestors
         fork.client_ancestors = self.client_ancestors
         fork.client_repr = self.client_repr
-        fork.uplink_comm = self.uplink_comm
-        fork.node_root_latency = self.node_root_latency
-        fork.client_root_latency = self.client_root_latency
         fork.residual_template = self.residual_template
         #: thresholds depend on QoS bounds / depths / comm times only, all of
         #: which an epoch fork leaves untouched -- share the memo.
@@ -304,10 +293,7 @@ class TreeIndex:
         # The fork's subtree sums were re-accumulated in fresh-build order by
         # with_requests, so reading them back gives the same floats a full
         # rebuild would produce.
-        subtree_requests = tree._subtree_requests
-        fork.inreq_template = {
-            nid: float(subtree_requests[nid]) for nid in self.node_order
-        }
+        fork.inreq_template = _float_map(self.node_order, tree._subtree_requests)
         return fork
 
     @classmethod
@@ -372,7 +358,7 @@ class TreeIndex:
         sliced.client_span_start = [s - c0 for s in self.client_span_start[i0:i1]]
         sliced.client_span_end = [e - c0 for e in self.client_span_end[i0:i1]]
         # Ancestor chains are shard-local (they stop at the shard root), so
-        # they come from the shard tree's own cache, exactly like __init__.
+        # they come from the shard tree's own (memoised) chains.
         ancestors_map = tree._ancestors
         sliced.node_ancestors = tuple(map(ancestors_map.__getitem__, node_order))
         sliced.client_ancestors = tuple(map(ancestors_map.__getitem__, client_order))
@@ -381,29 +367,8 @@ class TreeIndex:
             float(clients_map[cid].requests) for cid in client_order
         ]
         sliced.client_repr = tuple(map(repr, client_order))
-        sliced.uplink_comm = {
-            child: link.comm_time for (child, _parent), link in tree._links.items()
-        }
-        # Root latencies restart at the shard root; accumulate in pre-order
-        # like __init__ so the floats match a fresh build bit for bit
-        # (subtracting the global root latency would not).
-        parent_map = tree._parent
-        uplink = sliced.uplink_comm
-        node_lat: Dict[NodeId, float] = {root: 0.0}
-        for nid in node_order:
-            if nid != root:
-                node_lat[nid] = node_lat[parent_map[nid]] + uplink[nid]
-        sliced.node_root_latency = node_lat
-        sliced.client_root_latency = {
-            cid: node_lat[parent_map[cid]] + uplink[cid] for cid in client_order
-        }
-        sliced.remaining_template = {
-            cid: value for cid, value in zip(client_order, sliced.client_requests)
-        }
-        subtree_requests = tree._subtree_requests
-        sliced.inreq_template = {
-            nid: float(subtree_requests[nid]) for nid in node_order
-        }
+        sliced.remaining_template = dict(zip(client_order, sliced.client_requests))
+        sliced.inreq_template = _float_map(node_order, tree._subtree_requests)
         nodes_map = tree._nodes
         sliced.residual_template = {
             nid: float(nodes_map[nid].capacity) for nid in node_order
@@ -412,6 +377,21 @@ class TreeIndex:
         sliced.qos_threshold_cache = {}
         sliced._np_cache = {}
         return sliced
+
+    @property
+    def uplink_comm(self) -> Dict[NodeId, float]:
+        """Communication time of every non-root element's uplink.
+
+        Only latency QoS reads it, so it is built on first use and shared
+        with epoch forks like the other structural views.
+        """
+        uplink = self._np_cache.get("uplink_comm")
+        if uplink is None:
+            links = self.tree._links
+            uplink = self._np_cache["uplink_comm"] = dict(
+                zip(links, map(attrgetter("comm_time"), links.values()))
+            )
+        return uplink
 
     # ------------------------------------------------------------------ #
     # QoS depth thresholds
@@ -597,11 +577,41 @@ class TreeIndex:
 
     def root_latency_of(self, element_id: NodeId) -> float:
         """Sum of link communication times from an element up to the root."""
-        if element_id in self.node_root_latency:
-            return self.node_root_latency[element_id]
-        if element_id in self.client_root_latency:
-            return self.client_root_latency[element_id]
-        raise TreeStructureError(f"unknown element {element_id!r}")
+        latencies = self._np_cache.get("root_latency")
+        if latencies is None:
+            latencies = self._np_cache["root_latency"] = self._root_latencies()
+        try:
+            return latencies[element_id]
+        except KeyError:
+            raise TreeStructureError(f"unknown element {element_id!r}") from None
+
+    def _root_latencies(self) -> Dict[NodeId, float]:
+        # Accumulated link by link in pre-order (parents first), so the
+        # floats depend only on the layout and a sliced index, which
+        # restarts at its shard root, matches a fresh build bit for bit.
+        uplink = self.uplink_comm
+        node_order = self.node_order
+        node_lat = [0.0]
+        add_latency = node_lat.append
+        for parent, comm in zip(self.node_parent[1:], map(uplink.__getitem__, node_order[1:])):
+            add_latency(node_lat[parent] + comm)
+        latencies = dict(zip(node_order, node_lat))
+        latencies.update(
+            zip(
+                self.client_order,
+                map(
+                    add,
+                    map(node_lat.__getitem__, self.client_parent),
+                    map(uplink.__getitem__, self.client_order),
+                ),
+            )
+        )
+        return latencies
 
     def __repr__(self) -> str:
         return f"TreeIndex(|N|={self.n_nodes}, |C|={self.n_clients})"
+
+
+def _float_map(keys: Sequence[NodeId], values: Mapping[NodeId, float]) -> Dict[NodeId, float]:
+    """``{key: float(values[key])}`` over ``keys``, in their order."""
+    return dict(zip(keys, map(float, map(values.__getitem__, keys))))

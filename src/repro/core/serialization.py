@@ -50,10 +50,6 @@ def _encode_bound(value: float) -> Optional[float]:
     return None if math.isinf(value) else value
 
 
-def _decode_bound(value: Optional[float]) -> float:
-    return math.inf if value is None else float(value)
-
-
 def tree_to_dict(tree: TreeNetwork) -> Dict[str, Any]:
     """Serialise a tree network to a JSON-compatible dictionary."""
     return {
@@ -93,41 +89,47 @@ def _link_to_dict(link: Link) -> Dict[str, Any]:
 
 def tree_from_dict(payload: Dict[str, Any]) -> TreeNetwork:
     """Rebuild a tree network from :func:`tree_to_dict` output."""
+    seen: Dict[str, str] = {}
+
+    def shared(value):
+        # JSON decoding gives every occurrence of an id its own str; one
+        # object per id lets the id-keyed lookups of every later layer hit
+        # on identity instead of comparing text.
+        return seen.setdefault(value, value) if type(value) is str else value
+
     nodes = [
         InternalNode(
-            id=entry["id"],
-            capacity=float(entry["capacity"]),
-            storage_cost=(
-                None if entry.get("storage_cost") is None else float(entry["storage_cost"])
-            ),
+            shared(entry["id"]),
+            float(entry["capacity"]),
+            None if (cost := entry.get("storage_cost")) is None else float(cost),
         )
         for entry in payload["nodes"]
     ]
     clients = [
         Client(
-            id=entry["id"],
-            requests=float(entry["requests"]),
-            qos=_decode_bound(entry.get("qos")),
+            shared(entry["id"]),
+            float(entry["requests"]),
+            math.inf if (qos := entry.get("qos")) is None else float(qos),
         )
         for entry in payload["clients"]
     ]
-    links = [_link_from_dict(entry) for entry in payload["links"]]
+    links = [
+        Link(
+            shared(entry["child"]),
+            shared(entry["parent"]),
+            float(entry.get("comm_time", 1.0)),
+            math.inf if (bandwidth := entry.get("bandwidth")) is None else float(bandwidth),
+            None if (metrics := entry.get("metrics")) is None else _metrics_from_dict(metrics),
+        )
+        for entry in payload["links"]
+    ]
     return TreeNetwork(nodes, clients, links)
 
 
-def _link_from_dict(entry: Dict[str, Any]) -> Link:
-    metrics = entry.get("metrics")
-    if metrics is not None:
-        from repro.qos.metrics import QoSMetrics
+def _metrics_from_dict(payload: Dict[str, Any]):
+    from repro.qos.metrics import QoSMetrics
 
-        metrics = QoSMetrics.from_dict(metrics)
-    return Link(
-        child=entry["child"],
-        parent=entry["parent"],
-        comm_time=float(entry.get("comm_time", 1.0)),
-        bandwidth=_decode_bound(entry.get("bandwidth")),
-        metrics=metrics,
-    )
+    return QoSMetrics.from_dict(payload)
 
 
 def save_tree(tree: TreeNetwork, path: Union[str, Path]) -> Path:

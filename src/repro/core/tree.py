@@ -11,9 +11,13 @@ each tree edge ``l`` has a communication time ``comm_l`` and a bandwidth
 :class:`TreeNetwork` is the single authoritative representation of such a
 tree used throughout the package.  It is immutable after construction (all
 mutating operations go through :class:`repro.core.builder.TreeBuilder` or the
-functional helpers of this module), which lets it precompute and cache the
-structural queries every algorithm relies on: parent/children lookups,
-ancestor paths, subtree client sets and subtree request sums.
+functional helpers of this module), which lets it cache the structural
+queries every algorithm relies on.  Construction is one O(n) pass that
+builds the parent and children lookups, the breadth-first order, depths and
+subtree request sums eagerly; ancestor paths, subtree client sets and the
+children split by kind are memoised on first use (or handed over by
+:class:`~repro.core.index.TreeIndex`, which builds the ancestor paths in its
+own DFS) and shared with every :meth:`TreeNetwork.with_requests` fork.
 
 Node identifiers can be any hashable value; strings are used throughout the
 examples and generators.
@@ -22,8 +26,8 @@ examples and generators.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.exceptions import TreeStructureError
@@ -60,15 +64,18 @@ class InternalNode:
     metadata: Mapping[str, Any] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        if self.capacity < 0:
+        # Negated comparisons: NaN fails every comparison, so it is rejected.
+        if not 0 <= self.capacity < math.inf:
             raise TreeStructureError(
-                f"node {self.id!r} has negative capacity {self.capacity}"
+                f"node {self.id!r} has capacity {self.capacity}, "
+                "not a finite number >= 0"
             )
         if self.storage_cost is None:
             object.__setattr__(self, "storage_cost", float(self.capacity))
-        elif self.storage_cost < 0:
+        elif not 0 <= self.storage_cost < math.inf:
             raise TreeStructureError(
-                f"node {self.id!r} has negative storage cost {self.storage_cost}"
+                f"node {self.id!r} has storage cost {self.storage_cost}, "
+                "not a finite number >= 0"
             )
 
     def with_storage_cost(self, storage_cost: float) -> "InternalNode":
@@ -99,13 +106,14 @@ class Client:
     metadata: Mapping[str, Any] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        if self.requests < 0:
+        if not 0 <= self.requests < math.inf:
             raise TreeStructureError(
-                f"client {self.id!r} has negative request rate {self.requests}"
+                f"client {self.id!r} has request rate {self.requests}, "
+                "not a finite number >= 0"
             )
-        if self.qos <= 0:
+        if not self.qos > 0:  # inf is "unbounded", NaN is rejected
             raise TreeStructureError(
-                f"client {self.id!r} has non-positive QoS bound {self.qos}"
+                f"client {self.id!r} has QoS bound {self.qos}, not a number > 0"
             )
 
 
@@ -139,19 +147,40 @@ class Link:
     metrics: Optional["QoSMetrics"] = None
 
     def __post_init__(self) -> None:
-        if self.comm_time < 0:
+        if not self.comm_time >= 0:
             raise TreeStructureError(
-                f"link {self.child!r}->{self.parent!r} has negative comm time"
+                f"link {self.child!r}->{self.parent!r} has comm time "
+                f"{self.comm_time}, not a number >= 0"
             )
-        if self.bandwidth < 0:
+        if not self.bandwidth >= 0:  # inf is "unbounded", NaN is rejected
             raise TreeStructureError(
-                f"link {self.child!r}->{self.parent!r} has negative bandwidth"
+                f"link {self.child!r}->{self.parent!r} has bandwidth "
+                f"{self.bandwidth}, not a number >= 0"
             )
 
     @property
     def key(self) -> Tuple[NodeId, NodeId]:
         """The ``(child, parent)`` pair identifying this link."""
         return (self.child, self.parent)
+
+
+class _Memo:
+    """Structural caches of one topology, built on first use and shared by a
+    tree and every epoch fork of it (:meth:`TreeNetwork.with_requests`).
+
+    Each cache holds at least the root, so a built one is truthy: hot
+    accessors read ``memo.x or tree._x``, and the ``_x`` property builds
+    ``x`` once.
+    """
+
+    __slots__ = ("ancestors", "subtree_clients", "children", "child_nodes", "child_clients")
+
+    def __init__(self) -> None:
+        self.ancestors: Optional[Dict[NodeId, Tuple[NodeId, ...]]] = None
+        self.subtree_clients: Optional[Dict[NodeId, Tuple[NodeId, ...]]] = None
+        self.children: Optional[Dict[NodeId, Tuple[NodeId, ...]]] = None
+        self.child_nodes: Optional[Dict[NodeId, Tuple[NodeId, ...]]] = None
+        self.child_clients: Optional[Dict[NodeId, Tuple[NodeId, ...]]] = None
 
 
 class TreeNetwork:
@@ -162,6 +191,14 @@ class TreeNetwork:
     :mod:`repro.workloads`; the constructor below accepts already-validated
     component collections and checks the global structure (single root,
     acyclicity, clients as leaves).
+
+    Construction is O(n): the input is checked with C-level bulk operations
+    (dict and set builds, count comparisons), and only the O(n) state is
+    built eagerly -- id maps, parent map, children lists, breadth-first
+    order, depths and subtree request sums.  The structural caches that are
+    O(n * depth) or that few callers need -- ancestor chains, subtree client
+    tuples and the children tuples split by kind -- are memoised on first
+    use and shared with every :meth:`with_requests` fork of the tree.
 
     Parameters
     ----------
@@ -182,16 +219,12 @@ class TreeNetwork:
         "_children",
         "_root",
         "_order",
-        "_ancestors",
         "_depth",
-        "_subtree_clients",
         "_subtree_requests",
         "_post_order_nodes",
         "_node_ids",
         "_client_ids",
-        "_children_tuples",
-        "_child_nodes",
-        "_child_clients",
+        "_memo",
         "_index_cache",
         "_patch_source",
         "_hash",
@@ -203,129 +236,154 @@ class TreeNetwork:
         clients: Iterable[Client],
         links: Iterable[Link],
     ) -> None:
-        self._nodes: Dict[NodeId, InternalNode] = {}
-        for node in nodes:
-            if node.id in self._nodes:
-                raise TreeStructureError(f"duplicate internal node id {node.id!r}")
-            self._nodes[node.id] = node
+        nodes, clients, links = tuple(nodes), tuple(clients), tuple(links)
+        node_map = {node.id: node for node in nodes}
+        client_map = {client.id: client for client in clients}
+        parent_map = {link.child: link.parent for link in links}
+        # Elements with an uplink; they add up to len(parent_map) only when
+        # every link child is declared.
+        node_links = sum(map(parent_map.__contains__, node_map))
+        client_links = sum(map(parent_map.__contains__, client_map))
+        children: Dict[NodeId, List[NodeId]] = {nid: [] for nid in node_map}
+        consistent = (
+            len(node_map) == len(nodes)
+            and len(client_map) == len(clients)
+            and node_map.keys().isdisjoint(client_map)
+            and len(parent_map) == len(links)
+            and node_links + client_links == len(parent_map)
+        )
+        if consistent:
+            try:
+                for child, parent in parent_map.items():
+                    children[parent].append(child)
+            except KeyError:  # a link parent that is not an internal node
+                consistent = False
+        if not consistent:
+            raise _item_error(nodes, clients, links)
 
-        self._clients: Dict[NodeId, Client] = {}
-        for client in clients:
-            if client.id in self._clients:
-                raise TreeStructureError(f"duplicate client id {client.id!r}")
-            if client.id in self._nodes:
-                raise TreeStructureError(
-                    f"identifier {client.id!r} used both as client and internal node"
-                )
-            self._clients[client.id] = client
-
-        self._links: Dict[Tuple[NodeId, NodeId], Link] = {}
-        self._parent: Dict[NodeId, NodeId] = {}
-        self._children: Dict[NodeId, List[NodeId]] = {nid: [] for nid in self._nodes}
-        for link in links:
-            if link.child not in self._nodes and link.child not in self._clients:
-                raise TreeStructureError(f"link child {link.child!r} is not declared")
-            if link.parent not in self._nodes:
-                raise TreeStructureError(
-                    f"link parent {link.parent!r} is not an internal node "
-                    "(clients must be leaves)"
-                )
-            if link.child in self._parent:
-                raise TreeStructureError(f"{link.child!r} has more than one parent")
-            if link.child == link.parent:
-                raise TreeStructureError(f"self-loop on {link.child!r}")
-            self._links[link.key] = link
-            self._parent[link.child] = link.parent
-            self._children[link.parent].append(link.child)
-
-        self._validate_and_index()
-
-    # ------------------------------------------------------------------ #
-    # construction helpers
-    # ------------------------------------------------------------------ #
-    def _validate_and_index(self) -> None:
-        if not self._nodes:
+        # Global structure.  A self-loop passes the bulk checks above and
+        # only shows here, as a missing root or an unreachable node, so every
+        # global error first asks the per-item checks for an offender.
+        if not node_map:
             raise TreeStructureError("a tree network needs at least one internal node")
-
-        roots = [nid for nid in self._nodes if nid not in self._parent]
-        if len(roots) != 1:
-            raise TreeStructureError(
-                f"expected exactly one root internal node, found {len(roots)}: {roots!r}"
+        if len(node_map) - node_links != 1:
+            roots = [nid for nid in node_map if nid not in parent_map]
+            raise _reject(
+                nodes,
+                clients,
+                links,
+                f"expected exactly one root internal node, found {len(roots)}: {roots!r}",
             )
-        self._root = roots[0]
+        if client_links != len(client_map):
+            dangling = [cid for cid in client_map if cid not in parent_map]
+            raise _reject(
+                nodes, clients, links, f"clients without a parent link: {dangling!r}"
+            )
+        root = next(nid for nid in node_map if nid not in parent_map)
 
-        dangling_clients = [cid for cid in self._clients if cid not in self._parent]
-        if dangling_clients:
-            raise TreeStructureError(
-                f"clients without a parent link: {dangling_clients!r}"
+        # Breadth-first order from the root: with one parent per element, an
+        # element it misses sits on a cycle or hangs off one.
+        order = [root]
+        depth = {root: 0}
+        children_of = children.get
+        for element in order:
+            kids = children_of(element)  # clients have no entry
+            if kids:
+                order.extend(kids)
+                level = depth[element] + 1
+                for kid in kids:
+                    depth[kid] = level
+        if len(order) != len(node_map) + len(client_map):
+            unreachable = (node_map.keys() | client_map.keys()) - set(order)
+            raise _reject(
+                nodes,
+                clients,
+                links,
+                "elements unreachable from the root (cycle or disconnected): "
+                f"{sorted(map(repr, unreachable))}",
             )
 
-        # Breadth-first order from the root; also detects unreachable elements
-        # (which, combined with the single-parent check, detects cycles).
-        order: List[NodeId] = []
-        depth: Dict[NodeId, int] = {self._root: 0}
-        queue: deque = deque([self._root])
-        while queue:
-            current = queue.popleft()
-            order.append(current)
-            for child in self._children.get(current, ()):  # clients have no entry
-                depth[child] = depth[current] + 1
-                queue.append(child)
-        reachable = set(order)
-        unreachable = (set(self._nodes) | set(self._clients)) - reachable
-        if unreachable:
-            raise TreeStructureError(
-                f"elements unreachable from the root (cycle or disconnected): "
-                f"{sorted(map(repr, unreachable))}"
-            )
+        self._nodes = node_map
+        self._clients = client_map
+        #: uplink of every non-root element, in link order (parent_map holds
+        #: one entry per link, in that order)
+        self._links: Dict[NodeId, Link] = dict(zip(parent_map, links))
+        self._parent = parent_map
+        self._children = children
+        self._root = root
         self._order = tuple(order)
         self._depth = depth
-
-        # Ancestor chains (bottom-up, excluding the element itself).
-        ancestors: Dict[NodeId, Tuple[NodeId, ...]] = {self._root: ()}
-        for element in self._order:
-            if element == self._root:
-                continue
-            parent = self._parent[element]
-            ancestors[element] = (parent,) + ancestors[parent]
-        self._ancestors = ancestors
-
-        # Subtree client sets and request sums, computed in reverse BFS order
-        # (children before parents).
-        subtree_clients: Dict[NodeId, Tuple[NodeId, ...]] = {}
-        subtree_requests: Dict[NodeId, float] = {}
-        post_nodes: List[NodeId] = []
-        for element in reversed(self._order):
-            if element in self._clients:
-                subtree_clients[element] = (element,)
-                subtree_requests[element] = self._clients[element].requests
-            else:
-                acc: List[NodeId] = []
-                total = 0.0
-                for child in self._children[element]:
-                    acc.extend(subtree_clients[child])
-                    total += subtree_requests[child]
-                subtree_clients[element] = tuple(acc)
-                subtree_requests[element] = total
-                post_nodes.append(element)
-        self._subtree_clients = subtree_clients
-        self._subtree_requests = subtree_requests
+        self._node_ids = tuple(filter(node_map.__contains__, order))
+        self._client_ids = tuple(filter(client_map.__contains__, order))
         #: internal nodes in post-order (children before parents)
-        self._post_order_nodes = tuple(post_nodes)
-        self._node_ids = tuple(nid for nid in self._order if nid in self._nodes)
-        self._client_ids = tuple(cid for cid in self._order if cid in self._clients)
-        self._children_tuples = {nid: tuple(kids) for nid, kids in self._children.items()}
-        self._child_nodes = {
-            nid: tuple(c for c in kids if c in self._nodes)
-            for nid, kids in self._children_tuples.items()
-        }
-        self._child_clients = {
-            nid: tuple(c for c in kids if c in self._clients)
-            for nid, kids in self._children_tuples.items()
-        }
+        self._post_order_nodes = self._node_ids[::-1]
+        self._subtree_requests = _subtree_sums(client_map, children, self._post_order_nodes)
+        self._memo = _Memo()
         self._index_cache = None
         self._patch_source = None
         self._hash = None
+
+    # ------------------------------------------------------------------ #
+    # memoised structural caches (see _Memo)
+    # ------------------------------------------------------------------ #
+    @property
+    def _ancestors(self) -> Dict[NodeId, Tuple[NodeId, ...]]:
+        """Bottom-up ancestor chains, excluding the element itself."""
+        memo = self._memo
+        if memo.ancestors is None:
+            # Siblings share their parent's chain-through-itself, so the
+            # tuples cost O(|N| * depth) and the clients add one reference
+            # each.
+            parent = self._parent
+            through = {self._root: (self._root,)}
+            for nid in self._node_ids[1:]:  # breadth-first: parents first
+                through[nid] = (nid,) + through[parent[nid]]
+            chains: Dict[NodeId, Tuple[NodeId, ...]] = {self._root: ()}
+            rest = self._order[1:]
+            chains.update(zip(rest, map(through.__getitem__, map(parent.__getitem__, rest))))
+            memo.ancestors = chains
+        return memo.ancestors
+
+    @property
+    def _subtree_clients(self) -> Dict[NodeId, Tuple[NodeId, ...]]:
+        """Clients of every subtree: the concatenation of the children's
+        tuples in link order -- the order TreeIndex's client layout
+        reproduces."""
+        memo = self._memo
+        if memo.subtree_clients is None:
+            children = self._children
+            tuples: Dict[NodeId, Tuple[NodeId, ...]] = {cid: (cid,) for cid in self._clients}
+            for nid in self._post_order_nodes:  # children before parents
+                tuples[nid] = tuple(chain.from_iterable(map(tuples.__getitem__, children[nid])))
+            memo.subtree_clients = tuples
+        return memo.subtree_clients
+
+    @property
+    def _children_tuples(self) -> Dict[NodeId, Tuple[NodeId, ...]]:
+        memo = self._memo
+        if memo.children is None:
+            memo.children = {nid: tuple(kids) for nid, kids in self._children.items()}
+        return memo.children
+
+    @property
+    def _child_nodes(self) -> Dict[NodeId, Tuple[NodeId, ...]]:
+        memo = self._memo
+        if memo.child_nodes is None:
+            is_node = self._nodes.__contains__
+            memo.child_nodes = {
+                nid: tuple(filter(is_node, kids)) for nid, kids in self._children.items()
+            }
+        return memo.child_nodes
+
+    @property
+    def _child_clients(self) -> Dict[NodeId, Tuple[NodeId, ...]]:
+        memo = self._memo
+        if memo.child_clients is None:
+            is_client = self._clients.__contains__
+            memo.child_clients = {
+                nid: tuple(filter(is_client, kids)) for nid, kids in self._children.items()
+            }
+        return memo.child_clients
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -348,7 +406,7 @@ class TreeNetwork:
     @property
     def link_keys(self) -> Tuple[Tuple[NodeId, NodeId], ...]:
         """``(child, parent)`` keys of every link."""
-        return tuple(self._links)
+        return tuple(self._parent.items())
 
     def node(self, node_id: NodeId) -> InternalNode:
         """Return the :class:`InternalNode` with identifier ``node_id``."""
@@ -373,7 +431,7 @@ class TreeNetwork:
             raise TreeStructureError(
                 f"{child!r} has parent {actual_parent!r}, not {parent!r}"
             )
-        return self._links[(child, actual_parent)]
+        return self._links[child]
 
     def is_client(self, element_id: NodeId) -> bool:
         """``True`` when ``element_id`` identifies a client leaf."""
@@ -415,21 +473,21 @@ class TreeNetwork:
     def children(self, node_id: NodeId) -> Tuple[NodeId, ...]:
         """Children (internal nodes and clients) of an internal node."""
         try:
-            return self._children_tuples[node_id]
+            return (self._memo.children or self._children_tuples)[node_id]
         except KeyError:
             raise TreeStructureError(f"unknown internal node {node_id!r}") from None
 
     def child_nodes(self, node_id: NodeId) -> Tuple[NodeId, ...]:
         """Children of ``node_id`` that are internal nodes."""
         try:
-            return self._child_nodes[node_id]
+            return (self._memo.child_nodes or self._child_nodes)[node_id]
         except KeyError:
             raise TreeStructureError(f"unknown internal node {node_id!r}") from None
 
     def child_clients(self, node_id: NodeId) -> Tuple[NodeId, ...]:
         """Children of ``node_id`` that are clients."""
         try:
-            return self._child_clients[node_id]
+            return (self._memo.child_clients or self._child_clients)[node_id]
         except KeyError:
             raise TreeStructureError(f"unknown internal node {node_id!r}") from None
 
@@ -442,7 +500,7 @@ class TreeNetwork:
         if element_id == self._root:
             return ()
         try:
-            return self._ancestors[element_id]
+            return (self._memo.ancestors or self._ancestors)[element_id]
         except KeyError:
             raise TreeStructureError(f"unknown element {element_id!r}") from None
 
@@ -476,9 +534,8 @@ class TreeNetwork:
         links: List[Link] = []
         current = element_id
         while current != ancestor_id:
-            parent = self._parent[current]
-            links.append(self._links[(current, parent)])
-            current = parent
+            links.append(self._links[current])
+            current = self._parent[current]
         return tuple(links)
 
     def distance(self, element_id: NodeId, ancestor_id: NodeId) -> int:
@@ -499,7 +556,7 @@ class TreeNetwork:
         """Clients located in ``subtree(node_id)`` (paper's ``clients(j)``)."""
         if node_id not in self._nodes and node_id not in self._clients:
             raise TreeStructureError(f"unknown element {node_id!r}")
-        return self._subtree_clients[node_id]
+        return (self._memo.subtree_clients or self._subtree_clients)[node_id]
 
     def subtree_requests(self, node_id: NodeId) -> float:
         """Total number of requests issued inside ``subtree(node_id)``."""
@@ -634,8 +691,9 @@ class TreeNetwork:
         """Return an *epoch fork* of this tree with some request rates replaced.
 
         Unlike :meth:`with_clients`, which rebuilds and re-validates the whole
-        network, this fork reuses every structural cache (topology, ancestor
-        chains, depths, subtree client layouts) of the original tree: only the
+        network, this fork reuses every structural cache (topology, depths and
+        the memo of ancestor chains and subtree client layouts, whichever of
+        the two trees builds them first) of the original tree: only the
         affected :class:`Client` records, the subtree request sums and the
         workload vectors of the cached :class:`~repro.core.index.TreeIndex`
         are recomputed.  Subtree request sums are re-accumulated in the exact
@@ -658,22 +716,19 @@ class TreeNetwork:
                 changed[client_id] = value
 
         fork = TreeNetwork.__new__(TreeNetwork)
-        # Shared immutable structure: same topology, links and internal nodes.
+        # Shared immutable structure: same topology, links and internal nodes;
+        # the memo is shared too, so a cache either tree builds serves both.
         fork._nodes = self._nodes
         fork._links = self._links
         fork._parent = self._parent
         fork._children = self._children
         fork._root = self._root
         fork._order = self._order
-        fork._ancestors = self._ancestors
         fork._depth = self._depth
-        fork._subtree_clients = self._subtree_clients
         fork._post_order_nodes = self._post_order_nodes
         fork._node_ids = self._node_ids
         fork._client_ids = self._client_ids
-        fork._children_tuples = self._children_tuples
-        fork._child_nodes = self._child_nodes
-        fork._child_clients = self._child_clients
+        fork._memo = self._memo
         fork._hash = None
         fork._index_cache = None
 
@@ -686,22 +741,10 @@ class TreeNetwork:
         fork._clients = dict(self._clients)
         for client_id, value in changed.items():
             fork._clients[client_id] = replace(self._clients[client_id], requests=value)
-
-        # Re-accumulate the subtree request sums bottom-up in the same order
-        # as _validate_and_index so float results match a fresh build exactly.
-        subtree_requests: Dict[NodeId, float] = {}
-        clients_map = fork._clients
-        children_map = self._children
-        for element in reversed(self._order):
-            client = clients_map.get(element)
-            if client is not None:
-                subtree_requests[element] = client.requests
-            else:
-                total = 0.0
-                for child in children_map[element]:
-                    total += subtree_requests[child]
-                subtree_requests[element] = total
-        fork._subtree_requests = subtree_requests
+        # Same accumulation order as a fresh build: the floats match exactly.
+        fork._subtree_requests = _subtree_sums(
+            fork._clients, self._children, self._post_order_nodes
+        )
         fork._patch_source = (self, tuple(changed))
         return fork
 
@@ -723,7 +766,7 @@ class TreeNetwork:
                 (
                     frozenset(self._nodes.items()),
                     frozenset(self._clients.items()),
-                    frozenset(self._links),
+                    frozenset(self._parent.items()),
                 )
             )
         return self._hash
@@ -733,3 +776,69 @@ class TreeNetwork:
             f"TreeNetwork(|N|={len(self._nodes)}, |C|={len(self._clients)}, "
             f"root={self._root!r}, lambda={self.load_factor():.3f})"
         )
+
+
+def _subtree_sums(
+    clients: Mapping[NodeId, Client],
+    children: Mapping[NodeId, List[NodeId]],
+    post_order: Sequence[NodeId],
+) -> Dict[NodeId, float]:
+    """Subtree request sums, added child by child in link order, children
+    before parents: fresh builds and epoch forks share this order, so their
+    floats agree bit for bit."""
+    sums: Dict[NodeId, float] = {cid: client.requests for cid, client in clients.items()}
+    for nid in post_order:
+        total = 0.0
+        for child in children[nid]:
+            total += sums[child]
+        sums[nid] = total
+    return sums
+
+
+def _item_error(
+    nodes: Sequence[InternalNode], clients: Sequence[Client], links: Sequence[Link]
+) -> Optional[TreeStructureError]:
+    """The first per-item defect of a tree's parts, in declaration order.
+
+    The constructor checks its input in bulk and runs this loop only to
+    name the offender once the bulk checks fail.
+    """
+    node_ids: set = set()
+    for node in nodes:
+        if node.id in node_ids:
+            return TreeStructureError(f"duplicate internal node id {node.id!r}")
+        node_ids.add(node.id)
+    client_ids: set = set()
+    for client in clients:
+        if client.id in client_ids:
+            return TreeStructureError(f"duplicate client id {client.id!r}")
+        if client.id in node_ids:
+            return TreeStructureError(
+                f"identifier {client.id!r} used both as client and internal node"
+            )
+        client_ids.add(client.id)
+    children: set = set()
+    for link in links:
+        if link.child not in node_ids and link.child not in client_ids:
+            return TreeStructureError(f"link child {link.child!r} is not declared")
+        if link.parent not in node_ids:
+            return TreeStructureError(
+                f"link parent {link.parent!r} is not an internal node "
+                "(clients must be leaves)"
+            )
+        if link.child in children:
+            return TreeStructureError(f"{link.child!r} has more than one parent")
+        if link.child == link.parent:
+            return TreeStructureError(f"self-loop on {link.child!r}")
+        children.add(link.child)
+    return None
+
+
+def _reject(
+    nodes: Sequence[InternalNode],
+    clients: Sequence[Client],
+    links: Sequence[Link],
+    message: str,
+) -> TreeStructureError:
+    """A global structure error, unless a per-item defect comes first."""
+    return _item_error(nodes, clients, links) or TreeStructureError(message)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,9 +76,10 @@ class _OrderedSampler:
         return self._member[position]
 
     def _update(self, position: int, delta: int) -> None:
+        tree, n = self._tree, self._n
         index = position + 1
-        while index <= self._n:
-            self._tree[index] += delta
+        while index <= n:
+            tree[index] += delta
             index += index & (-index)
 
     def add(self, position: int) -> None:
@@ -97,13 +98,14 @@ class _OrderedSampler:
         """Position of the ``rank``-th member (0-based, ascending)."""
         if not 0 <= rank < self._count:
             raise IndexError(rank)
+        tree, n = self._tree, self._n
         target = rank + 1
         position = 0
-        bit = 1 << (self._n.bit_length())
+        bit = 1 << n.bit_length()
         while bit:
             nxt = position + bit
-            if nxt <= self._n and self._tree[nxt] < target:
-                target -= self._tree[nxt]
+            if nxt <= n and tree[nxt] < target:
+                target -= tree[nxt]
                 position = nxt
             bit >>= 1
         return position  # 0-based: `position` 1-past-the-prefix minus one
@@ -222,8 +224,8 @@ class TreeGenerator:
         # with max_children >= 1), so the legacy all-full fallback is kept
         # only as a guard.
         node_names = [f"n{i}" for i in range(n_nodes)]
-        parent_of: Dict[str, Optional[str]] = {node_names[0]: None}
-        child_count = {name: 0 for name in node_names}
+        parent_index_of = [-1] * n_nodes
+        child_count = [0] * n_nodes
         open_nodes = _OrderedSampler(n_nodes)
         open_nodes.add(0)
         for index in range(1, n_nodes):
@@ -232,10 +234,9 @@ class TreeGenerator:
                 parent_index = open_nodes.select(choice)
             else:  # pragma: no cover - unreachable with max_children >= 1
                 parent_index = int(rng.integers(index))
-            parent = node_names[parent_index]
-            parent_of[node_names[index]] = parent
-            child_count[parent] += 1
-            if child_count[parent] >= config.max_children:
+            parent_index_of[index] = parent_index
+            child_count[parent_index] += 1
+            if child_count[parent_index] >= config.max_children:
                 open_nodes.discard(parent_index)
             open_nodes.add(index)
 
@@ -247,11 +248,11 @@ class TreeGenerator:
         client_names = [f"c{i}" for i in range(n_clients)]
         if config.client_attachment in ("leaves", "spread"):
             attachment_pool = [
-                name for name in node_names if child_count[name] == 0
+                name for name, count in zip(node_names, child_count) if count == 0
             ] or node_names
         else:
             attachment_pool = node_names
-        client_parent: Dict[str, str] = {}
+        client_parents: List[str] = []
         if config.client_attachment == "spread":
             # Balance the number of clients per edge node: every client goes
             # to one of the currently least-loaded pool nodes.  Those are
@@ -262,17 +263,19 @@ class TreeGenerator:
             lightest = _OrderedSampler(len(attachment_pool))
             for position in range(len(attachment_pool)):
                 lightest.add(position)
-            for name in client_names:
+            for _ in client_names:
                 choice = int(rng.integers(len(lightest)))
                 position = lightest.select(choice)
-                client_parent[name] = attachment_pool[position]
+                client_parents.append(attachment_pool[position])
                 lightest.discard(position)
                 if not len(lightest):
                     for refill in range(len(attachment_pool)):
                         lightest.add(refill)
         else:
-            for name in client_names:
-                client_parent[name] = attachment_pool[int(rng.integers(len(attachment_pool)))]
+            # One bulk draw consumes the same stream as a scalar draw per
+            # client (the pinned-digest tests hold it to that).
+            draws = rng.integers(len(attachment_pool), size=n_clients).tolist()
+            client_parents = list(map(attachment_pool.__getitem__, draws))
 
         # --- capacities --------------------------------------------------- #
         if config.homogeneous:
@@ -297,46 +300,27 @@ class TreeGenerator:
         requests = _scale_to_total(raw, config.target_load * total_capacity)
 
         # --- QoS bounds ---------------------------------------------------- #
-        qos_bounds: Dict[str, float] = {}
         if config.qos_hops is not None:
             low, high = config.qos_hops
-            for name in client_names:
-                qos_bounds[name] = float(rng.integers(low, high + 1))
+            # One bulk draw, same stream as a scalar draw per client.
+            qos_bounds = list(map(float, rng.integers(low, high + 1, size=n_clients).tolist()))
+        else:
+            qos_bounds = [math.inf] * n_clients
 
         # --- assemble ------------------------------------------------------ #
-        nodes = [
-            InternalNode(id=name, capacity=float(capacity))
-            for name, capacity in zip(node_names, capacities)
-        ]
-        clients = [
-            Client(
-                id=name,
-                requests=float(requests[i]),
-                qos=qos_bounds.get(name, math.inf),
-            )
-            for i, name in enumerate(client_names)
-        ]
+        nodes = list(map(InternalNode, node_names, capacities.tolist()))
+        clients = list(map(Client, client_names, requests.tolist(), qos_bounds))
         bandwidth = (
             math.inf if config.link_bandwidth is None else float(config.link_bandwidth)
         )
+        comm_time = config.link_comm_time
         links = [
-            Link(
-                child=name,
-                parent=parent,
-                comm_time=config.link_comm_time,
-                bandwidth=bandwidth,
-            )
-            for name, parent in parent_of.items()
-            if parent is not None
+            Link(name, node_names[parent_index], comm_time, bandwidth)
+            for name, parent_index in zip(node_names[1:], parent_index_of[1:])
         ]
         links.extend(
-            Link(
-                child=name,
-                parent=client_parent[name],
-                comm_time=config.link_comm_time,
-                bandwidth=bandwidth,
-            )
-            for name in client_names
+            Link(name, parent, comm_time, bandwidth)
+            for name, parent in zip(client_names, client_parents)
         )
         tree = TreeNetwork(nodes, clients, links)
         if config.link_metrics:
@@ -378,9 +362,12 @@ def _scale_to_total(raw: np.ndarray, target_total: float) -> np.ndarray:
     # scan: it yields the same donor (largest value, first index on ties)
     # and running dry means every remaining value is <= 1, where the scan
     # version stopped transferring too.
-    donors = [(-int(value), int(i)) for i, value in enumerate(floors) if value > 1]
+    empty = np.flatnonzero(floors == 0)
+    if not empty.size:
+        return floors.astype(float)
+    donors = [(-value, i) for i, value in enumerate(floors.tolist()) if value > 1]
     heapq.heapify(donors)
-    for index in np.where(floors == 0)[0]:
+    for index in empty:
         donor = None
         while donors:
             neg_value, candidate = donors[0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -181,6 +182,27 @@ class TestSerialization:
         assert rebuilt == hetero_tree
         path = save_tree(hetero_tree, tmp_path / "tree.json")
         assert load_tree(path) == hetero_tree
+
+    def test_decoded_ids_are_one_object_each(self, hetero_tree):
+        rebuilt = tree_from_dict(json.loads(json.dumps(tree_to_dict(hetero_tree))))
+        assert rebuilt == hetero_tree
+        declared = {node.id: node.id for node in rebuilt.nodes()}
+        declared.update((client.id, client.id) for client in rebuilt.clients())
+        for link in rebuilt.links():
+            assert link.child is declared[link.child]
+            assert link.parent is declared[link.parent]
+
+    def test_non_string_ids_keep_their_type(self):
+        tree = (
+            TreeBuilder()
+            .add_node(1, capacity=5)
+            .add_node(2, parent=1.0, capacity=5)
+            .add_client("c", parent=2, requests=1)
+            .build()
+        )
+        payload = tree_to_dict(tree_from_dict(tree_to_dict(tree)))
+        assert payload == tree_to_dict(tree)
+        assert [type(entry["parent"]) for entry in payload["links"]] == [float, int]
 
     def test_infinite_bounds_encoded_as_null(self, small_tree):
         payload = tree_to_dict(small_tree)

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+
+from repro.core.problem import ReplicaPlacementProblem
+from repro.core.serialization import problem_to_dict
 
 from repro.workloads.distributions import (
     heterogeneous_capacities,
@@ -176,6 +181,84 @@ class TestTreeGenerator:
         trees = TreeGenerator(31).generate_many(GeneratorConfig(size=30), 3)
         assert len(trees) == 3
         assert len({t.size for t in trees}) == 1
+
+
+def _digest(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _tree_digest(tree) -> str:
+    return _digest(problem_to_dict(ReplicaPlacementProblem(tree=tree)))
+
+
+class TestPinnedDraws:
+    """sha256 digests of generated instances, pinned across versions: a
+    change to the RNG stream -- or to anything downstream of it -- fails
+    here, while same-code reproducibility checks would still pass."""
+
+    CASES = {
+        "spread": (
+            dict(size=60, target_load=0.5, seed=11),
+            "fa6c1286d8e2d43d421b73d7c67e92ccd7af2d4b337c787124888c31ec944e98",
+        ),
+        "leaves": (
+            dict(size=80, target_load=0.4, homogeneous=False, seed=12, client_attachment="leaves"),
+            "300305e235694ec32b98e619b23761f93c9d305fe24b9f5f8f7b0e4dde37e23a",
+        ),
+        "uniform": (
+            dict(size=80, target_load=0.6, seed=13, client_attachment="uniform"),
+            "97281b6580f0c8914b4773e21da45001321fa9048312d8f741a48e6ea08e0f51",
+        ),
+        "qos_hops": (
+            dict(size=70, target_load=0.5, seed=14, qos_hops=(2, 5)),
+            "20192f43577d13117d872905c3fb8b26506d51ecaabd1b27b00062f2b7a0d550",
+        ),
+        # integers(3, 4) has a single outcome and draws nothing
+        "qos_hops_fixed_leaves": (
+            dict(size=40, target_load=0.3, seed=15, qos_hops=(3, 3), client_attachment="leaves"),
+            "697861fdf5d5efa2de10d639ca00fc01e64eca968743c63b4592cc6f8739be21",
+        ),
+        "qos_hops_uniform": (
+            dict(size=50, target_load=0.5, seed=18, qos_hops=(1, 4), client_attachment="uniform"),
+            "5c925519ad387dc73d7368818d7ca068e68b677dd11125000c87bcd0239a79e3",
+        ),
+        "link_bandwidth": (
+            dict(size=50, target_load=0.5, seed=16, link_bandwidth=25.0),
+            "963bc6f73a2bb033fa7292d198ae4e1e417f0901cce7fbba4775d16bc3616e43",
+        ),
+        "link_metrics": (
+            dict(size=50, target_load=0.5, homogeneous=False, seed=17, link_metrics=True),
+            "f93674c7657a6551992227a3055229f7382644f536a348d1088357c49d06e23f",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_generate_tree(self, name):
+        kwargs, digest = self.CASES[name]
+        assert _tree_digest(generate_tree(**kwargs)) == digest
+
+    def test_large_tree(self):
+        assert (
+            _tree_digest(large_tree(2_000))
+            == "0c35c0b243e637aa98569083c2e6b9729458bae7ff1aa2bc7213651026eef487"
+        )
+
+    def test_generate_campaign(self):
+        campaign = generate_campaign(
+            lambdas=(0.2, 0.7),
+            trees_per_lambda=2,
+            size_range=(15, 40),
+            homogeneous=False,
+            seed=5,
+        )
+        payload = [
+            [load, problem_to_dict(ReplicaPlacementProblem(tree=tree))]
+            for load, tree in campaign
+        ]
+        assert (
+            _digest(payload)
+            == "e79129e88fc540a93d00e16df8bf1b526a17dfc9421faafb58c60e745332b9cf"
+        )
 
 
 class TestCampaignGeneration:

@@ -516,6 +516,20 @@ class TestErrorEnvelopes:
             "invalid",
         ]
 
+    @pytest.mark.parametrize(
+        "field, named", [("requests", "request rate nan"), ("qos", "QoS bound nan")]
+    )
+    def test_nan_client_field_is_an_invalid_problem(self, field, named):
+        # json.loads accepts a NaN literal; the tree records must refuse it.
+        payload = problem_to_dict(make_problem(41, size=20))
+        payload["tree"]["clients"][0][field] = float("nan")
+        line = json.dumps({"op": "solve", "problem": payload})
+        assert "NaN" in line
+        reply = json.loads(ReproServer(capacity=2).handle_line(line))
+        assert reply["type"] == "error", reply
+        assert reply["error"]["code"] == "invalid"
+        assert named in reply["error"]["message"]
+
     def test_non_json_line(self):
         server = ReproServer(capacity=2)
         reply = json.loads(server.handle_line("this is not json"))

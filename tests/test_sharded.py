@@ -212,6 +212,10 @@ def assert_index_equal(sliced: TreeIndex, fresh: TreeIndex):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         else:
             assert a == b, name
+    # views built on first use rather than stored in slots
+    assert sliced.uplink_comm == fresh.uplink_comm
+    for element_id in fresh.node_order + fresh.client_order:
+        assert sliced.root_latency_of(element_id) == fresh.root_latency_of(element_id)
 
 
 class TestSlicedIndex:

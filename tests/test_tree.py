@@ -3,11 +3,20 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
 from repro.core.exceptions import TreeStructureError
+from repro.core.index import TreeIndex
 from repro.core.tree import Client, InternalNode, Link, TreeNetwork
+
+NAN = float("nan")
+
+
+def raises_exactly(message):
+    """``pytest.raises`` for a TreeStructureError with exactly ``message``."""
+    return pytest.raises(TreeStructureError, match=f"^{re.escape(message)}$")
 
 
 def build_sample():
@@ -61,6 +70,39 @@ class TestComponents:
     def test_link_key(self):
         assert Link("a", "b").key == ("a", "b")
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Client("c", requests=NAN), "client 'c' has request rate nan"),
+            (lambda: Client("c", requests=math.inf), "client 'c' has request rate inf"),
+            (lambda: Client("c", requests=1, qos=NAN), "client 'c' has QoS bound nan"),
+            (lambda: InternalNode("x", capacity=NAN), "node 'x' has capacity nan"),
+            (lambda: InternalNode("x", capacity=math.inf), "node 'x' has capacity inf"),
+            (
+                lambda: InternalNode("x", capacity=1, storage_cost=NAN),
+                "node 'x' has storage cost nan",
+            ),
+            (
+                lambda: InternalNode("x", capacity=1, storage_cost=math.inf),
+                "node 'x' has storage cost inf",
+            ),
+            (lambda: Link("a", "b", comm_time=NAN), "link 'a'->'b' has comm time nan"),
+            (lambda: Link("a", "b", bandwidth=NAN), "link 'a'->'b' has bandwidth nan"),
+        ],
+    )
+    def test_nan_and_unbounded_values_rejected(self, build, message):
+        with pytest.raises(TreeStructureError, match=f"^{re.escape(message)}, not a "):
+            build()
+
+    def test_infinite_qos_and_bandwidth_mean_unbounded(self):
+        assert Client("c", requests=1, qos=math.inf).qos == math.inf
+        assert Link("a", "b", bandwidth=math.inf).bandwidth == math.inf
+
+    def test_with_requests_rejects_nan(self):
+        tree = build_sample()
+        with raises_exactly("client 'c1' has request rate nan, not a finite number >= 0"):
+            tree.with_requests({"c1": NAN})
+
     def test_with_storage_cost_returns_new_node(self):
         node = InternalNode("x", capacity=5)
         other = node.with_storage_cost(1.0)
@@ -69,13 +111,13 @@ class TestComponents:
 
 class TestStructureValidation:
     def test_duplicate_node_ids_rejected(self):
-        with pytest.raises(TreeStructureError):
+        with raises_exactly("duplicate internal node id 'x'"):
             TreeNetwork(
                 [InternalNode("x", capacity=1), InternalNode("x", capacity=2)], [], []
             )
 
     def test_duplicate_client_ids_rejected(self):
-        with pytest.raises(TreeStructureError):
+        with raises_exactly("duplicate client id 'c'"):
             TreeNetwork(
                 [InternalNode("r", capacity=1)],
                 [Client("c", requests=1), Client("c", requests=2)],
@@ -83,7 +125,7 @@ class TestStructureValidation:
             )
 
     def test_id_shared_between_client_and_node_rejected(self):
-        with pytest.raises(TreeStructureError):
+        with raises_exactly("identifier 'x' used both as client and internal node"):
             TreeNetwork(
                 [InternalNode("r", capacity=1), InternalNode("x", capacity=1)],
                 [Client("x", requests=1)],
@@ -91,7 +133,9 @@ class TestStructureValidation:
             )
 
     def test_client_cannot_be_a_parent(self):
-        with pytest.raises(TreeStructureError):
+        with raises_exactly(
+            "link parent 'c' is not an internal node (clients must be leaves)"
+        ):
             TreeNetwork(
                 [InternalNode("r", capacity=1)],
                 [Client("c", requests=1), Client("d", requests=1)],
@@ -99,17 +143,17 @@ class TestStructureValidation:
             )
 
     def test_two_roots_rejected(self):
-        with pytest.raises(TreeStructureError):
+        with raises_exactly("expected exactly one root internal node, found 2: ['r1', 'r2']"):
             TreeNetwork(
                 [InternalNode("r1", capacity=1), InternalNode("r2", capacity=1)], [], []
             )
 
     def test_client_without_parent_rejected(self):
-        with pytest.raises(TreeStructureError):
+        with raises_exactly("clients without a parent link: ['c']"):
             TreeNetwork([InternalNode("r", capacity=1)], [Client("c", requests=1)], [])
 
     def test_double_parent_rejected(self):
-        with pytest.raises(TreeStructureError):
+        with raises_exactly("'a' has more than one parent"):
             TreeNetwork(
                 [
                     InternalNode("r", capacity=1),
@@ -121,7 +165,7 @@ class TestStructureValidation:
             )
 
     def test_self_loop_rejected(self):
-        with pytest.raises(TreeStructureError):
+        with raises_exactly("self-loop on 'a'"):
             TreeNetwork(
                 [InternalNode("r", capacity=1), InternalNode("a", capacity=1)],
                 [],
@@ -129,12 +173,90 @@ class TestStructureValidation:
             )
 
     def test_empty_tree_rejected(self):
-        with pytest.raises(TreeStructureError):
+        with raises_exactly("a tree network needs at least one internal node"):
             TreeNetwork([], [], [])
 
     def test_unknown_link_endpoint_rejected(self):
-        with pytest.raises(TreeStructureError):
+        with raises_exactly("link child 'ghost' is not declared"):
             TreeNetwork([InternalNode("r", capacity=1)], [], [Link("ghost", "r")])
+
+    def test_cycle_is_unreachable(self):
+        with raises_exactly(
+            "elements unreachable from the root (cycle or disconnected): "
+            "[\"'a'\", \"'b'\", \"'c'\"]"
+        ):
+            TreeNetwork(
+                [
+                    InternalNode("r", capacity=1),
+                    InternalNode("a", capacity=1),
+                    InternalNode("b", capacity=1),
+                ],
+                [Client("c", requests=1)],
+                [Link("a", "b"), Link("b", "a"), Link("c", "a")],
+            )
+
+    def test_per_item_defects_are_named_before_global_ones(self):
+        # The self-loop leaves no root; the first link's parent is a client.
+        with raises_exactly("self-loop on 'r'"):
+            TreeNetwork([InternalNode("r", capacity=1)], [], [Link("r", "r")])
+        with raises_exactly(
+            "link parent 'c' is not an internal node (clients must be leaves)"
+        ):
+            TreeNetwork(
+                [InternalNode("r1", capacity=1), InternalNode("r2", capacity=1)],
+                [Client("c", requests=1), Client("d", requests=1)],
+                [Link("d", "c"), Link("ghost", "r1")],
+            )
+
+    def test_first_offender_in_declaration_order(self):
+        with raises_exactly("duplicate internal node id 'b'"):
+            TreeNetwork(
+                [InternalNode(name, capacity=1) for name in "abbcc"],
+                [Client("a", requests=1)],
+                [],
+            )
+        with raises_exactly("link child 'ghost' is not declared"):
+            TreeNetwork(
+                [InternalNode("r", capacity=1), InternalNode("a", capacity=1)],
+                [],
+                [Link("ghost", "r"), Link("a", "a")],
+            )
+
+
+class TestMemoisedCaches:
+    MEMOISED = (
+        "_ancestors",
+        "_subtree_clients",
+        "_children_tuples",
+        "_child_nodes",
+        "_child_clients",
+    )
+
+    def fresh_copy(self, tree):
+        return TreeNetwork(list(tree.nodes()), list(tree.clients()), list(tree.links()))
+
+    def test_fork_reuses_caches_built_on_its_base(self):
+        tree = build_sample()
+        built = {name: getattr(tree, name) for name in self.MEMOISED}
+        fork = tree.with_requests({"c1": 9.0})
+        fresh = self.fresh_copy(fork)
+        for name in self.MEMOISED:
+            assert getattr(fork, name) is built[name], name
+            assert getattr(fork, name) == getattr(fresh, name), name
+
+    def test_base_reuses_caches_built_on_its_fork(self):
+        tree = build_sample()
+        fork = tree.with_requests({"c2": 0.0}).with_requests({"c1": 1.0})
+        for name in self.MEMOISED:
+            assert getattr(tree, name) is getattr(fork, name), name
+            assert getattr(tree, name) == getattr(self.fresh_copy(tree), name), name
+
+    def test_index_hands_its_ancestor_chains_to_the_tree(self):
+        tree = build_sample()
+        index = TreeIndex(tree)
+        for position, client_id in enumerate(index.client_order):
+            assert tree.ancestors(client_id) is index.client_ancestors[position]
+        assert tree._ancestors == self.fresh_copy(tree)._ancestors
 
 
 class TestQueries:
