@@ -32,8 +32,9 @@ Sub-commands
     across restarts and restores them warm on boot.
 ``doctor``
     Report the health of the request-state engines: which engines import,
-    whether the native C kernels compile (and from which cache), and the
-    process-wide default engine.
+    whether the native C kernels compile (and from which cache), the
+    process-wide default engine, the IPFP bound, and whether the LP backend
+    (scipy) is installed -- found without importing it.
 ``table1``
     Print the computational evidence backing paper Table 1.
 
@@ -542,8 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     doc = sub.add_parser(
         "doctor",
-        help="report engine availability, native-kernel compile status and "
-        "the active default engine",
+        help="report engine availability, native-kernel compile status, "
+        "the active default engine and the LP backend",
     )
     doc.add_argument(
         "--json",
@@ -1303,6 +1304,7 @@ def _dispatch_doctor(args: argparse.Namespace) -> int:
         }
     except Exception as error:  # report, never crash the doctor
         ipfp = {"available": False, "error": f"{type(error).__name__}: {error}"}
+    lp_backend = _lp_backend()
     report = {
         "type": "doctor",
         "default_engine": get_default_engine(),
@@ -1311,6 +1313,7 @@ def _dispatch_doctor(args: argparse.Namespace) -> int:
         "native_kernels": status,
         "native_cache_dir": str(kernel_cache_dir()),
         "ipfp": ipfp,
+        "lp_backend": lp_backend,
     }
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -1337,7 +1340,30 @@ def _dispatch_doctor(args: argparse.Namespace) -> int:
         )
     else:
         print(f"ipfp bound: unavailable ({ipfp.get('error')})")
+    if lp_backend["available"]:
+        print(f"lp backend: scipy {lp_backend['version']} (loaded on first LP bound)")
+    else:
+        print("lp backend: unavailable (scipy is not installed; "
+              "mixed/rational bounds and exact solves need it)")
     return 0
+
+
+def _lp_backend() -> dict:
+    """Whether scipy, the LP backend, is installed, found without importing it.
+
+    Only LP assembly and LP solves import scipy, so a host without it still
+    solves and serves IPFP bounds; this tells the operator up front.
+    """
+    import importlib.metadata
+    import importlib.util
+
+    if importlib.util.find_spec("scipy") is None:
+        return {"available": False, "version": None}
+    try:
+        version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        version = None
+    return {"available": True, "version": version}
 
 
 def _load_problem(path: str, *, counting: bool) -> ReplicaPlacementProblem:

@@ -11,6 +11,12 @@ This package reproduces those formulations on top of
 substitutes for the GLPK solver used by the authors -- the mathematical
 programs are identical, only the backend differs.
 
+scipy is imported on the first LP assembly or solve, never by importing
+this package: the IPFP bound is pure numpy and never imports it, so
+processes that only solve, serve or bound with ``method="ipfp"`` do not
+pay scipy's import time and memory (``repro doctor`` reports whether it is
+installed without importing it).
+
 Contents
 --------
 * :mod:`repro.lp.variables` -- variable indexing (``x_j`` and sparse

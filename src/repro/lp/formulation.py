@@ -53,14 +53,16 @@ structural, mirroring :meth:`repro.core.tree.TreeNetwork.with_requests` /
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.policies import Policy
 from repro.core.problem import ReplicaPlacementProblem
 from repro.lp.variables import VariableSpace
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["LinearProgramData", "build_program", "build_program_reference"]
 
@@ -251,6 +253,8 @@ class LinearProgramData:
         variable_upper = self.variable_upper
         matrix = self.constraint_matrix
         if single:
+            from scipy import sparse
+
             positions, pair_ids = self._request_entries
             data = matrix.data.copy()
             data[positions] = new_space.pair_requests[pair_ids]
@@ -329,6 +333,8 @@ class LinearProgramData:
                 np.where(~close & np.isfinite(lower))[0],
             )
         if self._split_matrices is None:
+            from scipy import sparse
+
             eq_rows, ub_rows, lb_rows = self._split_rows
             matrix = self.constraint_matrix.tocsr()
             a_eq = matrix[eq_rows] if len(eq_rows) else None
@@ -590,6 +596,8 @@ def build_program(
     row_counts = np.concatenate(count_parts)
     indptr = np.zeros(row_counts.size + 1, dtype=np.intp)
     np.cumsum(row_counts, out=indptr[1:])
+    from scipy import sparse
+
     matrix = sparse.csr_matrix(
         (data, cols, indptr), shape=(row_counts.size, space.num_variables)
     )
@@ -698,6 +706,8 @@ class _ConstraintBuilder:
 
     def matrix(self) -> sparse.csr_matrix:
         """The assembled sparse constraint matrix."""
+        from scipy import sparse
+
         return sparse.csr_matrix(
             (self.data, (self.rows, self.cols)),
             shape=(self._row, self.num_variables),

@@ -428,6 +428,18 @@ class IPFPProgram:
         fork._links = self._links
         return fork
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the numpy arrays held by this program and its variable space.
+
+        :meth:`repro.session.PlacementSession.memory_estimate` charges a
+        resident IPFP bounder this much (an IPFP program has no constraint
+        matrix to count).
+        """
+        own = self._cost_rate.nbytes + self._pair_active.nbytes
+        own += sum(crossing.nbytes for _link, _bandwidth, crossing in self._links)
+        return own + self.space.nbytes
+
     def describe(self) -> str:
         """Short description used in solver diagnostics."""
         return (

@@ -9,6 +9,10 @@ to :func:`scipy.optimize.milp` when any variable is integral and to
 * ``status == "infeasible"`` -- the program has no feasible point (which for
   the exact ILPs means the instance has no valid replica placement);
 * any other failure raises :class:`~repro.core.exceptions.SolverError`.
+
+scipy is imported on the first LP assembly or solve in a process (here and
+in :mod:`repro.lp.formulation`), not when this module is imported; the IPFP
+bound (:mod:`repro.lp.ipfp`) never imports it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.exceptions import SolverError
 from repro.lp.formulation import LinearProgramData
@@ -61,6 +64,8 @@ def solve_program(program: LinearProgramData, *, time_limit: Optional[float] = N
 
 
 def _solve_milp(program: LinearProgramData, time_limit: Optional[float]) -> LPResult:
+    from scipy import optimize
+
     constraints = optimize.LinearConstraint(
         program.constraint_matrix, program.lower, program.upper
     )
@@ -79,6 +84,8 @@ def _solve_milp(program: LinearProgramData, time_limit: Optional[float]) -> LPRe
 
 
 def _solve_linprog(program: LinearProgramData, time_limit: Optional[float] = None) -> LPResult:
+    from scipy import optimize
+
     # linprog only accepts one-sided inequality rows plus equality rows, so
     # split the two-sided rows of the generic formulation.  The split (and
     # the sliced matrices) is structural and cached on the program, so

@@ -252,6 +252,24 @@ class VariableSpace:
         """Total number of variables in the program."""
         return self.num_x + self.num_y
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the numpy arrays this space holds, cached views included."""
+        arrays = [
+            self.client_requests,
+            self.client_pair_start,
+            self.client_pair_end,
+            self.pair_client_pos,
+            self.pair_server_pos,
+            self.pair_server_depth,
+            self.pair_requests,
+            self._node_capacities,
+            self._storage_costs,
+        ]
+        if self._server_grouping is not None:
+            arrays.extend(self._server_grouping)
+        return sum(array.nbytes for array in arrays if array is not None)
+
     # ------------------------------------------------------------------ #
     # id-level views (lazy: reference builder, exact extraction, tests)
     # ------------------------------------------------------------------ #

@@ -25,14 +25,16 @@ Constraints:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
-from scipy import optimize, sparse
 
 from repro.core.exceptions import InfeasibleError, SolverError
 from repro.core.tree import NodeId
 from repro.multiobject.model import MultiObjectProblem, MultiObjectSolution
+
+if TYPE_CHECKING:
+    from scipy import optimize
 
 __all__ = ["multi_object_lower_bound", "multi_object_exact"]
 
@@ -96,6 +98,8 @@ class _MultiObjectProgram:
             if shared_entries:
                 add(shared_entries, -math.inf, capacity)
 
+        from scipy import sparse
+
         self.matrix = sparse.csr_matrix(
             (data, (rows, cols)), shape=(row, self.num_variables)
         )
@@ -113,6 +117,8 @@ class _MultiObjectProgram:
             self.var_upper[index] = problem.request(client_id, object_id)
 
     def solve(self, *, integral_assignment: bool) -> optimize.OptimizeResult:
+        from scipy import optimize
+
         integrality = np.zeros(self.num_variables)
         integrality[: len(self.x_pairs)] = 1
         if integral_assignment:

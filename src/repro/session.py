@@ -1180,10 +1180,10 @@ class PlacementSession:
 
         A deliberate heuristic, not a measurement (Python has no cheap
         deep-sizeof): the tree and its index are costed per element, each
-        resident LP program by its sparsity, each cached solve by its
-        assignment size.  The serving pool uses it for byte budgets, where
-        relative ordering between sessions matters more than absolute
-        accuracy.
+        resident LP program by its sparsity, each resident IPFP program by
+        the bytes of its arrays, each cached solve by its assignment size.
+        The serving pool uses it for byte budgets, where relative ordering
+        between sessions matters more than absolute accuracy.
         """
         size = self.problem.size
         estimate = 4096 + 400 * size
@@ -1196,13 +1196,14 @@ class PlacementSession:
                 if shard_problem.tree._index_cache is not None:
                     estimate += 250 * shard_problem.size
         for bounder in self._bounders.values():
-            program = getattr(bounder, "_program", None)
-            if program is not None:
-                try:
-                    estimate += 24 * int(program.constraint_matrix.nnz)
-                    estimate += 48 * len(program.objective)
-                except (AttributeError, TypeError):  # pragma: no cover
-                    estimate += 64 * size
+            program = bounder._program
+            if program is None:
+                continue
+            if bounder.method == "ipfp":
+                estimate += program.nbytes
+            else:
+                estimate += 24 * int(program.constraint_matrix.nnz)
+                estimate += 48 * len(program.objective)
         for result in self._solve_cache.values():
             if result.solution is not None:
                 estimate += 512 + 120 * len(result.solution.assignment)

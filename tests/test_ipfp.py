@@ -244,6 +244,28 @@ class TestSessionAndServing:
         remote = session.bound(method="ipfp")
         assert remote.value == ipfp_bound(problem).value
 
+    @pytest.mark.parametrize("label", ["cost", "bandwidth"])
+    def test_memory_estimate_charges_ipfp_arrays(self, label):
+        """The pool's byte budget sees every array a resident IPFP program owns."""
+        import numpy as np
+
+        def array_bytes(obj) -> int:
+            total = 0
+            for value in vars(obj).values():
+                for item in value if isinstance(value, (list, tuple)) else (value,):
+                    parts = item if isinstance(item, tuple) else (item,)
+                    total += sum(p.nbytes for p in parts if isinstance(p, np.ndarray))
+            return total
+
+        session = PlacementSession(_matrix_problem(label, 3))
+        before = session.memory_estimate()
+        session.bound(method="ipfp")
+        (bounder,) = session._bounders.values()
+        program = bounder._program
+        owned = array_bytes(program) + array_bytes(program.space)
+        assert owned == program.nbytes
+        assert session.memory_estimate() - before >= owned
+
     def test_bound_sequence_ipfp(self):
         from repro.api import bound_sequence
         from repro.workloads.dynamic import rate_churn

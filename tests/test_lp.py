@@ -132,16 +132,16 @@ class TestSolver:
 
     def test_time_limit_forwarded_to_pure_lp_backend(self, small_problem, monkeypatch):
         """Regression: the pure-LP path used to drop ``time_limit`` entirely."""
-        from repro.lp import solver as solver_module
+        from scipy import optimize
 
         captured = {}
-        real_linprog = solver_module.optimize.linprog
+        real_linprog = optimize.linprog
 
         def capturing_linprog(*args, **kwargs):
             captured.update(kwargs)
             return real_linprog(*args, **kwargs)
 
-        monkeypatch.setattr(solver_module.optimize, "linprog", capturing_linprog)
+        monkeypatch.setattr(optimize, "linprog", capturing_linprog)
         program = build_program(
             small_problem, Policy.MULTIPLE, integral_placement=False, integral_assignment=False
         )
@@ -154,16 +154,16 @@ class TestSolver:
         assert captured["options"] == {}
 
     def test_time_limit_forwarded_to_milp_backend(self, small_problem, monkeypatch):
-        from repro.lp import solver as solver_module
+        from scipy import optimize
 
         captured = {}
-        real_milp = solver_module.optimize.milp
+        real_milp = optimize.milp
 
         def capturing_milp(*args, **kwargs):
             captured.update(kwargs)
             return real_milp(*args, **kwargs)
 
-        monkeypatch.setattr(solver_module.optimize, "milp", capturing_milp)
+        monkeypatch.setattr(optimize, "milp", capturing_milp)
         program = build_program(small_problem, Policy.MULTIPLE)
         assert solve_program(program, time_limit=30.0).optimal
         assert captured["options"] == {"time_limit": 30.0}

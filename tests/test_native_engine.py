@@ -136,6 +136,31 @@ def test_doctor_reports_fallback_when_disabled(fresh_loader, monkeypatch, capsys
     assert "REPRO_NATIVE_DISABLE" in report["native_kernels"]["error"]
 
 
+def test_doctor_reports_lp_backend(monkeypatch, capsys):
+    import importlib.metadata
+    import importlib.util
+
+    version = importlib.metadata.version("scipy")
+    assert main(["doctor", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["lp_backend"] == {"available": True, "version": version}
+    assert main(["doctor"]) == 0
+    assert f"lp backend: scipy {version} (loaded on first LP bound)" in (
+        capsys.readouterr().out
+    )
+
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(
+        importlib.util,
+        "find_spec",
+        lambda name, *args: None if name == "scipy" else find_spec(name, *args),
+    )
+    assert main(["doctor", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["lp_backend"] == {"available": False, "version": None}
+    assert report["ipfp"]["available"]
+
+
 # --------------------------------------------------------------------------- #
 # kernel-backed internals (need a compiled kernel library)
 # --------------------------------------------------------------------------- #
