@@ -435,9 +435,10 @@ def qos_classes() -> None:
 def serving() -> None:
     """Serving: resident sessions behind the JSON protocol.
 
-    ``repro serve`` runs this over stdio, HTTP or a selectors loop
-    (``--loop`` / ``--tcp HOST:PORT``) for real deployments; the
-    walkthrough drives the identical protocol stack in-process.  Every
+    ``repro serve`` runs this over stdio, HTTP (``--http HOST:PORT``) or
+    TCP (``--tcp HOST:PORT``), all on one selectors event loop, for real
+    deployments; the walkthrough drives the identical protocol stack
+    in-process.  Every
     reply is a standard result payload, so ``connect()`` hands back the
     same ``SolveResult``/``BoundResult`` objects a local session returns --
     bit-identical, in fact, which is what the serving test suite pins.

@@ -41,8 +41,10 @@ def portfolio_solve(
     With an explicit ``algorithm``, that heuristic runs alone (and raises
     whatever it raises on failure).  Otherwise the policy's portfolio runs
     and the cheapest valid solution wins; for Multiple on homogeneous
-    platforms the provably-optimal algorithm is tried first and, when it
-    succeeds, returned without consulting the heuristics.
+    platforms the paper's optimal algorithm is tried first and, when it
+    succeeds and storage costs are uniform too (Replica Counting, where
+    Theorem 1 proves it optimal), returned without consulting the
+    heuristics.
 
     Raises
     ------
@@ -56,8 +58,13 @@ def portfolio_solve(
         return get_heuristic(algorithm).solve(problem)
 
     candidates = list(DEFAULT_PORTFOLIO[policy])
+    optimal = False
     if policy is Policy.MULTIPLE and problem.is_homogeneous:
         candidates = ["MultipleOptimalHomogeneous"] + candidates
+        # Theorem 1 covers Replica Counting: uniform capacities *and*
+        # uniform storage costs.  With mixed storage costs the fewest
+        # replicas need not be the cheapest, so the heuristics still run.
+        optimal = len(set(problem.storage_costs().values())) <= 1
 
     best: Optional[Solution] = None
     best_cost = math.inf
@@ -68,7 +75,7 @@ def portfolio_solve(
         cost = candidate.cost(problem)
         if cost < best_cost:
             best, best_cost = candidate, cost
-        if name == "MultipleOptimalHomogeneous":
+        if optimal and name == "MultipleOptimalHomogeneous":
             # Provably optimal: no need to try the heuristics.
             break
     if best is None:

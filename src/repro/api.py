@@ -127,10 +127,11 @@ trajectory -- through one parse/reply cycle; consecutive items on the
 same session share one pool checkout, and unaddressed items inherit the
 previous item's session even as in-batch updates re-key it
 (:meth:`repro.serving.ServingClient.batch` returns the decoded results,
-order-matched, with per-item errors in place).  ``repro serve --loop`` /
-``--tcp HOST:PORT`` runs the same protocol on a single-threaded
-``selectors`` event loop (:class:`repro.serving.LoopServer`) that never
-blocks on a slow client, ``GET /metrics`` exposes the pool's per-op
+order-matched, with per-item errors in place).  Every ``repro serve``
+transport -- stdio, ``--http HOST:PORT`` and ``--tcp HOST:PORT`` -- runs
+on one single-threaded ``selectors`` event loop
+(:class:`repro.serving.LoopServer`) that never blocks on a slow client,
+``GET /metrics`` exposes the pool's per-op
 latency/throughput counters as Prometheus text, and ``repro loadtest``
 replays an open-loop inhomogeneous-Poisson arrival schedule against any
 endpoint, reporting p50/p99 latency and requests/sec

@@ -27,9 +27,11 @@ Sub-commands
 ``serve``
     Run the multi-tenant serving endpoint (:mod:`repro.serving`): a
     fingerprint-keyed LRU pool of resident sessions behind the JSON
-    request protocol, over stdio (newline-delimited JSON, the default) or
-    HTTP (``--http HOST:PORT``); ``--snapshot-dir`` persists sessions
-    across restarts and restores them warm on boot.
+    request protocol, served from one single-threaded event loop over
+    stdio (newline-delimited JSON on any stdin, the default), HTTP
+    (``--http HOST:PORT``) or TCP lines (``--tcp HOST:PORT``);
+    ``--snapshot-dir`` persists sessions across restarts and restores them
+    warm on boot.
 ``doctor``
     Report the health of the request-state engines: which engines import,
     whether the native C kernels compile (and from which cache), the
@@ -61,7 +63,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.algorithms.common import available_engines
 from repro.api import compare_policies, solve_many, solve_sequence
@@ -378,34 +380,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     srv = sub.add_parser(
         "serve",
-        help="serve placement queries over resident sessions (stdio or HTTP)",
+        help="serve placement queries over resident sessions "
+        "(stdio, HTTP or TCP)",
     )
-    srv.add_argument(
+    transport = srv.add_mutually_exclusive_group()
+    transport.add_argument(
         "--stdio",
         action="store_true",
         help="speak newline-delimited JSON on stdin/stdout (the default "
-        "transport; replies are the only stdout output)",
+        "transport; stdin may be a pipe, terminal or file; replies are the "
+        "only stdout output)",
     )
-    srv.add_argument(
+    transport.add_argument(
         "--http",
         metavar="HOST:PORT",
-        default=None,
+        type=_host_port,
         help="serve HTTP instead: POST request envelopes to /, "
-        "GET /stats and /metrics",
+        "GET /stats and /metrics (one request per connection)",
     )
-    srv.add_argument(
+    transport.add_argument(
         "--tcp",
         metavar="HOST:PORT",
-        default=None,
-        help="serve newline-delimited JSON over TCP from a single-threaded "
-        "selectors loop (never blocks on a slow client)",
-    )
-    srv.add_argument(
-        "--loop",
-        action="store_true",
-        help="with --stdio: run the selectors event loop over stdin/stdout "
-        "instead of the blocking reader (falls back when stdin is a "
-        "regular file); implied by --tcp",
+        type=_host_port,
+        help="serve newline-delimited JSON over persistent TCP connections",
     )
     srv.add_argument(
         "--pool-capacity",
@@ -1033,23 +1030,24 @@ def _run_dynamic_sequence(
     return 0 if result.solved_epochs else 2
 
 
+def _host_port(text: str) -> Tuple[str, int]:
+    """The ``HOST:PORT`` address of ``serve --http`` / ``--tcp``."""
+    host, _, port = text.rpartition(":")
+    if not host or not port.isdigit():
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
+    return host, int(port)
+
+
 def _dispatch_serve(args: argparse.Namespace) -> int:
-    """The ``serve`` sub-command: stdio, HTTP or loop-TCP serving.
+    """The ``serve`` sub-command: one event loop over stdio, HTTP or TCP.
 
     Stdio keeps stdout strictly machine-readable -- one JSON reply line
     per request line, nothing else -- so supervisors can pipe it; all
     diagnostics go to stderr.
     """
+    from repro.serving.loopserver import LoopServer
     from repro.serving.pool import SessionPool
-    from repro.serving.server import ReproServer, serve_http, serve_stdio
-
-    chosen = [flag for flag in ("stdio", "http", "tcp") if getattr(args, flag)]
-    if len(chosen) > 1:
-        print(
-            f"error: --{' and --'.join(chosen)} are mutually exclusive",
-            file=sys.stderr,
-        )
-        return 1
+    from repro.serving.server import ReproServer
 
     pool = SessionPool(
         args.pool_capacity,
@@ -1068,52 +1066,24 @@ def _dispatch_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
+    loop = LoopServer(server)
     if args.http is not None:
-        host, _, port = args.http.rpartition(":")
-        if not host or not port.isdigit():
-            print(
-                f"error: --http expects HOST:PORT, got {args.http!r}",
-                file=sys.stderr,
-            )
-            return 1
-        return serve_http(server, host, int(port))
-
-    if args.tcp is not None:
-        from repro.serving.loopserver import LoopServer
-
-        host, _, port = args.tcp.rpartition(":")
-        if not host or not port.isdigit():
-            print(
-                f"error: --tcp expects HOST:PORT, got {args.tcp!r}",
-                file=sys.stderr,
-            )
-            return 1
-        loop = LoopServer(server)
-        bound_host, bound_port = loop.listen(host, int(port))
+        host, port = loop.listen(*args.http, http=True)
         print(
-            f"loop-serving on tcp://{bound_host}:{bound_port} "
+            f"serving on http://{host}:{port}/ (POST envelopes; "
+            "GET /stats, /metrics)",
+            file=sys.stderr,
+        )
+    elif args.tcp is not None:
+        host, port = loop.listen(*args.tcp)
+        print(
+            f"loop-serving on tcp://{host}:{port} "
             "(newline-delimited JSON envelopes)",
             file=sys.stderr,
         )
-        return loop.serve()
-
-    if args.loop:
-        from repro.serving.loopserver import LoopServer
-
-        loop = LoopServer(server)
-        try:
-            loop.add_stream(sys.stdin.fileno(), sys.stdout.fileno())
-        except PermissionError:
-            # epoll cannot multiplex regular files (e.g. `repro serve
-            # --loop < requests.json`); the blocking reader handles those.
-            print(
-                "note: stdin is not selectable; using the blocking stdio "
-                "transport",
-                file=sys.stderr,
-            )
-            return serve_stdio(server)
-        return loop.serve()
-    return serve_stdio(server)
+    else:
+        loop.add_stream(sys.stdin.fileno(), sys.stdout.fileno())
+    return loop.serve()
 
 
 def _dispatch_trace(args: argparse.Namespace) -> int:

@@ -11,12 +11,12 @@ service.  The layers, each usable on its own:
   :class:`PoolStats` aggregation;
 * :mod:`repro.serving.protocol` / :mod:`repro.serving.server` -- the JSON
   request envelopes (including batched envelopes that group same-session
-  items under one checkout) and the dependency-free stdio / HTTP
-  transports behind ``repro serve``;
-* :mod:`repro.serving.loopserver` -- :class:`LoopServer`, the
-  single-threaded ``selectors`` event loop serving the same protocol over
-  many sockets/pipes without ever blocking on a slow client
-  (``repro serve --loop`` / ``--tcp``);
+  items under one checkout) and :class:`ReproServer`, which answers them
+  from a pool with snapshot upkeep;
+* :mod:`repro.serving.loopserver` -- :class:`LoopServer`, the one
+  transport behind ``repro serve``: a single-threaded ``selectors`` event
+  loop serving the protocol over stdio (any stdin), TCP and HTTP without
+  ever blocking on a slow client;
 * :mod:`repro.serving.metrics` -- :func:`render_prometheus`, the
   ``GET /metrics`` text exposition of :class:`PoolStats`;
 * :mod:`repro.serving.snapshot` -- cross-restart persistence of resident
@@ -51,7 +51,7 @@ from repro.serving.protocol import (
     error_envelope,
     handle_envelope,
 )
-from repro.serving.server import ReproServer, make_http_server, serve_http, serve_stdio
+from repro.serving.server import ReproServer
 from repro.serving.snapshot import restore_pool, save_pool, save_session
 
 __all__ = [
@@ -67,9 +67,6 @@ __all__ = [
     "error_envelope",
     "handle_envelope",
     "ReproServer",
-    "serve_stdio",
-    "serve_http",
-    "make_http_server",
     "LoopServer",
     "render_prometheus",
     "save_session",

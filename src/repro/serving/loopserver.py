@@ -1,57 +1,93 @@
-"""Single-threaded ``selectors`` event loop over the serving protocol.
+"""The serving transport: one single-threaded ``selectors`` event loop.
 
-The threaded transports in :mod:`repro.serving.server` dedicate a worker
-to each connection, which couples the server's health to its *slowest*
-client: a reader that stops draining its socket parks a whole thread (and,
-on the 1-CPU hosts the serving benchmarks target, thread switches are pure
-overhead anyway).  :class:`LoopServer` serves the same newline-delimited
-JSON envelopes -- including batch envelopes -- from **one** thread:
+:class:`LoopServer` serves the :mod:`repro.serving.protocol` envelopes of one
+:class:`~repro.serving.server.ReproServer` from **one** thread, and every
+``repro serve`` mode runs on it:
 
-* every socket and pipe is non-blocking; readiness comes from
-  :class:`selectors.DefaultSelector` (epoll/kqueue where available);
-* replies buffer per connection and drain as the peer accepts them, so a
-  slow client never blocks the loop -- it only grows its own buffer, and
-  a buffer past ``max_buffer`` gets the connection dropped with one
-  stderr line (back-pressure by eviction, not by stalling everyone else);
-* the loop serves **both** stdio pipes (:meth:`LoopServer.add_stream`,
-  what ``repro serve --stdio --loop`` uses) and TCP connections
-  (:meth:`LoopServer.listen`, ``repro serve --loop HOST:PORT``) at the
-  same time, all against one shared :class:`~repro.serving.server.ReproServer`.
+**stdio** (:meth:`LoopServer.add_stream`, ``repro serve [--stdio]``)
+    Newline-delimited JSON: one reply line per non-blank request line, in
+    order, so a pipelined client matches replies to requests by position.
+    EOF on the input winds the loop down (final snapshot included).  Any
+    stdin works: the loop waits in ``poll(2)``, which (unlike epoll)
+    accepts regular files and ``/dev/null`` and reports them always
+    ready.  A regular file is read only once that peer's replies have
+    drained, so ``repro serve < requests.jsonl | slow-reader`` is paced by
+    its reader.
+
+**TCP** (:meth:`LoopServer.listen`, ``repro serve --tcp HOST:PORT``)
+    The same lines over persistent sockets, many at once.
+
+**HTTP** (``listen(..., http=True)``, ``repro serve --http HOST:PORT``)
+    One request per connection, answered with ``HTTP/1.0`` and closed once
+    the reply has drained.  ``POST`` (any path) with an envelope body
+    returns 200 and the reply, error envelopes included.  A missing
+    Content-Length is a 411, a malformed or negative one a 400, one past
+    :data:`MAX_LINE_BYTES` a 413, and a body that is not UTF-8 JSON a 400.
+    ``GET /`` and ``GET /stats`` (query strings tolerated) answer the
+    ``stats`` op and ``GET /metrics`` renders the same counters as
+    Prometheus text; other paths are 404 and other methods 501.  Every
+    error body is an error envelope, and every request logs one stderr
+    access line.  A connection that sends and accepts nothing for 60 s is
+    dropped, so stalled peers cannot hold the server's fds for ever.
+
+Sockets and pipes are non-blocking.  Replies buffer per peer and drain as
+the peer accepts them, so a slow client never blocks the loop: it only grows
+its own buffer, and a buffer past ``max_buffer`` gets the peer dropped with
+one stderr line (back-pressure by eviction, not by stalling everyone else).
+A peer that vanishes mid-reply costs the same single line.  An unexpected
+error while answering one peer drops that peer (its traceback goes to
+stderr) and the others are still served.
 
 Request handling itself is synchronous -- a solve runs to completion
 before the next envelope is parsed -- which is the right trade for this
 workload: placement ops are CPU-bound, so interleaving them buys nothing,
 while batched envelopes amortise the parse/reply cycle around them.
-
-``epoll`` refuses regular files, so registering a redirected-from-a-file
-stdin raises :class:`PermissionError`; callers should fall back to the
-blocking :func:`~repro.serving.server.serve_stdio` (the CLI does).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import selectors
 import socket
+import stat
 import sys
-from typing import Dict, List, Optional, Tuple
+import time
+import traceback
+from http import HTTPStatus
+from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.serving.metrics import render_prometheus
+from repro.serving.protocol import error_envelope
 from repro.serving.server import ReproServer
 
 __all__ = ["LoopServer", "MAX_LINE_BYTES"]
 
-#: Longest accepted request line; a line still unterminated past this is a
-#: protocol violation (or a hostile stream) and drops the connection.
+#: Longest accepted request line or HTTP body (16 MiB): far above any real
+#: envelope (a 400-node problem serialises to a few hundred KiB) and small
+#: enough that a hostile stream cannot balloon the server.  A line still
+#: unterminated past this drops the connection; a longer body is a 413.
 MAX_LINE_BYTES = 16 * 1024 * 1024
 
+#: An HTTP request head still unterminated past this drops the connection.
+_MAX_HEAD_BYTES = 65536
+
+#: An HTTP connection that reads and writes nothing for this long is dropped.
+_HTTP_IDLE_SECONDS = 60.0
+
 _READ_CHUNK = 65536
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+_METRICS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 class _Connection:
     """One peer: separate read/write fds, an input and an output buffer."""
 
-    __slots__ = ("rfd", "wfd", "sock", "name", "inbuf", "outbuf", "eof")
+    __slots__ = (
+        "rfd", "wfd", "sock", "name", "http", "inbuf", "outbuf", "eof",
+        "paced", "active", "blocking",
+    )
 
     def __init__(
         self,
@@ -60,18 +96,24 @@ class _Connection:
         *,
         sock: Optional[socket.socket] = None,
         name: str = "stream",
+        http: bool = False,
     ) -> None:
         self.rfd = rfd
         self.wfd = wfd
         self.sock = sock  # kept so close() releases the socket object
         self.name = name
+        self.http = http  # one HTTP request, then close
         self.inbuf = bytearray()
         self.outbuf = bytearray()
-        self.eof = False
+        self.eof = False  # nothing more will be read
+        self.paced = False  # read only once the replies have drained
+        self.active = time.monotonic()  # last read or write (HTTP idle deadline)
+        #: blocking mode of each adopted stream fd, given back on close
+        self.blocking: Dict[int, bool] = {}
 
 
 class LoopServer:
-    """Serve newline-delimited envelopes from one ``selectors`` loop.
+    """Serve envelopes over streams, TCP and HTTP from one ``selectors`` loop.
 
     Parameters
     ----------
@@ -80,18 +122,19 @@ class LoopServer:
     max_buffer:
         Per-connection cap on *buffered, undelivered* reply bytes.  A peer
         that falls further behind than this is dropped (one stderr line)
-        instead of growing the buffer without bound.
+        instead of growing the buffer without bound.  Peers whose reads
+        are paced by their replies (see :meth:`add_stream`) are exempt.
 
     Typical use::
 
         loop = LoopServer(server)
-        host, port = loop.listen("127.0.0.1", 8485)
+        host, port = loop.listen("127.0.0.1", 8485)   # http=True for HTTP
         loop.serve()            # until shutdown() or KeyboardInterrupt
 
-    or, for a supervisor pipe::
+    or, for stdin/stdout::
 
         loop.add_stream(sys.stdin.fileno(), sys.stdout.fileno())
-        loop.serve()            # until EOF on the pipe
+        loop.serve()            # until EOF on stdin
     """
 
     def __init__(self, server: ReproServer, *, max_buffer: int = 8 * 1024 * 1024) -> None:
@@ -99,10 +142,13 @@ class LoopServer:
             raise ValueError(f"max_buffer must be positive, got {max_buffer}")
         self.server = server
         self.max_buffer = max_buffer
-        self._selector = selectors.DefaultSelector()
+        # poll, unlike epoll, accepts regular files and /dev/null (always
+        # ready), so any stdin shares the loop with the sockets.
+        self._selector = selectors.PollSelector()
         self._registered: Dict[int, int] = {}  # fd -> event mask
         self._connections: List[_Connection] = []
         self._listener: Optional[socket.socket] = None
+        self._http = False
         self._running = False
         # Self-pipe so shutdown() from another thread wakes the select.
         self._wake_recv, self._wake_send = socket.socketpair()
@@ -112,32 +158,42 @@ class LoopServer:
     # ------------------------------------------------------------------ #
     # endpoints
     # ------------------------------------------------------------------ #
-    def listen(self, host: str = "127.0.0.1", port: int = 0) -> Tuple[str, int]:
-        """Bind a TCP listener; returns the bound ``(host, port)``."""
+    def listen(
+        self, host: str = "127.0.0.1", port: int = 0, *, http: bool = False
+    ) -> Tuple[str, int]:
+        """Bind a TCP listener; returns the bound ``(host, port)``.
+
+        Accepted connections speak newline-delimited envelopes, or with
+        ``http=True`` carry one HTTP request each.
+        """
         if self._listener is not None:
             raise RuntimeError("LoopServer already has a listener")
         listener = socket.create_server((host, port))
         listener.setblocking(False)
         self._listener = listener
+        self._http = http
         self._selector.register(listener, selectors.EVENT_READ, "accept")
         return listener.getsockname()[:2]
 
     def add_stream(self, rfd: int, wfd: int, *, name: str = "stdio") -> None:
         """Adopt a read/write fd pair (e.g. stdin/stdout) as one peer.
 
-        Raises :class:`PermissionError` when the read end is a regular
-        file (epoll only multiplexes pipes, sockets and ttys) -- callers
-        fall back to the blocking transport in that case.
+        Both fds are switched to non-blocking mode and given back in their
+        original mode when the loop closes them, so a terminal or a
+        descriptor shared with another process is left as it was found.
+        A regular-file read end is always readable, so it is read one chunk
+        at a time and only once the peer's replies have drained: a slow
+        reader paces the loop instead of getting the peer dropped.
         """
-        os.set_blocking(rfd, False)
-        os.set_blocking(wfd, False)
         conn = _Connection(rfd, wfd, name=name)
+        conn.paced = stat.S_ISREG(os.fstat(rfd).st_mode)
+        # Record every mode before changing any: stdin and stdout of a
+        # terminal share one open file description, hence one flag.
+        conn.blocking = {fd: os.get_blocking(fd) for fd in (rfd, wfd)}
+        for fd in conn.blocking:
+            os.set_blocking(fd, False)
         self._connections.append(conn)
-        try:
-            self._update_interest(conn)
-        except PermissionError:
-            self._connections.remove(conn)
-            raise
+        self._update_interest(conn)
 
     # ------------------------------------------------------------------ #
     # the loop
@@ -149,7 +205,7 @@ class LoopServer:
         self._running = True
         try:
             while self._running and (self._listener or self._connections):
-                for key, _mask in self._selector.select():
+                for key, _mask in self._selector.select(self._reap_idle()):
                     self._dispatch(key)
         except KeyboardInterrupt:  # pragma: no cover - interactive exit
             pass
@@ -167,6 +223,18 @@ class LoopServer:
         except OSError:  # pragma: no cover - already torn down
             pass
 
+    def _reap_idle(self) -> Optional[float]:
+        """Drop HTTP peers idle past the deadline; returns the seconds until
+        the next deadline (``None`` when none is pending)."""
+        if not self._http:
+            return None
+        now = time.monotonic()
+        for conn in [c for c in self._connections if c.http]:
+            if now - conn.active >= _HTTP_IDLE_SECONDS:
+                self._drop(conn, f"idle for {_HTTP_IDLE_SECONDS:g} s")
+        left = [c.active + _HTTP_IDLE_SECONDS - now for c in self._connections if c.http]
+        return min(left, default=None)
+
     def _dispatch(self, key: selectors.SelectorKey) -> None:
         if key.data == "wake":
             try:
@@ -180,19 +248,21 @@ class LoopServer:
         conn = key.data
         if conn not in self._connections:
             return  # closed earlier in this same select batch
-        if key.fd == conn.rfd and not conn.eof:
-            self._read(conn)
-        if conn in self._connections and conn.outbuf and key.fd == conn.wfd:
-            self._write(conn)
+        try:
+            if key.fd == conn.rfd and not conn.eof:
+                self._read(conn)
+            if conn in self._connections and conn.outbuf and key.fd == conn.wfd:
+                self._write(conn)
+        except Exception:  # noqa: BLE001 - one peer's failure must not stop the rest
+            traceback.print_exc()
+            self._drop(conn, "internal error")
 
     def _accept(self) -> None:
         assert self._listener is not None
         while True:
             try:
                 sock, address = self._listener.accept()
-            except (BlockingIOError, ConnectionAbortedError):
-                return
-            except OSError:  # pragma: no cover - listener torn down
+            except OSError:  # nothing pending, an aborted peer, or no fds left
                 return
             sock.setblocking(False)
             # Replies are whole JSON lines (a batch_result spans many TCP
@@ -200,7 +270,9 @@ class LoopServer:
             # peer's delayed ACK, adding ~40ms to every large reply.
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             fd = sock.fileno()
-            conn = _Connection(fd, fd, sock=sock, name=f"{address[0]}:{address[1]}")
+            conn = _Connection(
+                fd, fd, sock=sock, name=f"{address[0]}:{address[1]}", http=self._http
+            )
             self._connections.append(conn)
             self._update_interest(conn)
 
@@ -212,23 +284,32 @@ class LoopServer:
             chunk = os.read(conn.rfd, _READ_CHUNK)
         except BlockingIOError:
             return
-        except (ConnectionResetError, BrokenPipeError, OSError):
+        except OSError:
             self._drop(conn, "connection lost")
             return
-        if not chunk:
-            conn.eof = True
-            if not conn.outbuf:
-                self._close(conn)
+        if chunk:
+            conn.active = time.monotonic()
+            conn.inbuf += chunk
+            if conn.http:
+                self._consume_http(conn)
             else:
-                self._update_interest(conn)  # flush what's queued, then close
+                self._consume_lines(conn)
+        else:
+            conn.eof = True
+            if conn.inbuf and not conn.http:
+                # A final line without its newline is still a request, as
+                # it is to any line reader.
+                conn.inbuf += b"\n"
+                self._consume_lines(conn)
+        if conn not in self._connections:
             return
-        conn.inbuf += chunk
-        self._consume_lines(conn)
-        if conn in self._connections and conn.outbuf:
+        if conn.outbuf:
             # Try to ship replies immediately -- the peer is usually
             # waiting -- falling back to write-readiness when the fd is
             # full (_write arms EVENT_WRITE in that case).
             self._write(conn)
+        elif conn.eof:
+            self._close(conn)
 
     def _consume_lines(self, conn: _Connection) -> None:
         while True:
@@ -248,26 +329,97 @@ class LoopServer:
                 text = line.decode("utf-8")
             except UnicodeDecodeError as error:
                 reply = json.dumps(
-                    {
-                        "type": "error",
-                        "error": {
-                            "code": "bad_request",
-                            "message": f"request line is not UTF-8: {error}",
-                        },
-                    },
+                    error_envelope("bad_request", f"request line is not UTF-8: {error}"),
                     sort_keys=True,
                 )
             else:
                 reply = self.server.handle_line(text)
             conn.outbuf += reply.encode("utf-8") + b"\n"
-            if len(conn.outbuf) > self.max_buffer:
+            if len(conn.outbuf) > self.max_buffer and not conn.paced:
                 self._drop(
                     conn,
                     f"slow client: {len(conn.outbuf)} undelivered bytes "
                     f"exceed the {self.max_buffer}-byte buffer cap",
                 )
                 return
-        # unreachable
+
+    def _consume_http(self, conn: _Connection) -> None:
+        """Answer the connection's one request once its head and body are in."""
+        end = _HEAD_END.search(conn.inbuf, 0, _MAX_HEAD_BYTES)
+        if end is None:
+            if len(conn.inbuf) >= _MAX_HEAD_BYTES:
+                self._drop(conn, f"request head exceeds {_MAX_HEAD_BYTES} bytes")
+            return
+        lines = conn.inbuf[: end.start()].decode("latin-1").splitlines()
+        request_line = lines[0] if lines else ""
+        answer = self._answer_http(conn, request_line, lines[1:], end.end())
+        if answer is None:
+            return  # the body is still arriving
+        status, payload = answer
+        if isinstance(payload, str):
+            content_type, body = _METRICS_TYPE, payload.encode("utf-8")
+        else:
+            content_type = "application/json"
+            body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        conn.outbuf += (
+            f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode("latin-1") + body
+        # One request per connection: ignore anything after it and close
+        # once the reply has drained.
+        conn.eof = True
+        conn.inbuf.clear()
+        # ascii() escapes the control characters a client may send.
+        print(f'{conn.name} - "{ascii(request_line)[1:-1]}" {status}', file=sys.stderr)
+
+    def _answer_http(
+        self, conn: _Connection, request_line: str, header_lines: List[str], body_start: int
+    ) -> Optional[Tuple[int, Union[Dict[str, Any], str]]]:
+        """Status and payload of one request; ``None`` until its body is in."""
+        parts = request_line.split()
+        if len(parts) != 3:
+            return 400, error_envelope(
+                "bad_request", f"malformed request line {request_line!r}"
+            )
+        method, target, _version = parts
+        if method == "GET":
+            route = target.partition("?")[0].rstrip("/")
+            if route in ("", "/stats"):
+                return 200, self.server.handle({"op": "stats"})
+            if route == "/metrics":
+                return 200, render_prometheus(self.server.pool.stats())
+            return 404, error_envelope("bad_request", f"unknown path {target!r}")
+        if method != "POST":
+            return 501, error_envelope("bad_request", f"unsupported method {method!r}")
+        headers: Dict[str, str] = {}
+        for line in header_lines:
+            name, _, value = line.partition(":")
+            headers.setdefault(name.strip().lower(), value.strip())
+        raw = headers.get("content-length")
+        if raw is None:
+            return 411, error_envelope("bad_request", "Content-Length header required")
+        try:
+            length = int(raw)
+        except ValueError:
+            return 400, error_envelope("bad_request", f"malformed Content-Length {raw!r}")
+        if length < 0:
+            return 400, error_envelope("bad_request", f"negative Content-Length {length}")
+        if length > MAX_LINE_BYTES:
+            return 413, error_envelope(
+                "bad_request",
+                f"body of {length} bytes exceeds the {MAX_LINE_BYTES}-byte cap",
+            )
+        if len(conn.inbuf) - body_start < length:
+            return None
+        body = bytes(conn.inbuf[body_start : body_start + length])
+        try:
+            envelope = json.loads(body.decode("utf-8"))
+        except UnicodeDecodeError as error:
+            return 400, error_envelope("bad_request", f"body is not UTF-8: {error}")
+        except (RecursionError, ValueError) as error:  # nesting too deep, or not JSON
+            return 400, error_envelope("bad_request", f"request body is not JSON: {error}")
+        return 200, self.server.handle(envelope)
 
     def _write(self, conn: _Connection) -> None:
         try:
@@ -275,10 +427,11 @@ class LoopServer:
         except BlockingIOError:
             self._update_interest(conn)  # wait for write readiness
             return
-        except (BrokenPipeError, ConnectionResetError, OSError):
+        except OSError:
             self._drop(conn, "client disconnected mid-reply")
             return
         del conn.outbuf[:sent]
+        conn.active = time.monotonic()
         if not conn.outbuf and conn.eof:
             self._close(conn)
         else:
@@ -289,7 +442,7 @@ class LoopServer:
     # ------------------------------------------------------------------ #
     def _update_interest(self, conn: _Connection) -> None:
         """(Re)register ``conn``'s fds for exactly the events it needs."""
-        read_mask = 0 if conn.eof else selectors.EVENT_READ
+        read_mask = 0 if conn.eof or (conn.paced and conn.outbuf) else selectors.EVENT_READ
         write_mask = selectors.EVENT_WRITE if conn.outbuf else 0
         if conn.rfd == conn.wfd:
             self._set_mask(conn.rfd, read_mask | write_mask, conn)
@@ -316,12 +469,8 @@ class LoopServer:
 
     def _close(self, conn: _Connection) -> None:
         for fd in {conn.rfd, conn.wfd}:
-            if fd in self._registered:
-                try:
-                    self._selector.unregister(fd)
-                except KeyError:  # pragma: no cover - defensive
-                    pass
-                del self._registered[fd]
+            if self._registered.pop(fd, None) is not None:
+                self._selector.unregister(fd)
         if conn in self._connections:
             self._connections.remove(conn)
         if conn.sock is not None:
@@ -329,27 +478,20 @@ class LoopServer:
                 conn.sock.close()
             except OSError:  # pragma: no cover - defensive
                 pass
-        else:
-            for fd in {conn.rfd, conn.wfd}:
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass
+            return
+        for fd, blocking in conn.blocking.items():
+            try:
+                os.set_blocking(fd, blocking)
+                os.close(fd)
+            except OSError:
+                pass
 
     def _close_all(self) -> None:
         for conn in list(self._connections):
             self._close(conn)
+        self._selector.close()  # forgets the listener and wake registrations
         if self._listener is not None:
-            try:
-                self._selector.unregister(self._listener)
-            except KeyError:  # pragma: no cover - defensive
-                pass
             self._listener.close()
             self._listener = None
-        try:
-            self._selector.unregister(self._wake_recv)
-        except KeyError:  # pragma: no cover - defensive
-            pass
         self._wake_recv.close()
         self._wake_send.close()
-        self._selector.close()

@@ -1,30 +1,10 @@
-"""Dependency-free serving transports: stdio lines and stdlib HTTP.
+"""The request handler behind every ``repro serve`` transport.
 
 :class:`ReproServer` binds a :class:`~repro.serving.pool.SessionPool` to a
-snapshot directory and serves :mod:`repro.serving.protocol` envelopes over
-two transports, both standard-library only:
-
-**stdio** (:func:`serve_stdio`)
-    Newline-delimited JSON: one request envelope per input line, one reply
-    per output line, flushed after every reply.  The transport a supervisor
-    or test harness drives through a pipe (``repro serve --stdio``); EOF
-    shuts the server down cleanly (final snapshot included).
-
-**HTTP** (:func:`make_http_server` / :func:`serve_http`)
-    ``POST /`` with an envelope body returns the reply as
-    ``application/json`` (status 200 even for error envelopes -- transport
-    success, application-level error; an unreadable body is a 400 and an
-    oversized one a 413).  ``GET /stats`` answers the ``stats`` op for
-    dashboards (query strings tolerated) and ``GET /metrics`` renders the
-    same counters as Prometheus text exposition.  Built on
-    :class:`http.server.ThreadingHTTPServer`, so concurrent tenants are
-    served in parallel (the pool's per-session locks serialise only
-    same-tenant requests); a client that disconnects mid-reply costs one
-    stderr line, never a traceback or a dead worker.
-
-For the single-threaded ``selectors``-based event loop over the same
-protocol (many sockets, one thread, no blocking on slow clients) see
-:mod:`repro.serving.loopserver`.
+snapshot directory and answers :mod:`repro.serving.protocol` envelopes
+through one ``handle()`` call (``handle_line()`` for a newline-delimited
+JSON request line).  The transports -- stdio, TCP and HTTP -- all live in
+the single-threaded event loop of :mod:`repro.serving.loopserver`.
 
 With a snapshot directory configured, the server restores warm sessions on
 construction and re-persists a session after every mutating op (epoch
@@ -35,28 +15,14 @@ from __future__ import annotations
 
 import json
 import sys
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, Optional, TextIO, Union
-from urllib.parse import urlsplit
+from typing import Any, Dict, Optional, Union
 
-from repro.serving.metrics import render_prometheus
 from repro.serving.pool import PooledSession, SessionPool
 from repro.serving.protocol import error_envelope, handle_envelope
 from repro.serving.snapshot import restore_pool, save_pool, save_session
 
-__all__ = [
-    "MAX_BODY_BYTES",
-    "ReproServer",
-    "serve_stdio",
-    "make_http_server",
-    "serve_http",
-]
-
-#: Upper bound on a POST body (16 MiB) -- far above any real envelope (a
-#: 400-node problem serialises to a few hundred KiB) and small enough that
-#: a hostile Content-Length cannot balloon a worker.
-MAX_BODY_BYTES = 16 * 1024 * 1024
+__all__ = ["ReproServer"]
 
 
 class ReproServer:
@@ -163,215 +129,8 @@ class ReproServer:
         """Serve one newline-delimited JSON request line."""
         try:
             envelope = json.loads(line)
-        except ValueError as error:
+        except (RecursionError, ValueError) as error:  # nesting too deep, or not JSON
             reply = error_envelope("bad_request", f"request is not JSON: {error}")
         else:
             reply = self.handle(envelope)
         return json.dumps(reply, sort_keys=True)
-
-
-# --------------------------------------------------------------------------- #
-# stdio transport
-# --------------------------------------------------------------------------- #
-def serve_stdio(
-    server: ReproServer,
-    stdin: Optional[TextIO] = None,
-    stdout: Optional[TextIO] = None,
-) -> int:
-    """Serve newline-delimited JSON envelopes until EOF; returns 0.
-
-    Blank lines are ignored; every other line -- malformed or not --
-    produces exactly one reply line, so a pipelined client can match
-    replies to requests by order alone.
-    """
-    stdin = sys.stdin if stdin is None else stdin
-    stdout = sys.stdout if stdout is None else stdout
-    try:
-        for line in stdin:
-            if not line.strip():
-                continue
-            stdout.write(server.handle_line(line))
-            stdout.write("\n")
-            stdout.flush()
-    finally:
-        server.snapshot_all()
-    return 0
-
-
-# --------------------------------------------------------------------------- #
-# HTTP transport
-# --------------------------------------------------------------------------- #
-class _Handler(BaseHTTPRequestHandler):
-    """POST / -> serve an envelope; GET /stats | /metrics -> counters."""
-
-    server_version = "repro-serve/1"
-    #: a worker never hangs forever on a stalled client socket
-    timeout = 60
-    #: set by make_http_server
-    repro_server: ReproServer = None  # type: ignore[assignment]
-
-    def _send(self, body: bytes, content_type: str, status: int) -> None:
-        """Write one response; a mid-reply disconnect costs one log line.
-
-        A client that hangs up between its request and our reply raises
-        ``BrokenPipeError``/``ConnectionResetError`` out of ``wfile`` --
-        without the guard that traceback lands on stderr and (because the
-        connection may be half-written) the keep-alive loop would try to
-        parse the next request off a dead socket.
-        """
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError) as error:
-            self.close_connection = True
-            print(
-                f"{self.address_string()} - client disconnected mid-reply "
-                f"({type(error).__name__})",
-                file=sys.stderr,
-            )
-
-    def _reply(self, payload: Dict[str, Any], status: int = 200) -> None:
-        body = json.dumps(payload, sort_keys=True).encode()
-        self._send(body, "application/json", status)
-
-    def _read_body(self) -> Optional[str]:
-        """Validate Content-Length and read the body; reply + None on error.
-
-        ``int(headers.get("Content-Length", 0))`` -- the obvious spelling
-        -- turns an *absent* header into a silent empty body and lets a
-        *negative* one through, which ``rfile.read(-1)`` interprets as
-        read-to-EOF: on a keep-alive socket that never sends EOF, the
-        worker thread hangs until the client goes away.
-        """
-        raw = self.headers.get("Content-Length")
-        if raw is None:
-            self._reply(
-                error_envelope("bad_request", "Content-Length header required"),
-                status=411,
-            )
-            return None
-        try:
-            length = int(raw)
-        except ValueError:
-            self._reply(
-                error_envelope(
-                    "bad_request", f"malformed Content-Length {raw!r}"
-                ),
-                status=400,
-            )
-            return None
-        if length < 0:
-            self._reply(
-                error_envelope(
-                    "bad_request", f"negative Content-Length {length}"
-                ),
-                status=400,
-            )
-            return None
-        if length > MAX_BODY_BYTES:
-            self._reply(
-                error_envelope(
-                    "bad_request",
-                    f"body of {length} bytes exceeds the "
-                    f"{MAX_BODY_BYTES}-byte cap",
-                ),
-                status=413,
-            )
-            return None
-        try:
-            return self.rfile.read(length).decode("utf-8")
-        except UnicodeDecodeError as error:
-            self._reply(
-                error_envelope("bad_request", f"body is not UTF-8: {error}"),
-                status=400,
-            )
-            return None
-
-    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        body = self._read_body()
-        if body is None:
-            return
-        try:
-            envelope = json.loads(body)
-        except ValueError as error:
-            self._reply(
-                error_envelope("bad_request", f"request body is not JSON: {error}"),
-                status=400,
-            )
-            return
-        self._reply(self.repro_server.handle(envelope))
-
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        # urlsplit, not rstrip: "GET /stats?format=json" carries its query
-        # string in self.path, and rstrip("/") never removes it.
-        route = urlsplit(self.path).path.rstrip("/")
-        if route in ("", "/stats"):
-            self._reply(self.repro_server.handle({"op": "stats"}))
-            return
-        if route == "/metrics":
-            body = render_prometheus(self.repro_server.pool.stats()).encode()
-            self._send(body, "text/plain; version=0.0.4; charset=utf-8", 200)
-            return
-        self._reply(
-            error_envelope("bad_request", f"unknown path {self.path!r}"),
-            status=404,
-        )
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        """Access logs go to stderr (stdout stays machine-readable)."""
-        print(
-            f"{self.address_string()} - {format % args}", file=sys.stderr
-        )
-
-
-class _QuietHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that logs client disconnects in one line.
-
-    ``_Handler._send`` guards writes *inside* a handler, but the base
-    class's ``handle_one_request`` also flushes ``wfile`` after the handler
-    returns; a disconnect there reaches ``handle_error``, whose default
-    prints a 10-line traceback per dropped client.
-    """
-
-    def handle_error(self, request: Any, client_address: Any) -> None:
-        error = sys.exc_info()[1]
-        if isinstance(error, (BrokenPipeError, ConnectionResetError)):
-            print(
-                f"{client_address[0] if client_address else '?'} - client "
-                f"disconnected ({type(error).__name__})",
-                file=sys.stderr,
-            )
-            return
-        super().handle_error(request, client_address)
-
-
-def make_http_server(
-    server: ReproServer, host: str = "127.0.0.1", port: int = 0
-) -> ThreadingHTTPServer:
-    """Bind (but do not run) the HTTP transport; ``port=0`` picks a free one.
-
-    The caller runs ``serve_forever()`` (or drives ``handle_request()``)
-    and is responsible for ``server.snapshot_all()`` at shutdown --
-    :func:`serve_http` does both.
-    """
-    handler = type("_BoundHandler", (_Handler,), {"repro_server": server})
-    return _QuietHTTPServer((host, port), handler)
-
-
-def serve_http(server: ReproServer, host: str = "127.0.0.1", port: int = 8485) -> int:
-    """Serve HTTP until interrupted; snapshots on the way out; returns 0."""
-    httpd = make_http_server(server, host, port)
-    bound_host, bound_port = httpd.server_address[:2]
-    print(f"serving on http://{bound_host}:{bound_port}/ (POST envelopes; "
-          f"GET /stats, /metrics)", file=sys.stderr)
-    try:
-        httpd.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        httpd.server_close()
-        server.snapshot_all()
-    return 0

@@ -27,7 +27,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
 
-def run_cli(*args, input_text=None):
+def run_cli(*args, input_text=None, stdin=None):
     """Run ``python -m repro`` with the checkout on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{SRC}{os.pathsep}{env.get('PYTHONPATH', '')}".rstrip(
@@ -36,6 +36,7 @@ def run_cli(*args, input_text=None):
     return subprocess.run(
         [sys.executable, "-m", "repro", *args],
         input=input_text,
+        stdin=stdin,
         capture_output=True,
         text=True,
         env=env,
@@ -151,6 +152,67 @@ def test_serve_stdio_round_trip(tree_file):
     assert stats.solves == 1 and stats.bounds == 1
     error = json.loads(lines[3])
     assert error["type"] == "error" and error["error"]["code"] == "bad_request"
+
+
+def test_serve_file_stdin_replies_like_a_pipe(tree_file, tmp_path):
+    """``repro serve < requests.jsonl`` answers every line, the last one
+    without its newline included, exactly as the piped run does."""
+    from repro.core.problem import ReplicaPlacementProblem
+    from repro.core.serialization import load_tree, problem_to_dict
+
+    def canonical(value):
+        """Drop the wall-clock fields that differ between two runs."""
+        if isinstance(value, dict):
+            return {
+                key: canonical(item)
+                for key, item in value.items()
+                if key != "runtime" and not key.startswith("seconds_")
+            }
+        return value
+
+    payload = problem_to_dict(ReplicaPlacementProblem(tree=load_tree(tree_file)))
+    text = "\n".join(
+        json.dumps(envelope)
+        for envelope in (
+            {"op": "solve", "problem": payload},
+            {"op": "bound", "problem": payload, "params": {"method": "ipfp"}},
+            {"op": "stats"},
+        )
+    )
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text(text)
+    piped = run_cli("serve", input_text=text)
+    with open(requests) as stdin:
+        filed = run_cli("serve", stdin=stdin)
+    assert piped.returncode == 0 and filed.returncode == 0, filed.stderr
+    replies = [
+        [canonical(json.loads(line)) for line in result.stdout.splitlines()]
+        for result in (piped, filed)
+    ]
+    assert len(replies[0]) == 3
+    assert replies[0] == replies[1]
+
+
+def test_serve_devnull_stdin_exits_cleanly():
+    result = run_cli("serve", stdin=subprocess.DEVNULL)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--http", "8485"), "argument --http: expected HOST:PORT, got '8485'"),
+        (("--tcp", "localhost:http"), "argument --tcp: expected HOST:PORT"),
+        (("--stdio", "--tcp", "127.0.0.1:0"), "not allowed with argument --stdio"),
+    ],
+    ids=["http_address", "tcp_address", "two_transports"],
+)
+def test_serve_usage_errors(argv, message):
+    result = run_cli("serve", *argv, stdin=subprocess.DEVNULL)
+    assert result.returncode == 2
+    assert message in result.stderr
+    assert result.stdout == ""
 
 
 def test_serve_snapshot_dir_restores_across_processes(tree_file, tmp_path):

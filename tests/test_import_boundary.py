@@ -2,15 +2,19 @@
 
 The IPFP bound, the session and serving paths and the CLI's no-LP commands
 are pure numpy, so a process that never builds or solves an LP must not pay
-scipy's import (tens of MB resident, most of a second).  Every check runs in
-a fresh interpreter: ``sys.modules`` of the test process says nothing about
-what a command loads on its own.
+scipy's import (tens of MB resident, most of a second).  Likewise the
+serving transports are one ``selectors`` loop, so nothing loads the
+standard library's threaded HTTP server.  Every check runs in a fresh
+interpreter: ``sys.modules`` of the test process says nothing about what a
+command loads on its own.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +107,10 @@ assert type(bounder._program).__name__ == "IPFPProgram"
 }
 
 
+#: What a threaded stdlib HTTP server would drag in.
+_HTTP_SERVER_MODULES = {"http.server", "socketserver"}
+
+
 def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:
     """Run a fresh interpreter on this checkout's ``src``."""
     return subprocess.run(
@@ -176,3 +184,41 @@ assert value == lp_lower_bound(problem).value, value
         + _REPORT
     )
     assert "scipy" in _scipy_modules(proc)
+
+
+def test_import_cli_leaves_http_server_unloaded():
+    proc = _python("-X", "importtime", "-c", "import repro.cli")
+    assert proc.returncode == 0, proc.stderr
+    imported = _imported(proc.stderr)
+    assert "repro.cli" in imported
+    assert not imported & _HTTP_SERVER_MODULES
+
+
+def test_serve_tcp_leaves_http_server_unloaded():
+    proc = subprocess.Popen(
+        [sys.executable, "-X", "importtime", "-m", "repro", "serve", "--tcp", "127.0.0.1:0"],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    lines = []
+    try:
+        for line in proc.stderr:
+            lines.append(line)
+            listening = re.match(r"loop-serving on tcp://([^\s:]+):(\d+)", line)
+            if listening:
+                break
+        assert listening, "".join(lines)
+        address = (listening.group(1), int(listening.group(2)))
+        with socket.create_connection(address, timeout=60) as sock:
+            sock.sendall(b'{"op": "stats"}\n')
+            reply = sock.makefile().readline()
+        assert json.loads(reply)["type"] == "pool_stats"
+    finally:
+        proc.terminate()
+        lines.append(proc.communicate(timeout=60)[1])
+    imported = _imported("".join(lines))
+    assert "repro.serving.loopserver" in imported
+    assert not imported & _HTTP_SERVER_MODULES

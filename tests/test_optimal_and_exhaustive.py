@@ -4,19 +4,28 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.algorithms.base import get_heuristic
 from repro.algorithms.exhaustive import ExhaustiveSearch, optimal_cost, optimal_solution
 from repro.algorithms.multiple_homogeneous import (
     MultipleHomogeneousOptimal,
     optimal_multiple_homogeneous_placement,
 )
+from repro.algorithms.portfolio import DEFAULT_PORTFOLIO, portfolio_solve
 from repro.core.builder import TreeBuilder
 from repro.core.costs import request_lower_bound
 from repro.core.exceptions import InfeasibleError, TreeStructureError
 from repro.core.policies import Policy
-from repro.core.problem import replica_cost_problem, replica_counting_problem
+from repro.core.problem import (
+    ProblemKind,
+    ReplicaPlacementProblem,
+    replica_cost_problem,
+    replica_counting_problem,
+)
 from repro.workloads import reference_trees
+from repro.workloads.generator import GeneratorConfig, TreeGenerator
 from tests.conftest import assert_valid, make_random_problem
 
 
@@ -129,6 +138,35 @@ class TestOptimalMultipleHomogeneous:
         problem = replica_cost_problem(chain_tree)
         solution = MultipleHomogeneousOptimal().solve(problem)
         assert solution.replica_count() == 2
+
+
+def test_portfolio_beats_members_when_storage_costs_differ():
+    """Theorem 1 proves the three-pass algorithm optimal for Replica
+    Counting only: on a homogeneous platform whose storage costs differ,
+    the fewest replicas can cost more than a heuristic's placement, so the
+    portfolio must still run its members and keep the cheapest."""
+    worse = []
+    for seed in range(60):
+        tree = TreeGenerator(seed).generate(GeneratorConfig(size=40, target_load=0.4))
+        assert tree.is_homogeneous()
+        nodes = list(tree.nodes())
+        costs = np.random.default_rng(seed).choice([1.0, 5.0, 20.0], size=len(nodes))
+        tree = tree.with_nodes(
+            node.with_storage_cost(float(cost)) for node, cost in zip(nodes, costs)
+        )
+        problem = ReplicaPlacementProblem(tree=tree, kind=ProblemKind.GENERAL)
+        members = {
+            name: solution.cost(problem)
+            for name in DEFAULT_PORTFOLIO[Policy.MULTIPLE]
+            if (solution := get_heuristic(name).try_solve(problem)) is not None
+        }
+        if not members:
+            continue
+        solution = portfolio_solve(problem, policy=Policy.MULTIPLE)
+        assert_valid(problem, solution, Policy.MULTIPLE)
+        if solution.cost(problem) > min(members.values()):
+            worse.append((seed, solution.cost(problem), members))
+    assert worse == []
 
 
 class TestExhaustive:

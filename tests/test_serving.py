@@ -22,6 +22,8 @@ Covers the PR's acceptance criteria head on:
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 import threading
 from typing import Any, Dict
 
@@ -37,6 +39,7 @@ from repro.core.serialization import (
     tree_to_dict,
 )
 from repro.serving import (
+    LoopServer,
     PoolStats,
     ReproServer,
     SessionPool,
@@ -45,7 +48,6 @@ from repro.serving import (
     problem_fingerprint,
 )
 from repro.serving.client import ServingError
-from repro.serving.server import make_http_server, serve_stdio
 from repro.serving.snapshot import restore_pool, save_pool, snapshot_path
 from repro.session import BoundResult, PlacementSession, SolveResult
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
@@ -323,28 +325,30 @@ class TestSessionPool:
 @pytest.fixture(scope="module")
 def http_endpoint():
     """One shared HTTP server for the round-trip sweep."""
-    server = ReproServer(capacity=32)
-    httpd = make_http_server(server, "127.0.0.1", 0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    loop = LoopServer(ReproServer(capacity=32))
+    host, port = loop.listen("127.0.0.1", 0, http=True)
+    thread = threading.Thread(target=loop.serve, daemon=True)
     thread.start()
-    host, port = httpd.server_address[:2]
     try:
         yield f"http://{host}:{port}"
     finally:
-        httpd.shutdown()
-        httpd.server_close()
+        loop.shutdown()
+        thread.join(timeout=10)
 
 
 def run_stdio(envelopes):
-    """Pipe envelopes through a fresh stdio server; returns reply dicts."""
-    import io
-
-    stdin = io.StringIO(
-        "".join(json.dumps(envelope) + "\n" for envelope in envelopes)
-    )
-    stdout = io.StringIO()
-    serve_stdio(ReproServer(capacity=8), stdin, stdout)
-    return [json.loads(line) for line in stdout.getvalue().splitlines()]
+    """Serve envelopes from a regular-file stdin on a fresh loop; returns reply dicts."""
+    with tempfile.TemporaryFile() as stdin, tempfile.TemporaryFile() as stdout:
+        stdin.write(
+            "".join(json.dumps(envelope) + "\n" for envelope in envelopes).encode()
+        )
+        stdin.seek(0)
+        loop = LoopServer(ReproServer(capacity=8))
+        # The loop closes the fds it adopts; duplicates share the offsets.
+        loop.add_stream(os.dup(stdin.fileno()), os.dup(stdout.fileno()))
+        loop.serve()
+        stdout.seek(0)
+        return [json.loads(line) for line in stdout.read().splitlines()]
 
 
 def reference_payloads(problem, policy):

@@ -11,24 +11,29 @@ Covers this PR's acceptance criteria head on:
 * **metrics** -- per-op counters surface identically in the ``stats`` op
   and the ``GET /metrics`` Prometheus exposition (well-formed ``# HELP`` /
   ``# TYPE`` pairs, ``_total`` counters, trailing newline);
-* **HTTP hardening** -- ``GET /stats?format=json`` routes (query strings
+* **HTTP on the loop** -- ``GET /stats?format=json`` routes (query strings
   survive), hostile ``Content-Length`` values get 4xx replies instead of
-  hanging a worker, a client hanging up mid-reply costs one stderr line;
+  hanging the server, unknown methods a 501, one request per connection,
+  an overlong head drops the connection, a client hanging up mid-reply
+  costs one stderr line;
 * **snapshot restore race** -- a snapshot unlinked between glob and stat
   is skipped, not fatal;
 * **loop server** -- TCP and pipe peers served from one selectors thread,
-  pipelined batches, EOF shutdown, slow-client eviction;
+  pipelined batches, EOF shutdown, slow-client eviction, regular-file and
+  ``/dev/null`` stdin served in the loop (paced by the reader, never
+  dropped), adopted fds handed back in their blocking mode;
 * **load harness** -- deterministic schedules, report round-trips, batched
   runs answering the same schedule as unbatched runs.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import socket
+import struct
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -52,7 +57,6 @@ from repro.serving import (
 )
 from repro.serving.loadgen import build_schedule
 from repro.serving.protocol import MAX_BATCH_ITEMS, handle_envelope
-from repro.serving.server import make_http_server, serve_stdio, _Handler
 from repro.serving.snapshot import restore_pool, save_pool, snapshot_path
 from repro.session import PlacementSession, SolveResult
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
@@ -216,9 +220,10 @@ class TestBatchEnvelope:
         empty = server.handle({"op": "batch", "requests": []})
         assert empty == {"type": "batch_result", "results": []}
 
-    def test_batch_over_stdio_is_one_reply_line(self):
+    def test_batch_over_stdio_is_one_reply_line(self, tmp_path):
         payload = problem_to_dict(make_problem(45))
-        stdin = io.StringIO(
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(
             json.dumps(
                 {
                     "op": "batch",
@@ -230,9 +235,14 @@ class TestBatchEnvelope:
             )
             + "\n"
         )
-        stdout = io.StringIO()
-        serve_stdio(ReproServer(capacity=4), stdin, stdout)
-        lines = stdout.getvalue().splitlines()
+        replies = tmp_path / "replies.jsonl"
+        loop = LoopServer(ReproServer(capacity=4))
+        loop.add_stream(
+            os.open(requests, os.O_RDONLY),
+            os.open(replies, os.O_WRONLY | os.O_CREAT),
+        )
+        loop.serve()
+        lines = replies.read_text().splitlines()
         assert len(lines) == 1
         reply = json.loads(lines[0])
         assert [r["type"] for r in reply["results"]] == [
@@ -422,15 +432,16 @@ class TestMetrics:
 @pytest.fixture()
 def http_server():
     server = ReproServer(SessionPool(4))
-    httpd = make_http_server(server, "127.0.0.1", 0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    loop = LoopServer(server)
+    host, port = loop.listen("127.0.0.1", 0, http=True)
+    thread = threading.Thread(target=loop.serve, daemon=True)
     thread.start()
-    host, port = httpd.server_address[:2]
     try:
         yield f"http://{host}:{port}", server
     finally:
-        httpd.shutdown()
-        httpd.server_close()
+        loop.shutdown()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 class TestHttpHardening:
@@ -508,34 +519,143 @@ class TestHttpHardening:
         assert b"413" in raw.split(b"\r\n", 1)[0]
         assert b"-byte cap" in raw
 
-    def test_disconnect_mid_reply_is_one_log_line(self, capsys):
-        class _Boom:
-            def write(self, _data):
-                raise BrokenPipeError("gone")
+    def test_unknown_method_is_501(self, http_server):
+        url, _server = http_server
+        raw = self._raw_request(url, "DELETE / HTTP/1.1\r\nHost: x\r\n\r\n")
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert b"501" in head.split(b"\r\n", 1)[0]
+        assert json.loads(body)["error"]["code"] == "bad_request"
 
-        handler = _Handler.__new__(_Handler)
-        handler.request_version = "HTTP/1.1"
-        handler.requestline = "POST / HTTP/1.1"
-        handler.client_address = ("192.0.2.1", 1234)
-        handler.wfile = _Boom()
-        handler.close_connection = False
-        handler._reply({"type": "pool_stats"})  # must not raise
-        assert handler.close_connection
-        err = capsys.readouterr().err
-        assert "disconnected mid-reply" in err
-        assert "Traceback" not in err
+    def test_one_request_per_connection(self, http_server):
+        """A pipelined second request gets no answer; the connection closes."""
+        url, _server = http_server
+        request = "GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
+        raw = self._raw_request(url, request + request)
+        assert raw.startswith(b"HTTP/1.0 200 ")
+        assert raw.count(b"HTTP/1.0") == 1
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert json.loads(body)["type"] == "pool_stats"
+        assert f"Content-Length: {len(body)}".encode() in head
 
-    def test_server_handle_error_quiets_disconnects(self, http_server, capsys):
+    def test_overlong_head_drops_the_connection(self, http_server, capsys):
+        url, _server = http_server
+        host, port = url[len("http://"):].split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            try:
+                sock.sendall(b"GET /" + b"x" * 70000)
+                reply = sock.recv(65536)
+            except (BrokenPipeError, ConnectionResetError):
+                reply = b""
+        assert reply == b""  # dropped: no status line
+        with urllib.request.urlopen(f"{url}/stats") as rsp:
+            assert rsp.status == 200
+        assert "request head exceeds 65536 bytes" in capsys.readouterr().err
+
+    def test_disconnect_mid_reply_is_one_log_line(
+        self, http_server, capsys, monkeypatch
+    ):
+        """A peer gone before its reply costs one stderr line, no traceback,
+        and the next request is served."""
         url, server = http_server
-        httpd = make_http_server(server, "127.0.0.1", 0)
-        try:
-            raise ConnectionResetError("peer vanished")
-        except ConnectionResetError:
-            httpd.handle_error(None, ("192.0.2.7", 9))
-        httpd.server_close()
-        err = capsys.readouterr().err
-        assert "client disconnected" in err
+        host, port = url[len("http://"):].split(":")
+        reset = threading.Event()
+        handle = server.handle
+
+        def handle_after_reset(envelope):
+            reset.wait(10)  # the reply is written to a peer that reset
+            return handle(envelope)
+
+        monkeypatch.setattr(server, "handle", handle_after_reset)
+        body = b'{"op": "stats"}'
+        sock = socket.create_connection((host, int(port)), timeout=10)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.sendall(
+            f"POST / HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n".encode() + body
+        )
+        sock.close()  # linger 0: the close is a reset
+        reset.set()
+        err = ""
+        deadline = time.monotonic() + 30
+        while "loopserver: dropping" not in err and time.monotonic() < deadline:
+            time.sleep(0.05)
+            err += capsys.readouterr().err
+        with urllib.request.urlopen(f"{url}/stats") as rsp:
+            assert rsp.status == 200
+        err += capsys.readouterr().err
+        dropped = [line for line in err.splitlines() if "loopserver: dropping" in line]
+        assert len(dropped) == 1, err
         assert "Traceback" not in err
+
+    def test_access_line_per_request(self, http_server, capsys):
+        url, _server = http_server
+        with urllib.request.urlopen(f"{url}/stats?x=1") as rsp:
+            rsp.read()
+        with pytest.raises(urllib.error.HTTPError):
+            urllib.request.urlopen(f"{url}/nope")
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(" - ", 1)[1] for line in lines] == [
+            '"GET /stats?x=1 HTTP/1.1" 200',
+            '"GET /nope HTTP/1.1" 404',
+        ]
+
+    def test_deeply_nested_body_is_400_and_the_server_lives(self, http_server):
+        url, _server = http_server
+        body = b"[" * 100000  # json.loads raises RecursionError, not ValueError
+        raw = self._raw_request(
+            url, f"POST / HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n", body
+        )
+        head, _, reply = raw.partition(b"\r\n\r\n")
+        assert b"400" in head.split(b"\r\n", 1)[0]
+        assert json.loads(reply)["error"]["code"] == "bad_request"
+        with urllib.request.urlopen(f"{url}/stats") as rsp:
+            assert rsp.status == 200
+
+    def test_idle_connections_are_dropped(self, http_server, capsys, monkeypatch):
+        """Peers that stall -- before a byte, or mid-head -- lose their
+        connection at the idle deadline; the next request is served."""
+        monkeypatch.setattr("repro.serving.loopserver._HTTP_IDLE_SECONDS", 0.5)
+        url, _server = http_server
+        host, port = url[len("http://"):].split(":")
+        silent = socket.create_connection((host, int(port)), timeout=10)
+        stalled = socket.create_connection((host, int(port)), timeout=10)
+        try:
+            stalled.sendall(b"GET /stats HTTP/1.1\r\n")  # the head never ends
+            started = time.monotonic()
+            assert stalled.recv(65536) == b""  # closed without a reply
+            assert time.monotonic() - started >= 0.4
+            assert silent.recv(65536) == b""
+        finally:
+            silent.close()
+            stalled.close()
+        with urllib.request.urlopen(f"{url}/stats") as rsp:
+            assert rsp.status == 200
+        err = capsys.readouterr().err
+        assert err.count("idle for 0.5 s") == 2, err
+
+    def test_handler_error_drops_one_peer_not_the_server(
+        self, http_server, capsys, monkeypatch
+    ):
+        url, server = http_server
+        handle = server.handle
+        failures = []
+
+        def fail_once(envelope):
+            if not failures:
+                failures.append(envelope)
+                raise RuntimeError("handler bug")
+            return handle(envelope)
+
+        monkeypatch.setattr(server, "handle", fail_once)
+        body = b'{"op": "stats"}'
+        raw = self._raw_request(
+            url, f"POST / HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n", body
+        )
+        assert raw == b""  # dropped, no reply
+        with urllib.request.urlopen(f"{url}/stats") as rsp:
+            assert rsp.status == 200
+        err = capsys.readouterr().err
+        assert "RuntimeError: handler bug" in err
+        assert err.count("loopserver: dropping") == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -666,24 +786,116 @@ class TestLoopServer:
         os.close(read_out)
         assert "slow client" in capsys.readouterr().err
 
-    def test_regular_file_stdin_raises_permission_error(self, tmp_path):
-        import selectors
-
-        if not isinstance(
-            selectors.DefaultSelector(), selectors.EpollSelector
-        ):  # pragma: no cover - platform-specific
-            pytest.skip("only epoll rejects regular files")
+    def test_regular_file_stdin_is_served_in_the_loop(self, tmp_path):
         path = tmp_path / "requests.jsonl"
-        path.write_text('{"op": "stats"}\n')
+        path.write_text('{"op": "stats"}\nnot json\n{"op": "stats"}')
+        read_out, write_out = os.pipe()
         loop = LoopServer(ReproServer(SessionPool(2)))
-        fd = os.open(path, os.O_RDONLY)
-        out = os.open(tmp_path / "replies.jsonl", os.O_WRONLY | os.O_CREAT)
+        loop.add_stream(os.open(path, os.O_RDONLY), write_out)
+        thread = self._serve_in_thread(loop)
+        with os.fdopen(read_out) as replies:
+            lines = [json.loads(line) for line in replies]
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        # the final line has no newline and is answered all the same
+        assert [line["type"] for line in lines] == ["pool_stats", "error", "pool_stats"]
+
+    def test_devnull_stdin_ends_without_output(self, tmp_path):
+        replies = tmp_path / "replies.jsonl"
+        loop = LoopServer(ReproServer(SessionPool(2)))
+        loop.add_stream(
+            os.open(os.devnull, os.O_RDONLY),
+            os.open(replies, os.O_WRONLY | os.O_CREAT),
+        )
+        assert loop.serve() == 0
+        assert replies.read_bytes() == b""
+
+    def test_file_stdin_is_paced_by_its_reader_not_dropped(self, tmp_path, capsys):
+        lines = 10000  # several read chunks
+        path = tmp_path / "requests.jsonl"
+        path.write_text('{"op": "stats"}\n' * lines)
+        read_out, write_out = os.pipe()
+        stdin = os.open(path, os.O_RDONLY)
+        kept = os.dup(stdin)  # shares the loop's file offset
+        # A buffer cap far below the replies: a pipe peer this slow would
+        # be dropped, a file peer waits for its reader instead.
+        loop = LoopServer(ReproServer(SessionPool(2)), max_buffer=8192)
+        loop.add_stream(stdin, write_out)
+        thread = self._serve_in_thread(loop)
+        time.sleep(1.0)  # leave the replies unread while the loop runs
+        offset = os.lseek(kept, 0, os.SEEK_CUR)
+        os.close(kept)
+        assert offset < path.stat().st_size  # no reading ahead of the reader
+        with os.fdopen(read_out) as replies:
+            served = [json.loads(line)["type"] for line in replies]
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert served == ["pool_stats"] * lines
+        assert "dropping" not in capsys.readouterr().err
+
+    def test_adopted_fds_get_their_blocking_mode_back(self):
+        read_in, write_in = os.pipe()
+        read_out, write_out = os.pipe()
+        # Duplicates share the open file description, and with it the
+        # O_NONBLOCK flag, as a shell's terminal shares it with the server.
+        kept_in, kept_out = os.dup(read_in), os.dup(write_out)
         try:
-            with pytest.raises(PermissionError):
-                loop.add_stream(fd, out)
+            loop = LoopServer(ReproServer(SessionPool(2)))
+            loop.add_stream(read_in, write_out)
+            assert not os.get_blocking(kept_in)
+            os.write(write_in, b'{"op": "stats"}\n')
+            os.close(write_in)
+            assert loop.serve() == 0
+            assert os.get_blocking(kept_in)
+            assert os.get_blocking(kept_out)
+            assert json.loads(os.read(read_out, 65536))["type"] == "pool_stats"
         finally:
-            os.close(fd)
-            os.close(out)
+            for fd in (kept_in, kept_out, read_out):
+                os.close(fd)
+
+    def test_reply_to_a_closed_pipe_is_one_log_line(self, capsys):
+        """A stream peer whose reader is gone costs one line; the loop's
+        other peers are still served."""
+        read_in, write_in = os.pipe()
+        read_out, write_out = os.pipe()
+        os.close(read_out)  # nobody will read the replies
+        loop = LoopServer(ReproServer(SessionPool(2)))
+        host, port = loop.listen()
+        loop.add_stream(read_in, write_out)
+        thread = self._serve_in_thread(loop)
+        try:
+            os.write(write_in, b'{"op": "stats"}\n')
+            os.close(write_in)
+            client = connect(f"tcp://{host}:{port}")
+            assert isinstance(client.stats(), PoolStats)
+            client.transport.close()
+        finally:
+            loop.shutdown()
+            thread.join(timeout=10)
+        err = capsys.readouterr().err
+        assert "loopserver: dropping stdio: client disconnected mid-reply" in err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_deeply_nested_line_gets_an_error_reply(self):
+        """A line nested past the JSON decoder's depth is a bad request on
+        the same connection, as a malformed line is."""
+        loop = LoopServer(ReproServer(SessionPool(2)))
+        host, port = loop.listen()
+        thread = self._serve_in_thread(loop)
+        try:
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(b"[" * 100000 + b'\n{"op": "stats"}\n')
+                replies = sock.makefile("rb")
+                first = json.loads(replies.readline())
+                second = json.loads(replies.readline())
+                replies.close()
+        finally:
+            loop.shutdown()
+            thread.join(timeout=10)
+        assert first["error"]["code"] == "bad_request"
+        assert "request is not JSON" in first["error"]["message"]
+        assert second["type"] == "pool_stats"
 
 
 # --------------------------------------------------------------------------- #
