@@ -11,18 +11,15 @@ ratio in ``BENCH_engine.json`` as trajectory data.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
 from dataclasses import asdict
-from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import record_bench
 from repro.experiments.harness import ChurnCampaignConfig, run_churn_campaign
-
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 WORKERS = 4
 #: best-of-N wall times, bounding noisy-neighbour spikes on shared hosts.
@@ -92,14 +89,7 @@ def test_parallel_churn_campaign_speed():
         },
         "speedup": {"parallel_vs_sequential": round(speedup, 3)},
     }
-    entries = []
-    if BENCH_FILE.exists():
-        try:
-            entries = json.loads(BENCH_FILE.read_text())
-        except (ValueError, OSError):
-            entries = []
-    entries.append(entry)
-    BENCH_FILE.write_text(json.dumps(entries, indent=2) + "\n")
+    record_bench(entry)
 
     if cpus >= 2:
         assert speedup >= REQUIRED_SPEEDUP, (

@@ -10,9 +10,9 @@ the Upwards policy.  Three configurations are timed:
 * ``fast_sequential`` -- the same loop on the indexed fast engine;
 * ``batch_workers4`` -- ``solve_many(..., workers=4)`` on the fast engine.
 
-All three produce identical results (asserted).  Every run appends an entry
-to ``BENCH_engine.json`` at the repository root so future PRs have a
-performance trajectory.
+All three produce identical results (asserted).  Every ``repro bench``
+run appends an entry to ``BENCH_engine.json`` at the repository root so
+future PRs have a performance trajectory.
 
 Speedup accounting: on multi-core hosts the batch run must beat the seed
 sequential loop by >= 2x (engine gain x process-pool parallelism).  On a
@@ -26,20 +26,17 @@ the trajectory.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import record_bench
 from repro.api import solve_many
 from repro.algorithms.common import use_engine
 from repro.core.constraints import ConstraintSet
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
-
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 TREE_SIZE = 500
 INSTANCES = 32
@@ -144,14 +141,7 @@ def test_engine_and_batch_speed():
         },
         "solved": sum(cost is not None for cost in seed_costs),
     }
-    entries = []
-    if BENCH_FILE.exists():
-        try:
-            entries = json.loads(BENCH_FILE.read_text())
-        except (ValueError, OSError):
-            entries = []
-    entries.append(entry)
-    BENCH_FILE.write_text(json.dumps(entries, indent=2) + "\n")
+    record_bench(entry)
 
     if cpus >= 2:
         assert speedup_batch >= 2.0, (

@@ -14,25 +14,23 @@ Two runs are timed on identical epochs:
 
 Both produce bit-identical per-epoch costs (asserted -- the acceptance
 criterion of PR 2); the incremental run must be >= 1.5x faster even on this
-1-CPU container, since its win is skipped work, not parallelism.  Every run
-appends an entry to ``BENCH_engine.json`` for the performance trajectory.
+1-CPU container, since its win is skipped work, not parallelism.  Every
+``repro bench`` run appends an entry to ``BENCH_engine.json`` for the
+performance trajectory.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import record_bench
 from repro.api import solve_sequence
 from repro.core.problem import replica_counting_problem
 from repro.workloads.dynamic import rate_churn
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
-
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 TREE_SIZE = 240
 EPOCHS = 30
@@ -106,14 +104,7 @@ def test_incremental_resolve_speed():
         "strategies": strategies,
         "solved": incremental.solved_epochs,
     }
-    entries = []
-    if BENCH_FILE.exists():
-        try:
-            entries = json.loads(BENCH_FILE.read_text())
-        except (ValueError, OSError):
-            entries = []
-    entries.append(entry)
-    BENCH_FILE.write_text(json.dumps(entries, indent=2) + "\n")
+    record_bench(entry)
 
     # The win comes from skipped work (epoch reuse + patched indexes), so it
     # must show even on a single CPU.

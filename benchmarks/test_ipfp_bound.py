@@ -14,27 +14,24 @@ churning trajectory.  Two floors are asserted:
   from scratch every epoch, wall-clock, while every epoch's re-targeted
   value stays bit-identical to its cold IPFP run.
 
-Every run appends an entry to ``BENCH_engine.json`` for the performance
-trajectory.
+Every ``repro bench`` run appends an entry to ``BENCH_engine.json`` for
+the performance trajectory.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import record_bench
 from repro.core.constraints import ConstraintSet
 from repro.core.problem import ReplicaPlacementProblem, replica_cost_problem
 from repro.lp.bounds import lp_lower_bound, rational_relaxation_bound
 from repro.lp.ipfp import ipfp_bound, ipfp_program
 from repro.workloads.dynamic import rate_churn
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
-
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 TREE_SIZE = 500
 LOAD = 0.4
@@ -140,14 +137,7 @@ def test_ipfp_bound_speed_and_gap():
         "cold_speedup": round(speedup, 1),
         "churn_speedup": round(t_rebuild / t_retarget, 2),
     }
-    entries = []
-    if BENCH_FILE.exists():
-        try:
-            entries = json.loads(BENCH_FILE.read_text())
-        except (ValueError, OSError):
-            entries = []
-    entries.append(entry)
-    BENCH_FILE.write_text(json.dumps(entries, indent=2) + "\n")
+    record_bench(entry)
 
     assert speedup >= REQUIRED_COLD_SPEEDUP, (
         f"cold IPFP ran only {speedup:.1f}x faster than the mixed LP "

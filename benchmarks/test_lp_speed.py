@@ -23,22 +23,19 @@ Times are best-of-3 to bound noisy-neighbour spikes.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
-from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import record_bench
 from repro.api import bound_sequence, lower_bound
 from repro.core.constraints import ConstraintSet
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem, replica_counting_problem
 from repro.lp import build_program, build_program_reference
 from repro.workloads.dynamic import rate_churn
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
-
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 #: best-of-N wall times, bounding noisy-neighbour spikes on shared hosts.
 REPS = 3
@@ -63,17 +60,6 @@ def available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux hosts
         return os.cpu_count() or 1
-
-
-def append_bench_entry(entry) -> None:
-    entries = []
-    if BENCH_FILE.exists():
-        try:
-            entries = json.loads(BENCH_FILE.read_text())
-        except (ValueError, OSError):
-            entries = []
-    entries.append(entry)
-    BENCH_FILE.write_text(json.dumps(entries, indent=2) + "\n")
 
 
 def bandwidth_problem() -> ReplicaPlacementProblem:
@@ -149,7 +135,7 @@ def test_lp_build_speed():
         },
         "speedup": {"build_vs_reference": round(speedup, 3)},
     }
-    append_bench_entry(entry)
+    record_bench(entry)
 
     assert speedup >= REQUIRED_BUILD_SPEEDUP, (
         f"vectorised assembly is only {speedup:.2f}x faster than the "
@@ -209,7 +195,7 @@ def test_lp_rebound_speed():
         "speedup": {"rebound_vs_scratch": round(speedup, 3)},
         "strategies": strategies,
     }
-    append_bench_entry(entry)
+    record_bench(entry)
 
     # The win is skipped work (reused bounds, patched programs), so it must
     # show even on a single CPU.

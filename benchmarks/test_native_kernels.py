@@ -11,8 +11,8 @@ Two workloads, all three engines, identical results asserted:
   Multiple policy, the scale where per-client Python loops stop being
   noise.
 
-Every run appends an entry to ``BENCH_engine.json`` at the repository root
-so future PRs have a performance trajectory.  The acceptance floor of the
+Every ``repro bench`` run appends an entry to ``BENCH_engine.json`` at the
+repository root so future PRs have a performance trajectory.  The acceptance floor of the
 native engine is **2x over the fast engine** on the 500-node solve path
 (the observed ratio on an idle host is ~2.5x vs fast and ~6x vs the seed
 dict engine); the 20k-client ratio is recorded for the trajectory with a
@@ -23,20 +23,17 @@ records the fallback instead and the assertions are skipped.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import record_bench
 from repro.api import solve, solve_many
 from repro.algorithms.common import use_engine
 from repro.algorithms.native_state import native_kernels_available
 from repro.core.constraints import ConstraintSet
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
-
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 ENGINES = ("dict", "fast", "native")
 
@@ -184,14 +181,7 @@ def test_native_kernel_speed():
         },
         "speedup": speedups,
     }
-    entries = []
-    if BENCH_FILE.exists():
-        try:
-            entries = json.loads(BENCH_FILE.read_text())
-        except (ValueError, OSError):
-            entries = []
-    entries.append(entry)
-    BENCH_FILE.write_text(json.dumps(entries, indent=2) + "\n")
+    record_bench(entry)
 
     if not native_compiled:
         pytest.skip(

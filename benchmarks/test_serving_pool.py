@@ -21,12 +21,11 @@ noisy-neighbour spikes.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import record_bench
 from repro.core.constraints import ConstraintSet
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem
 from repro.core.serialization import problem_to_dict
@@ -35,8 +34,6 @@ from repro.serving.pool import SessionPool
 from repro.serving.server import ReproServer
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
 
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-
 TREE_SIZE = 500
 SEED = 42
 COLD_REPS = 3
@@ -44,17 +41,6 @@ WARM_REPS = 20
 REQUIRED_WARM_SPEEDUP = 5.0
 POOL_CAPACITY = 4
 TENANTS = 2 * POOL_CAPACITY
-
-
-def append_bench_entry(entry) -> None:
-    entries = []
-    if BENCH_FILE.exists():
-        try:
-            entries = json.loads(BENCH_FILE.read_text())
-        except (ValueError, OSError):
-            entries = []
-    entries.append(entry)
-    BENCH_FILE.write_text(json.dumps(entries, indent=2) + "\n")
 
 
 def make_problem(seed: int = SEED, size: int = TREE_SIZE) -> ReplicaPlacementProblem:
@@ -110,7 +96,7 @@ def test_warm_pool_beats_cold_one_shot():
     assert warm_server.handle(warm_envelope) == first
 
     speedup = cold_time / warm_time if warm_time > 0 else float("inf")
-    append_bench_entry(
+    record_bench(
         {
             "benchmark": "serving_pool",
             "tree_size": TREE_SIZE,

@@ -25,13 +25,12 @@ noisy-neighbour spikes.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import record_bench
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem
 from repro.core.serialization import problem_to_dict
 from repro.serving import (
@@ -44,8 +43,6 @@ from repro.serving import (
 from repro.serving.client import TcpTransport
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
 
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-
 TREE_SIZE = 120
 SEED = 42
 REQUESTS = 400
@@ -56,17 +53,6 @@ LOAD_RATE = 120.0
 LOAD_HORIZON = 1.5
 LOAD_TENANTS = 3
 LOAD_BATCH = 8
-
-
-def append_bench_entry(entry) -> None:
-    entries = []
-    if BENCH_FILE.exists():
-        try:
-            entries = json.loads(BENCH_FILE.read_text())
-        except (ValueError, OSError):
-            entries = []
-    entries.append(entry)
-    BENCH_FILE.write_text(json.dumps(entries, indent=2) + "\n")
 
 
 def make_problem(seed: int = SEED, size: int = TREE_SIZE) -> ReplicaPlacementProblem:
@@ -121,7 +107,7 @@ def test_batched_envelopes_double_the_request_rate():
         thread.join(timeout=10)
     speedup = batch_rate / single_rate
 
-    append_bench_entry(
+    record_bench(
         {
             "benchmark": "serving_batch_throughput",
             "tree_size": TREE_SIZE,
@@ -165,7 +151,7 @@ def test_open_loop_ippp_loadtest_records_latency():
     # answer the same schedule.
     assert batched.envelopes <= unbatched.envelopes
 
-    append_bench_entry(
+    record_bench(
         {
             "benchmark": "serving_loadtest",
             "tenants": LOAD_TENANTS,

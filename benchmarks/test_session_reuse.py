@@ -33,21 +33,18 @@ best-of-N to bound noisy-neighbour spikes.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import record_bench
 from repro.api import lower_bound
 from repro.core.constraints import ConstraintSet
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem
 from repro.core.serialization import tree_from_dict, tree_to_dict
 from repro.session import PlacementSession
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
-
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 TREE_SIZE = 500
 SEED = 42
@@ -56,17 +53,6 @@ EPOCHS = 6
 REPS = 5
 REQUIRED_PATCH_SPEEDUP = 1.15
 REQUIRED_CACHE_SPEEDUP = 20.0
-
-
-def append_bench_entry(entry) -> None:
-    entries = []
-    if BENCH_FILE.exists():
-        try:
-            entries = json.loads(BENCH_FILE.read_text())
-        except (ValueError, OSError):
-            entries = []
-    entries.append(entry)
-    BENCH_FILE.write_text(json.dumps(entries, indent=2) + "\n")
 
 
 def make_tree():
@@ -156,7 +142,7 @@ def test_session_reuse_speed():
 
     patch_speedup = t_fresh / t_patched
     cache_speedup = t_fresh / t_cached
-    append_bench_entry(
+    record_bench(
         {
             "suite": "session_reuse",
             "tree_size": TREE_SIZE,

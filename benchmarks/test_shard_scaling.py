@@ -17,20 +17,19 @@ sharding layer targets.  Two comparisons run on identical trees:
   shard (asserted via the per-region resolver strategies) and must be
   >= 1.5x faster than the whole-tree session's re-solve of the same change.
 
-Every run appends an entry to ``BENCH_engine.json`` for the performance
-trajectory.
+Every ``repro bench`` run appends an entry to ``BENCH_engine.json`` for
+the performance trajectory.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import record_bench
 from repro.algorithms.portfolio import portfolio_solve
 from repro.algorithms.sharded import solve_sharded
 from repro.core.constraints import ConstraintSet
@@ -38,8 +37,6 @@ from repro.core.partition import partition_problem
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem
 from repro.session import PlacementSession
 from repro.workloads.generator import large_tree
-
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 N_CLIENTS = 20_000
 SHARDS = 8
@@ -141,14 +138,7 @@ def test_shard_scaling():
         "speedup": {"sharded_update_vs_whole": round(speedup, 3)},
         "cost_gap": round(cost_sharded / cost_whole, 4),
     }
-    entries = []
-    if BENCH_FILE.exists():
-        try:
-            entries = json.loads(BENCH_FILE.read_text())
-        except (ValueError, OSError):
-            entries = []
-    entries.append(entry)
-    BENCH_FILE.write_text(json.dumps(entries, indent=2) + "\n")
+    record_bench(entry)
 
     # The streamed sharded solve must beat the whole-tree solve on peak
     # memory: its working set is one shard at a time, not the whole tree.

@@ -16,13 +16,13 @@ Correctness rides along: the planted three-regime log must come back as
 three detected epochs, and replaying the detected epochs through
 ``solve_sequence`` must give bit-identical per-epoch costs in incremental
 and scratch modes -- the trace path feeds the same resolver machinery as
-the synthetic trajectories, epoch for epoch.  Every run appends an entry
-to ``BENCH_engine.json`` for the performance trajectory.
+the synthetic trajectories, epoch for epoch.  Every ``repro bench``
+run appends an entry to ``BENCH_engine.json`` for the performance
+trajectory.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -30,13 +30,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from benchmarks.conftest import record_bench
 from repro.api import solve_sequence
 from repro.core.problem import replica_counting_problem
 from repro.workloads.dynamic import as_base_problem
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
 from repro.workloads.traces import detect_epochs, load_trace, sample_trace
-
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 TREE_SIZE = 60
 LOAD = 0.4
@@ -143,14 +142,7 @@ def test_trace_ingest_and_replay_speed(tmp_path):
         "detected_epochs": model.epoch_count,
         "replay_costs": incremental.costs,
     }
-    entries = []
-    if BENCH_FILE.exists():
-        try:
-            entries = json.loads(BENCH_FILE.read_text())
-        except (ValueError, OSError):
-            entries = []
-    entries.append(entry)
-    BENCH_FILE.write_text(json.dumps(entries, indent=2) + "\n")
+    record_bench(entry)
 
     assert ingest_rate >= REQUIRED_INGEST_RATE, (
         f"CSV ingest ran at {ingest_rate:.0f} events/s on {trace.events} events "

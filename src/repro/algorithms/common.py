@@ -151,20 +151,19 @@ class RequestState:
     def __init__(self, problem: ReplicaPlacementProblem):
         self.problem = problem
         self.tree = problem.tree
+        tree = self.tree
         #: remaining (not yet affected) requests of every client, ``r'_i``
-        self.remaining: Dict[NodeId, float] = {
-            client.id: float(client.requests) for client in self.tree.clients()
-        }
+        self.remaining: Dict[NodeId, float] = dict(
+            zip(tree.client_ids, tree.column("requests"))
+        )
         #: requests still reaching each internal node, ``inreq_j``
         self.inreq: Dict[NodeId, float] = {
-            node_id: self.tree.subtree_requests(node_id) for node_id in self.tree.node_ids
+            node_id: tree.subtree_requests(node_id) for node_id in tree.node_ids
         }
         #: replica set built so far
         self.replicas: set = set()
         #: residual capacity of each internal node
-        self.residual: Dict[NodeId, float] = {
-            node_id: problem.capacity(node_id) for node_id in self.tree.node_ids
-        }
+        self.residual: Dict[NodeId, float] = dict(zip(tree.node_ids, tree.column("capacity")))
         #: explicit affectation ``(client, server) -> requests``
         self.amounts: Dict[Tuple[NodeId, NodeId], float] = {}
 

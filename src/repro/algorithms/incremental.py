@@ -48,7 +48,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.exceptions import InfeasibleError
 from repro.core.policies import Policy
@@ -128,39 +130,61 @@ def diff_problems(
         previous.constraints != current.constraints or previous.kind is not current.kind
     )
 
-    topology_changed = not (
-        (prev_tree._parent is tree._parent or prev_tree._parent == tree._parent)
-        and prev_tree._clients.keys() == tree._clients.keys()
-        and prev_tree._nodes.keys() == tree._nodes.keys()
-    )
-    if topology_changed:
+    before, after = prev_tree._store, tree._store
+    if not before.same_topology(after):
         return ProblemDelta(
             topology_changed=True,
             nodes_changed=True,
             links_changed=True,
             settings_changed=settings_changed,
         )
-
-    nodes_changed = not (
-        prev_tree._nodes is tree._nodes or prev_tree._nodes == tree._nodes
-    )
-    links_changed = not (
-        prev_tree._links is tree._links or prev_tree._links == tree._links
-    )
-
-    qos_changed: List[NodeId] = []
-    changed_clients: List[NodeId] = []
-    if prev_tree._clients is not tree._clients:
-        for cid, client in tree._clients.items():
-            old = prev_tree._clients[cid]
-            if old.qos != client.qos:
-                qos_changed.append(cid)
-            if old.requests != client.requests:
-                changed_clients.append(cid)
+    if not before.same_layout(after):
+        return _diff_by_id(prev_tree, tree, settings_changed)
+    # One layout (always so for forks): compare the columns.
+    clients = after.ids[after.n_nodes :]
     return ProblemDelta(
         topology_changed=False,
-        nodes_changed=nodes_changed,
-        links_changed=links_changed,
+        nodes_changed=not (
+            _same(before.capacity, after.capacity) and _same(before.storage, after.storage)
+        ),
+        links_changed=not (
+            _same(before.comm, after.comm)
+            and _same(before.bandwidth, after.bandwidth)
+            and before.metrics == after.metrics
+        ),
+        settings_changed=settings_changed,
+        qos_changed=_changed(before.qos, after.qos, clients),
+        changed_clients=_changed(prev_tree._requests, tree._requests, clients),
+    )
+
+
+def _same(old, new) -> bool:
+    return old is new or old == new
+
+
+def _changed(old, new, ids: Sequence[NodeId]) -> Tuple[NodeId, ...]:
+    """Ids (in column order) whose entry differs between two columns."""
+    if old is new:
+        return ()
+    differs = np.frombuffer(old, dtype=np.float64) != np.frombuffer(new, dtype=np.float64)
+    return tuple(map(ids.__getitem__, np.flatnonzero(differs).tolist()))
+
+
+def _diff_by_id(prev_tree, tree, settings_changed: bool) -> ProblemDelta:
+    """The diff of one topology declared in two orders, record by record."""
+    old = {client.id: client for client in prev_tree.clients()}
+    qos_changed: List[NodeId] = []
+    changed_clients: List[NodeId] = []
+    for client_id in tree._store.ids[tree._store.n_nodes :]:  # declaration order
+        before, after = old[client_id], tree.client(client_id)
+        if before.qos != after.qos:
+            qos_changed.append(client_id)
+        if before.requests != after.requests:
+            changed_clients.append(client_id)
+    return ProblemDelta(
+        topology_changed=False,
+        nodes_changed=set(prev_tree.nodes()) != set(tree.nodes()),
+        links_changed=set(prev_tree.links()) != set(tree.links()),
         settings_changed=settings_changed,
         qos_changed=tuple(qos_changed),
         changed_clients=tuple(changed_clients),
@@ -380,7 +404,7 @@ class IncrementalResolver:
         # Re-route each changed client bottom-up over the frozen placement.
         # Sorted order keeps the repair deterministic whatever the diff order.
         for client_id in sorted(changed, key=repr):
-            rate = tree.client(client_id).requests
+            rate = tree.requests(client_id)
             if rate <= 0:
                 continue
             servers = [

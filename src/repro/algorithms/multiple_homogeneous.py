@@ -82,8 +82,7 @@ def optimal_multiple_homogeneous_placement(problem: ReplicaPlacementProblem) -> 
     # ------------------------------------------------------------------ #
     flow: Dict[NodeId, float] = {}
     replicas: set = set()
-    for client in tree.clients():
-        flow[client.id] = float(client.requests)
+    flow.update(zip(tree.client_ids, tree.column("requests")))
     for node_id in tree.post_order_nodes():
         incoming = sum(flow[child] for child in tree.children(node_id))
         if incoming >= capacity - _TOL:

@@ -199,7 +199,7 @@ class _NativeArrays:
         if self._post_order is None:
             node_pos = index.node_pos
             self._post_order = array(
-                "q", map(node_pos.__getitem__, index.tree.post_order_nodes())
+                "q", map(node_pos.__getitem__, reversed(index.store.node_ids))
             )
         return self._post_order
 
@@ -234,8 +234,7 @@ def _qos_threshold_array(index: TreeIndex, problem, kernels, arrays) -> array:
     if base is not None:
         thresholds = array("q", base)
     else:
-        clients_map = index.tree._clients
-        bounds = array("d", (clients_map[cid].qos for cid in index.client_order))
+        bounds = array("d", index.client_qos())
         thresholds = array("q", bytes(8 * index.n_clients))
         if mode is QoSMode.DISTANCE:
             kernels.thresholds_distance(

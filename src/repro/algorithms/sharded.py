@@ -165,8 +165,8 @@ def _overflow_selection(
         return None
     tree = shard.problem.tree
     ranked = sorted(
-        (cid for cid in shard.clients if tree.client(cid).requests > 0),
-        key=lambda cid: (-shard.boundary_budget(cid), -tree.client(cid).requests, repr(cid)),
+        (cid for cid in shard.clients if tree.requests(cid) > 0),
+        key=lambda cid: (-shard.boundary_budget(cid), -tree.requests(cid), repr(cid)),
     )
     moved: Dict[NodeId, float] = {}
     remaining = excess
@@ -175,7 +175,7 @@ def _overflow_selection(
             break
         if shard.boundary_budget(cid) <= 0:
             break  # nothing below can leave the shard either
-        rate = tree.client(cid).requests
+        rate = tree.requests(cid)
         take = rate if whole_clients else min(rate, remaining)
         moved[cid] = take
         remaining -= take

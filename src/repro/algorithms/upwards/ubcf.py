@@ -37,17 +37,17 @@ class UpwardsBigClientFirst(PlacementHeuristic):
         tree = problem.tree
 
         clients = sorted(
-            (c for c in tree.clients() if c.requests > 0),
-            key=lambda c: (-c.requests, repr(c.id)),
+            (row for row in zip(tree.client_ids, tree.column("requests")) if row[1] > 0),
+            key=lambda row: (-row[1], repr(row[0])),
         )
-        for client in clients:
+        for client_id, requests in clients:
             # Best fit along the client's eligible ancestor chain (the rule
             # lives on the state so the native engine can walk the chain in
             # C; see RequestState.best_fit_server for the tie-breaking).
-            target = state.best_fit_server(client.id, client.requests)
+            target = state.best_fit_server(client_id, requests)
             if target is None:
                 return None
             state.place(target)
-            state.assign(client.id, target, client.requests)
+            state.assign(client_id, target, requests)
 
         return state.to_solution(self.policy, self.name)

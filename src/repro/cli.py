@@ -1221,6 +1221,9 @@ def _dispatch_bench(args: argparse.Namespace) -> int:
     if str(root) not in sys.path:
         sys.path.insert(0, str(root))
 
+    # The suites append their entries to the ledger only under this flag,
+    # so plain pytest runs of benchmarks/ leave the checkout clean.
+    os.environ["REPRO_BENCH_RECORD"] = "1"
     pytest_args = [str(bench_dir), "-m", "bench", "-q", "-p", "no:cacheprovider"]
     if args.keyword:
         pytest_args += ["-k", args.keyword]

@@ -20,10 +20,13 @@ element must name an already-declared internal node as its parent.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.exceptions import TreeStructureError
 from repro.core.tree import Client, InternalNode, Link, NodeId, TreeNetwork
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.qos.metrics import QoSMetrics
 
 __all__ = ["TreeBuilder"]
 
@@ -47,14 +50,16 @@ class TreeBuilder:
         parent: Optional[NodeId] = None,
         comm_time: float = 1.0,
         bandwidth: float = math.inf,
+        metrics: Optional["QoSMetrics"] = None,
         **metadata,
     ) -> "TreeBuilder":
         """Declare an internal node.
 
         The first node declared without a ``parent`` becomes the root.  Any
         subsequent node must specify its parent, which has to be an already
-        declared internal node.  ``comm_time`` and ``bandwidth`` describe the
-        uplink from this node towards its parent.
+        declared internal node.  ``comm_time``, ``bandwidth`` and
+        ``metrics`` (a :class:`~repro.qos.metrics.QoSMetrics` annotation)
+        describe the uplink from this node towards its parent.
         """
         if node_id in self._nodes or node_id in self._clients:
             raise TreeStructureError(f"duplicate identifier {node_id!r}")
@@ -74,9 +79,7 @@ class TreeBuilder:
             metadata=dict(metadata),
         )
         if parent is not None:
-            self._links.append(
-                Link(child=node_id, parent=parent, comm_time=comm_time, bandwidth=bandwidth)
-            )
+            self._links.append(Link(node_id, parent, comm_time, bandwidth, metrics))
         return self
 
     def add_client(
@@ -88,6 +91,7 @@ class TreeBuilder:
         qos: float = math.inf,
         comm_time: float = 1.0,
         bandwidth: float = math.inf,
+        metrics: Optional["QoSMetrics"] = None,
         **metadata,
     ) -> "TreeBuilder":
         """Declare a leaf client attached to internal node ``parent``."""
@@ -97,9 +101,7 @@ class TreeBuilder:
         self._clients[client_id] = Client(
             id=client_id, requests=requests, qos=qos, metadata=dict(metadata)
         )
-        self._links.append(
-            Link(child=client_id, parent=parent, comm_time=comm_time, bandwidth=bandwidth)
-        )
+        self._links.append(Link(client_id, parent, comm_time, bandwidth, metrics))
         return self
 
     def add_clients(

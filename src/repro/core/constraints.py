@@ -132,7 +132,7 @@ class ConstraintSet:
         The result preserves the bottom-up (closest first) ancestor order,
         which several heuristics rely on.
         """
-        bound = tree.client(client_id).qos
+        bound = tree.qos(client_id)
         servers = []
         for ancestor in tree.ancestors(client_id):
             if self.qos_metric(tree, client_id, ancestor) <= bound:
@@ -322,7 +322,7 @@ class ClassedConstraintSet(ConstraintSet):
     def allowed_servers(self, tree: TreeNetwork, client_id: NodeId):
         """Ancestors whose path score meets the client's bound (no early
         break: correct for monotone and non-monotone weights alike)."""
-        bound = tree.client(client_id).qos
+        bound = tree.qos(client_id)
         return tuple(
             ancestor
             for ancestor, score in self.iter_ancestor_scores(tree, client_id)

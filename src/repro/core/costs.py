@@ -91,11 +91,12 @@ def greedy_cost_lower_bound(problem: ReplicaPlacementProblem) -> float:
     if total <= 0:
         return 0.0
     rated = []
-    for node in problem.tree.nodes():
-        if node.capacity <= 0:
+    tree = problem.tree
+    for node_id, capacity in zip(tree.node_ids, tree.column("capacity")):
+        if capacity <= 0:
             continue
-        cost = problem.storage_cost(node.id)
-        rated.append((cost / node.capacity, node.capacity, cost))
+        cost = problem.storage_cost(node_id)
+        rated.append((cost / capacity, capacity, cost))
     rated.sort()
     remaining = total
     bound = 0.0

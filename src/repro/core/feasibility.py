@@ -62,21 +62,21 @@ def closest_assignment(
 
     amounts: Dict[Tuple[NodeId, NodeId], float] = {}
     loads: Dict[NodeId, float] = {}
-    for client in tree.clients():
-        if client.requests <= 0:
+    for client_id, requests in zip(tree.client_ids, tree.column("requests")):
+        if requests <= 0:
             continue
-        server = servers.get(client.id)
+        server = servers.get(client_id)
         if server is None:
             raise InfeasibleError(
-                f"client {client.id!r} has no replica ancestor", policy=Policy.CLOSEST
+                f"client {client_id!r} has no replica ancestor", policy=Policy.CLOSEST
             )
-        if not problem.qos_satisfied(client.id, server):
+        if not problem.qos_satisfied(client_id, server):
             raise InfeasibleError(
-                f"Closest forces client {client.id!r} onto {server!r}, violating its QoS bound",
+                f"Closest forces client {client_id!r} onto {server!r}, violating its QoS bound",
                 policy=Policy.CLOSEST,
             )
-        amounts[(client.id, server)] = client.requests
-        loads[server] = loads.get(server, 0.0) + client.requests
+        amounts[(client_id, server)] = requests
+        loads[server] = loads.get(server, 0.0) + requests
 
     for server, load in loads.items():
         if load > problem.capacity(server) + _TOL:
@@ -116,7 +116,7 @@ def multiple_assignment(
     replicas = set(placement.replicas)
 
     unserved: Dict[NodeId, float] = {
-        c.id: c.requests for c in tree.clients() if c.requests > 0
+        cid: rate for cid, rate in zip(tree.client_ids, tree.column("requests")) if rate > 0
     }
     # Eligible ancestors (respecting QoS) of every client, bottom-up.
     eligible: Dict[NodeId, Tuple[NodeId, ...]] = {
@@ -317,7 +317,7 @@ def _check_bandwidth(problem: ReplicaPlacementProblem, assignment: Assignment) -
         return
     tree = problem.tree
     for (child, _parent), flow in assignment.link_flows(tree).items():
-        bandwidth = tree.link(child).bandwidth
+        bandwidth = tree.bandwidth(child)
         if flow > bandwidth + 1e-6:
             raise InfeasibleError(
                 f"link {child!r} upwards carries {flow:g} requests, bandwidth {bandwidth:g}"

@@ -1,45 +1,54 @@
 """Dense integer indexing of a :class:`~repro.core.tree.TreeNetwork`.
 
-:class:`TreeIndex` interns the hashable node and client identifiers of a
-tree into dense integer ranges and precomputes the contiguous layouts every
-hot path of the placement engine needs:
+:class:`TreeIndex` lays a tree's elements out in the orders every hot path
+of the placement engine needs, and gathers their values from the tree's
+columns by position (the tree's store maps every id to a position; see
+:mod:`repro.core.tree`):
 
-* internal nodes laid out in **DFS pre-order** (children in link insertion
-  order), so the internal nodes of ``subtree(j)`` form the contiguous span
+* internal nodes laid out in **DFS pre-order** (children in link order),
+  so the internal nodes of ``subtree(j)`` form the contiguous span
   ``j .. node_span_end[j]``;
 * clients laid out in **DFS leaf order** -- provably the exact order of
   ``TreeNetwork.subtree_clients(root)`` -- so the clients of ``subtree(j)``
   form the contiguous span ``client_span_start[j] .. client_span_end[j]``
-  *and* enumerate in the same order as the dict-based tree queries;
+  *and* enumerate in the same order as the tree's own queries;
 * parent / depth vectors for both populations and per-client request
   vectors;
 * ready-to-``copy()`` dict templates for the engine's mutable state
   (``remaining`` / ``inreq`` / ``residual``), so building a solver state
   costs three C-level dict copies instead of per-id dict comprehensions.
 
+The layout is computed from the store's breadth-first levels and its
+children (CSR form) with numpy, one level at a time: subtree sizes
+bottom-up, then each element's pre-order rank top-down (its parent's rank,
+plus one, plus the sizes of its earlier siblings).  Values are gathered by
+position -- request rates, capacities and subtree sums straight from the
+columns -- and the ancestor chains are the tree's memoised ones, so
+``TreeNetwork.ancestors`` and the index hand out the same tuples.
+
 Scalar vectors are plain Python lists/tuples: the engine's span scans are
 dominated by element access from interpreted code, where list indexing
 beats both dict lookups (no hashing) and numpy arrays (no per-element C
-dispatch / unboxing).  Indexing a tree costs one DFS plus a handful of flat,
-mostly C-level passes.  The DFS also builds the ancestor chains -- parents
-come before children, and siblings share their parent's chain tuple -- and
-hands them to the tree's memo, so ``TreeNetwork.ancestors`` reuses them.
-Views only latency QoS needs (uplink times, root latencies) are built on
-first use, like the numpy mirrors.
+dispatch / unboxing).  Views only latency QoS needs (uplink times, root
+latencies) are built on first use, like the numpy mirrors.
 
 The index is immutable, built once per tree (``TreeIndex.for_tree`` caches
 it on the tree instance) and shared by every state object built on the same
-tree, which is what makes batch solving over many scenarios cheap.
+tree, which is what makes batch solving over many scenarios cheap.  It
+keeps the tree's store, not the tree, so the tree that caches it is freed
+as soon as its last user drops it.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import add, attrgetter, sub
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+import sys
+from operator import add
+from typing import Dict, Iterable, List, Tuple
+
+import numpy as np
 
 from repro.core.exceptions import TreeStructureError
-from repro.core.tree import NodeId, TreeNetwork
+from repro.core.tree import NodeId, TreeNetwork, _Store, _view
 
 __all__ = ["TreeIndex", "supports_qos_thresholds"]
 
@@ -68,7 +77,7 @@ class TreeIndex:
     """Flat, interned structural view of an immutable :class:`TreeNetwork`."""
 
     __slots__ = (
-        "tree",
+        "store",
         "n_nodes",
         "n_clients",
         "height",
@@ -87,6 +96,8 @@ class TreeIndex:
         "client_ancestors",
         "client_requests",
         "client_repr",
+        "_node_perm",
+        "_client_slots",
         "remaining_template",
         "inreq_template",
         "residual_template",
@@ -95,97 +106,60 @@ class TreeIndex:
     )
 
     def __init__(self, tree: TreeNetwork):
-        self.tree = tree
-        children_map = tree._children
-        depth_map = tree._depth
-        clients_map = tree._clients
-        nodes_map = tree._nodes
-        root = tree.root
-        n_nodes = len(nodes_map)
-        n_clients = len(clients_map)
+        # The index keeps the tree's store, not the tree: the tree caches
+        # its index, and no reference cycle keeps either alive.
+        self.store = store = tree._store
+        n_nodes = store.n_nodes
+        n_clients = len(store.ids) - n_nodes
         self.n_nodes = n_nodes
         self.n_clients = n_clients
-        self.height = max(depth_map.values()) if depth_map else 0
+        self.height = len(store.levels) - 2
 
-        # ---- DFS pre-order over internal nodes, DFS leaf order over clients.
-        # Children are visited in link insertion order, which makes the client
-        # layout identical to TreeNetwork.subtree_clients(root): that tuple is
-        # built as the concatenation of the children's tuples in the same
-        # insertion order.  One pass over positions, parents before children,
-        # also builds every node's ancestor chain through itself: a child's
-        # chain is its parent's, so siblings share one tuple.
-        root_kids = children_map[root]
-        node_order: List[NodeId] = [root]
-        client_order: List[NodeId] = []
-        node_parent: List[int] = [-1]
-        client_parent: List[int] = []
-        client_span_start: List[int] = [0]
-        #: elements of subtree(j), accumulated bottom-up below
-        size: List[int] = [len(root_kids) + 1]
-        through: List[Tuple[NodeId, ...]] = [(root,)]
-        stack: List[NodeId] = list(reversed(root_kids))
-        above: List[int] = [0] * len(root_kids)  # parent position per entry
-        pop, push, pop_above, push_above = stack.pop, stack.extend, above.pop, above.extend
-        add_node, add_client = node_order.append, client_order.append
-        children_of = children_map.get
-        while stack:
-            element = pop()
-            parent = pop_above()
-            kids = children_of(element)
-            if kids is None:  # clients have no entry
-                add_client(element)
-                client_parent.append(parent)
-                continue
-            position = len(node_order)
-            add_node(element)
-            node_parent.append(parent)
-            client_span_start.append(len(client_order))
-            size.append(len(kids) + 1)
-            through.append((element,) + through[parent])
-            push(reversed(kids))
-            push_above(repeat(position, len(kids)))
-        nodes_in = [1] * n_nodes
-        for index in range(n_nodes - 1, 0, -1):  # children before parents
-            parent = node_parent[index]
-            size[parent] += size[index] - 1
-            nodes_in[parent] += nodes_in[index]
-        self.node_order = node_order = tuple(node_order)
-        self.client_order = client_order = tuple(client_order)
+        # ---- DFS pre-order over internal nodes, DFS leaf order over clients
+        # (children in link order), gathered from the store by position.
+        node_perm, client_perm, nodes_in, size, pre = _dfs_layout(store)
+        ids = store.ids
+        node_list, client_list = node_perm.tolist(), client_perm.tolist()
+        self.node_order = node_order = tuple(map(ids.__getitem__, node_list))
+        self.client_order = client_order = tuple(map(ids.__getitem__, client_list))
         self.node_pos = dict(zip(node_order, range(n_nodes)))
         self.client_pos = dict(zip(client_order, range(n_clients)))
-        self.node_span_end = list(map(add, range(n_nodes), nodes_in))
-        self.client_span_start = client_span_start
-        self.client_span_end = list(map(sub, map(add, client_span_start, size), nodes_in))
+        ranks = np.arange(n_nodes)
+        nodes_below = nodes_in[node_perm]
+        self.node_span_end = (ranks + nodes_below).tolist()
+        starts = pre[node_perm] - ranks  # clients before the node in DFS order
+        self.client_span_start = starts.tolist()
+        self.client_span_end = (starts + size[node_perm] - nodes_below).tolist()
 
         # ---- parents, ancestor chains and depths -------------------------- #
-        self.node_parent = node_parent
-        self.client_parent = client_parent
-        self.node_ancestors = ((),) + tuple(map(through.__getitem__, node_parent[1:]))
-        self.client_ancestors = tuple(map(through.__getitem__, client_parent))
-        self.node_depth = list(map(len, self.node_ancestors))
-        self.client_depth = list(map(len, self.client_ancestors))
-        if tree._memo.ancestors is None:  # hand them to tree.ancestors()
-            chains = dict(zip(node_order, self.node_ancestors))
-            chains.update(zip(client_order, self.client_ancestors))
-            tree._memo.ancestors = chains
-
-        # ---- workload vectors -------------------------------------------- #
-        self.client_requests = list(
-            map(float, map(attrgetter("requests"), map(clients_map.__getitem__, client_order)))
+        rank = np.empty(len(ids), dtype=np.int64)
+        rank[node_perm] = ranks
+        rank[client_perm] = np.arange(n_clients)
+        parent, depth = _view(store.parent), _view(store.depth)
+        node_parent = rank[parent[node_perm]]
+        node_parent[:1] = -1  # the root
+        self.node_parent = node_parent.tolist()
+        # Siblings share one int object for their parent's rank.
+        node_ranks = ranks.tolist()
+        self.client_parent = list(
+            map(node_ranks.__getitem__, rank[parent[client_perm]].tolist())
         )
+        # The tree's memoised chains by position (built here if absent), so
+        # tree.ancestors() and the index hand out the same tuples.
+        chains = tree._ancestors
+        self.node_ancestors = tuple(map(chains.__getitem__, node_list))
+        self.client_ancestors = tuple(map(chains.__getitem__, client_list))
+        self.node_depth = depth[node_perm].tolist()
+        self.client_depth = depth[client_perm].tolist()
+
         #: repr() of every client id, for deterministic tie-breaking that
         #: matches the dict engine's ``repr`` sort keys.
         self.client_repr = tuple(map(repr, client_order))
 
-        # ---- dict templates for the engine's mutable state ---------------- #
-        self.remaining_template = dict(zip(client_order, self.client_requests))
-        self.inreq_template = _float_map(node_order, tree._subtree_requests)
-        self.residual_template = dict(
-            zip(
-                node_order,
-                map(float, map(attrgetter("capacity"), map(nodes_map.__getitem__, node_order))),
-            )
-        )
+        # ---- workload vectors and the engine's dict templates ------------- #
+        self._node_perm = node_perm
+        self._client_slots = client_perm - n_nodes
+        self._gather(tree)
 
         #: memoised per-client QoS depth thresholds, keyed by QoS mode
         #: (filled lazily by the fast engine; bounds live on the tree, so a
@@ -248,7 +222,7 @@ class TreeIndex:
         from this index's tree (an empty iterable shares everything).
         """
         fork = TreeIndex.__new__(TreeIndex)
-        fork.tree = tree
+        fork.store = self.store
         fork.n_nodes = self.n_nodes
         fork.n_clients = self.n_clients
         fork.height = self.height
@@ -266,6 +240,8 @@ class TreeIndex:
         fork.node_ancestors = self.node_ancestors
         fork.client_ancestors = self.client_ancestors
         fork.client_repr = self.client_repr
+        fork._node_perm = self._node_perm
+        fork._client_slots = self._client_slots
         fork.residual_template = self.residual_template
         #: thresholds depend on QoS bounds / depths / comm times only, all of
         #: which an epoch fork leaves untouched -- share the memo.
@@ -280,12 +256,12 @@ class TreeIndex:
             fork.inreq_template = self.inreq_template
             return fork
 
-        clients_map = tree._clients
         client_pos = self.client_pos
+        pos, offset, rates = self.store.pos, self.store.n_nodes, tree._requests
         requests_vec = list(self.client_requests)
         remaining = dict(self.remaining_template)
         for client_id in changed:
-            value = float(clients_map[client_id].requests)
+            value = rates[pos[client_id] - offset]
             requests_vec[client_pos[client_id]] = value
             remaining[client_id] = value
         fork.client_requests = requests_vec
@@ -293,8 +269,20 @@ class TreeIndex:
         # The fork's subtree sums were re-accumulated in fresh-build order by
         # with_requests, so reading them back gives the same floats a full
         # rebuild would produce.
-        fork.inreq_template = _float_map(self.node_order, tree._subtree_requests)
+        fork.inreq_template = self._node_values(tree._subtree)
         return fork
+
+    def _gather(self, tree: TreeNetwork) -> None:
+        """The workload vectors and the engine's dict templates, gathered
+        from ``tree``'s columns by position."""
+        self.client_requests = _view(tree._requests)[self._client_slots].tolist()
+        self.remaining_template = dict(zip(self.client_order, self.client_requests))
+        self.inreq_template = self._node_values(tree._subtree)
+        self.residual_template = self._node_values(tree._store.capacity)
+
+    def _node_values(self, column) -> Dict[NodeId, float]:
+        """``{node id: column entry}`` in node layout order."""
+        return dict(zip(self.node_order, _view(column)[self._node_perm].tolist()))
 
     @classmethod
     def sliced(cls, shard) -> "TreeIndex":
@@ -334,7 +322,7 @@ class TreeIndex:
         its DFS layout equals this index's span of ``root``.
         """
         sliced = TreeIndex.__new__(TreeIndex)
-        sliced.tree = tree
+        sliced.store = tree._store
         i0 = self.node_pos[root]
         i1 = self.node_span_end[i0]
         c0 = self.client_span_start[i0]
@@ -353,26 +341,23 @@ class TreeIndex:
         sliced.node_depth = [d - depth0 for d in self.node_depth[i0:i1]]
         sliced.client_parent = [p - i0 for p in self.client_parent[c0:c1]]
         sliced.client_depth = [d - depth0 for d in self.client_depth[c0:c1]]
-        sliced.height = max(tree._depth.values()) if tree._depth else 0
+        sliced.height = len(tree._store.levels) - 2
         sliced.node_span_end = [e - i0 for e in self.node_span_end[i0:i1]]
         sliced.client_span_start = [s - c0 for s in self.client_span_start[i0:i1]]
         sliced.client_span_end = [e - c0 for e in self.client_span_end[i0:i1]]
         # Ancestor chains are shard-local (they stop at the shard root), so
-        # they come from the shard tree's own (memoised) chains.
-        ancestors_map = tree._ancestors
-        sliced.node_ancestors = tuple(map(ancestors_map.__getitem__, node_order))
-        sliced.client_ancestors = tuple(map(ancestors_map.__getitem__, client_order))
-        clients_map = tree._clients
-        sliced.client_requests = [
-            float(clients_map[cid].requests) for cid in client_order
-        ]
+        # they come from the shard tree's own (memoised) chains, and every
+        # value from the shard tree's columns.
+        pos = tree._store.pos
+        node_perm = list(map(pos.__getitem__, node_order))
+        client_perm = list(map(pos.__getitem__, client_order))
+        chains = tree._ancestors
+        sliced.node_ancestors = tuple(map(chains.__getitem__, node_perm))
+        sliced.client_ancestors = tuple(map(chains.__getitem__, client_perm))
         sliced.client_repr = tuple(map(repr, client_order))
-        sliced.remaining_template = dict(zip(client_order, sliced.client_requests))
-        sliced.inreq_template = _float_map(node_order, tree._subtree_requests)
-        nodes_map = tree._nodes
-        sliced.residual_template = {
-            nid: float(nodes_map[nid].capacity) for nid in node_order
-        }
+        sliced._node_perm = np.array(node_perm, dtype=np.int64)
+        sliced._client_slots = np.array(client_perm, dtype=np.int64) - tree._store.n_nodes
+        sliced._gather(tree)
         # Thresholds depend on shard-local depths; the memo starts empty.
         sliced.qos_threshold_cache = {}
         sliced._np_cache = {}
@@ -387,11 +372,48 @@ class TreeIndex:
         """
         uplink = self._np_cache.get("uplink_comm")
         if uplink is None:
-            links = self.tree._links
+            store = self.store
+            children = store.link_order
             uplink = self._np_cache["uplink_comm"] = dict(
-                zip(links, map(attrgetter("comm_time"), links.values()))
+                zip(map(store.ids.__getitem__, children), map(store.comm.__getitem__, children))
             )
         return uplink
+
+    def client_qos(self) -> List[float]:
+        """QoS bound of every client, in client layout order."""
+        return _view(self.store.qos)[self._client_slots].tolist()
+
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes of this index, for memory budgets.
+
+        Containers by ``sys.getsizeof``, plus the objects they own: an int
+        (32 bytes) per position and per node's parent and span entries, a
+        float (24 bytes) per request and template value, the ``repr``
+        strings and the nodes' ancestor chains.  Shared with forks or not,
+        every part is charged: a fork outlives the index it was patched
+        from.
+        """
+        n_nodes, n_clients = self.n_nodes, self.n_clients
+        containers = (
+            self.node_order, self.client_order, self.node_pos, self.client_pos,
+            self.node_parent, self.client_parent, self.node_depth, self.client_depth,
+            self.node_span_end, self.client_span_start, self.client_span_end,
+            self.node_ancestors, self.client_ancestors, self.client_requests,
+            self.client_repr, self.remaining_template, self.inreq_template,
+            self.residual_template,
+        )
+        chains = 56 * n_nodes + 8 * sum(self.node_depth)
+        reprs = 49 * n_clients + sum(map(len, self.client_repr))
+        return (
+            sum(map(sys.getsizeof, containers))
+            + 32 * (6 * n_nodes + n_clients)
+            + 24 * (n_clients + 2 * n_nodes)
+            + chains
+            + reprs
+            + self._node_perm.nbytes
+            + self._client_slots.nbytes
+        )
 
     # ------------------------------------------------------------------ #
     # QoS depth thresholds
@@ -434,8 +456,8 @@ class TreeIndex:
         if thresholds is not None:
             return thresholds
 
-        tree = self.tree
-        depth_map = tree._depth
+        tree = problem.tree
+        bounds = self.client_qos()
         thresholds = []
         if not builtin:
             # Generic monotone subclass walk: the subclass yields its own
@@ -444,7 +466,7 @@ class TreeIndex:
             # bit-for-bit with the per-pair fallback.
             scores_of = getattr(constraints, "iter_ancestor_scores", None)
             for ci, client_id in enumerate(self.client_order):
-                bound = tree._clients[client_id].qos
+                bound = bounds[ci]
                 best = self.client_depth[ci]  # sentinel: nothing eligible
                 if scores_of is not None:
                     pairs = scores_of(tree, client_id)
@@ -455,7 +477,7 @@ class TreeIndex:
                     )
                 for ancestor, score in pairs:
                     if score <= bound:
-                        best = depth_map[ancestor]
+                        best = tree.depth(ancestor)
                     else:
                         break  # monotone metric: everything above fails
                 thresholds.append(best)
@@ -466,23 +488,23 @@ class TreeIndex:
         by_distance = constraints.qos_mode is QoSMode.DISTANCE
         uplink = self.uplink_comm
         for ci, client_id in enumerate(self.client_order):
-            bound = tree._clients[client_id].qos
+            bound = bounds[ci]
             client_depth = self.client_depth[ci]
             best = client_depth  # sentinel: nothing eligible
+            # The k-th ancestor (bottom-up, from 0) is client_depth - 1 - k deep.
             if by_distance:
-                for ancestor in self.client_ancestors[ci]:
-                    depth = depth_map[ancestor]
-                    if float(client_depth - depth) <= bound:
-                        best = depth
+                for hops in range(1, client_depth + 1):
+                    if float(hops) <= bound:
+                        best = client_depth - hops
                     else:
                         break  # monotone metric: everything above fails
             else:
                 latency = 0.0
                 comm = uplink[client_id]
-                for ancestor in self.client_ancestors[ci]:
+                for hops, ancestor in enumerate(self.client_ancestors[ci], 1):
                     latency += comm
                     if latency <= bound:
-                        best = depth_map[ancestor]
+                        best = client_depth - hops
                     else:
                         break
                     comm = uplink.get(ancestor, 0.0)
@@ -612,6 +634,36 @@ class TreeIndex:
         return f"TreeIndex(|N|={self.n_nodes}, |C|={self.n_clients})"
 
 
-def _float_map(keys: Sequence[NodeId], values: Mapping[NodeId, float]) -> Dict[NodeId, float]:
-    """``{key: float(values[key])}`` over ``keys``, in their order."""
-    return dict(zip(keys, map(float, map(values.__getitem__, keys))))
+def _dfs_layout(store: _Store):
+    """The DFS layout of a store's topology, vectorised level by level.
+
+    Returns ``(node_perm, client_perm, nodes_in, size, pre)``: the node
+    positions in DFS pre-order and the client positions in DFS leaf order
+    (children in link order), then per position the internal nodes and the
+    elements of its subtree and its rank in the pre-order of all elements.
+    A child's rank is its parent's plus one plus the sizes of its earlier
+    siblings.
+    """
+    n_nodes, n = store.n_nodes, len(store.ids)
+    order, parent, levels = _view(store.order), _view(store.parent), store.levels
+    kids, kid_start = _view(store.kids), _view(store.kid_start)
+    size = np.ones(n, dtype=np.int64)
+    nodes_in = np.zeros(n, dtype=np.int64)
+    nodes_in[:n_nodes] = 1
+    for level in range(len(levels) - 2, 0, -1):  # children before parents
+        members = order[levels[level] : levels[level + 1]]
+        np.add.at(size, parent[members], size[members])
+        np.add.at(nodes_in, parent[members], nodes_in[members])
+    sizes = size[kids]
+    before = np.cumsum(sizes) - sizes  # over all kids, in CSR order
+    counts = np.diff(kid_start)
+    group_base = np.repeat(before[kid_start[:-1][counts > 0]], counts[counts > 0])
+    offset = np.zeros(n, dtype=np.int64)
+    offset[kids] = 1 + before - group_base
+    pre = np.zeros(n, dtype=np.int64)
+    for level in range(1, len(levels) - 1):  # parents before children
+        members = order[levels[level] : levels[level + 1]]
+        pre[members] = pre[parent[members]] + offset[members]
+    dfs = np.empty(n, dtype=np.int64)
+    dfs[pre] = np.arange(n)
+    return dfs[dfs < n_nodes], dfs[dfs >= n_nodes], nodes_in, size, pre

@@ -32,11 +32,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.constraints import QoSMode
 from repro.core.problem import ReplicaPlacementProblem
-from repro.core.tree import Link, NodeId, TreeNetwork
+from repro.core.tree import NodeId, TreeNetwork
 
 __all__ = ["Shard", "ShardPlan", "choose_cut", "partition_problem"]
 
@@ -228,7 +231,7 @@ def _boundary_budgets(
     root_depth = tree.depth(root)
     budgets: Dict[NodeId, float] = {}
     for client_id in clients:
-        bound = tree.client(client_id).qos
+        bound = tree.qos(client_id)
         if not math.isfinite(bound):
             continue
         if by_distance:
@@ -270,34 +273,35 @@ def partition_problem(
     else:
         cut_nodes = choose_cut(tree, shards)
 
-    # One pass assigning every element to its region (shard i / residual k).
+    # One pass assigning every element (by position) to its region: shard i
+    # or the residual k.  Each region's tree takes its nodes and clients in
+    # global breadth-first order and its links in link order, sliced from
+    # the global tree's columns.
     k = len(cut_nodes)
-    region_of: Dict[NodeId, int] = {}
+    store = tree._store
+    region = np.full(tree.size, k, dtype=np.int64)
     for i, cut_id in enumerate(cut_nodes):
-        for nid in tree.subtree_nodes(cut_id):
-            region_of[nid] = i
-        for cid in tree.subtree_clients(cut_id):
-            region_of[cid] = i
-    region_nodes: List[List] = [[] for _ in range(k + 1)]
-    region_clients: List[List] = [[] for _ in range(k + 1)]
-    region_links: List[List[Link]] = [[] for _ in range(k + 1)]
-    for nid in tree.node_ids:
-        region_nodes[region_of.get(nid, k)].append(tree.node(nid))
-    client_region: Dict[NodeId, int] = {}
-    for cid in tree.client_ids:
-        region = region_of.get(cid, k)
-        client_region[cid] = region
-        region_clients[region].append(tree.client(cid))
-    cut_set = set(cut_nodes)
-    for link in tree.links():
-        if link.child in cut_set:
-            continue  # the cut link itself belongs to neither region
-        region_links[region_of.get(link.child, k)].append(link)
+        members = chain(tree.subtree_nodes(cut_id), tree.subtree_clients(cut_id))
+        region[np.fromiter(map(store.pos.__getitem__, members), np.int64)] = i
+    node_bfs, client_bfs = store.bfs(clients=False), store.bfs(clients=True)
+    link_order = np.frombuffer(store.link_order, dtype=np.int64)
+    uncut = np.ones(tree.size, dtype=bool)
+    uncut[[store.pos[cut_id] for cut_id in cut_nodes]] = False
+    link_order = link_order[uncut[link_order]]  # cut links belong to no region
+
+    def region_tree(r: int) -> TreeNetwork:
+        return tree._sub_tree(
+            node_bfs[region[node_bfs] == r],
+            client_bfs[region[client_bfs] == r],
+            link_order[region[link_order] == r],
+        )
+
+    client_region: Dict[NodeId, int] = dict(zip(tree.client_ids, region[client_bfs].tolist()))
 
     base_name = problem.name or "problem"
     shard_objs: List[Shard] = []
     for i, cut_id in enumerate(cut_nodes):
-        sub_tree = TreeNetwork(region_nodes[i], region_clients[i], region_links[i])
+        sub_tree = region_tree(i)
         sub_problem = ReplicaPlacementProblem(
             tree=sub_tree,
             constraints=problem.constraints,
@@ -312,13 +316,13 @@ def partition_problem(
                 problem=sub_problem,
                 source=problem,
                 demand=tree.subtree_requests(cut_id),
-                capacity=sum(node.capacity for node in region_nodes[i]),
+                capacity=sub_tree.total_capacity(),
                 boundary_budgets=_boundary_budgets(
                     problem, cut_id, sub_tree.client_ids
                 ),
             )
         )
-    residual_tree = TreeNetwork(region_nodes[k], region_clients[k], region_links[k])
+    residual_tree = region_tree(k)
     residual = ReplicaPlacementProblem(
         tree=residual_tree,
         constraints=problem.constraints,

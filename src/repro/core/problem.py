@@ -79,12 +79,12 @@ class ReplicaPlacementProblem:
     # ------------------------------------------------------------------ #
     def storage_cost(self, node_id: NodeId) -> float:
         """Storage cost ``s_j`` of placing a replica on ``node_id``."""
-        node = self.tree.node(node_id)
         if self.kind is ProblemKind.REPLICA_COUNTING:
+            self.tree.capacity(node_id)  # unknown ids still raise
             return 1.0
         if self.kind is ProblemKind.REPLICA_COST:
-            return float(node.capacity)
-        return float(node.storage_cost)
+            return self.tree.capacity(node_id)
+        return self.tree.storage_cost(node_id)
 
     def storage_costs(self) -> Dict[NodeId, float]:
         """Mapping of every internal node to its storage cost."""
@@ -92,11 +92,11 @@ class ReplicaPlacementProblem:
 
     def capacity(self, node_id: NodeId) -> float:
         """Processing capacity ``W_j`` of ``node_id``."""
-        return float(self.tree.node(node_id).capacity)
+        return self.tree.capacity(node_id)
 
     def requests(self, client_id: NodeId) -> float:
         """Request rate ``r_i`` of ``client_id``."""
-        return float(self.tree.client(client_id).requests)
+        return self.tree.requests(client_id)
 
     # ------------------------------------------------------------------ #
     # constraint helpers
@@ -133,30 +133,26 @@ class ReplicaPlacementProblem:
 
         if not supports_qos_thresholds(self.constraints):
             return self.constraints.allowed_servers(self.tree, client_id)
-        tree = self.tree
-        index = TreeIndex.for_tree(tree)
+        index = TreeIndex.for_tree(self.tree)
         threshold = index.qos_depth_thresholds(self)[index.client_index(client_id)]
-        depth_map = tree._depth
-        servers = []
-        for ancestor in tree.ancestors(client_id):
-            if depth_map[ancestor] >= threshold:
-                servers.append(ancestor)
-            else:
-                break  # depths only decrease towards the root
-        return tuple(servers)
+        # The k-th ancestor (bottom-up, from 0) of a client at depth d is
+        # d - 1 - k deep, so the ancestors at depth >= threshold are the
+        # first d - threshold of the chain.
+        chain = self.tree.ancestors(client_id)
+        return chain[: len(chain) - threshold]
 
     def qos_satisfied(self, client_id: NodeId, server_id: NodeId) -> bool:
         """``True`` when serving ``client_id`` from ``server_id`` respects QoS."""
         if not self.constraints.has_qos:
             return True
-        bound = self.tree.client(client_id).qos
+        bound = self.tree.qos(client_id)
         return self.constraints.qos_metric(self.tree, client_id, server_id) <= bound
 
     def link_bandwidth(self, child: NodeId) -> float:
         """Bandwidth of the uplink of ``child`` (``inf`` when unenforced)."""
         if not self.constraints.enforce_bandwidth:
             return math.inf
-        return self.tree.link(child).bandwidth
+        return self.tree.bandwidth(child)
 
     # ------------------------------------------------------------------ #
     # descriptive helpers

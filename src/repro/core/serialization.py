@@ -20,6 +20,10 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
+from collections import deque
+from itertools import chain, compress, repeat
+from operator import is_not, itemgetter
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
@@ -28,7 +32,7 @@ from repro.core.exceptions import SerializationError
 from repro.core.policies import Policy
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem
 from repro.core.solution import Assignment, Placement, Solution
-from repro.core.tree import Client, InternalNode, Link, TreeNetwork
+from repro.core.tree import TreeNetwork
 
 __all__ = [
     "tree_to_dict",
@@ -51,79 +55,125 @@ def _encode_bound(value: float) -> Optional[float]:
 
 
 def tree_to_dict(tree: TreeNetwork) -> Dict[str, Any]:
-    """Serialise a tree network to a JSON-compatible dictionary."""
+    """Serialise a tree network to a JSON-compatible dictionary.
+
+    Reads the tree's columns: nodes and clients in breadth-first order,
+    links in link order, and builds no record views.
+    """
+    metrics = tree._store.metrics
+    link_order = tree._store.link_order
     return {
         "nodes": [
-            {
-                "id": node.id,
-                "capacity": node.capacity,
-                "storage_cost": node.storage_cost,
-            }
-            for node in tree.nodes()
+            {"id": node_id, "capacity": capacity, "storage_cost": cost}
+            for node_id, capacity, cost in zip(
+                tree.node_ids, tree.column("capacity"), tree.column("storage_cost")
+            )
         ],
         "clients": [
-            {
-                "id": client.id,
-                "requests": client.requests,
-                "qos": _encode_bound(client.qos),
-            }
-            for client in tree.clients()
+            {"id": client_id, "requests": requests, "qos": _encode_bound(qos)}
+            for client_id, requests, qos in zip(
+                tree.client_ids, tree.column("requests"), tree.column("qos")
+            )
         ],
-        "links": [_link_to_dict(link) for link in tree.links()],
+        "links": [
+            _link_to_dict(child, parent, comm_time, bandwidth, metrics.get(position))
+            for (child, parent), comm_time, bandwidth, position in zip(
+                tree.link_keys, tree.column("comm_time"), tree.column("bandwidth"), link_order
+            )
+        ],
     }
 
 
-def _link_to_dict(link: Link) -> Dict[str, Any]:
+def _link_to_dict(child, parent, comm_time: float, bandwidth: float, metrics) -> Dict[str, Any]:
     entry = {
-        "child": link.child,
-        "parent": link.parent,
-        "comm_time": link.comm_time,
-        "bandwidth": _encode_bound(link.bandwidth),
+        "child": child,
+        "parent": parent,
+        "comm_time": comm_time,
+        "bandwidth": _encode_bound(bandwidth),
     }
     # Omitted (rather than null) when absent so pre-metric tree files and
     # their digests stay byte-identical.
-    if link.metrics is not None:
-        entry["metrics"] = link.metrics.to_dict()
+    if metrics is not None:
+        entry["metrics"] = metrics.to_dict()
     return entry
 
 
+#: ``null`` (or an absent key) is an unbounded QoS bound or bandwidth:
+#: ``_BOUND(value, value)`` maps None to inf and keeps anything else.
+_BOUND = {None: math.inf}.get
+
+#: Fields of each section: (key, required, kind) -- "id" (hashable), "number"
+#: (accepted by float()), "bound" (a number or null) or "metrics".
+_FIELDS = {
+    "nodes": (("id", True, "id"), ("capacity", True, "number"), ("storage_cost", False, "bound")),
+    "clients": (("id", True, "id"), ("requests", True, "number"), ("qos", False, "bound")),
+    "links": (
+        ("child", True, "id"),
+        ("parent", True, "id"),
+        ("comm_time", False, "number"),
+        ("bandwidth", False, "bound"),
+        ("metrics", False, "metrics"),
+    ),
+}
+
+
 def tree_from_dict(payload: Dict[str, Any]) -> TreeNetwork:
-    """Rebuild a tree network from :func:`tree_to_dict` output."""
-    seen: Dict[str, str] = {}
+    """Rebuild a tree network from :func:`tree_to_dict` output.
 
-    def shared(value):
-        # JSON decoding gives every occurrence of an id its own str; one
-        # object per id lets the id-keyed lookups of every later layer hit
-        # on identity instead of comparing text.
-        return seen.setdefault(value, value) if type(value) is str else value
+    The payload's fields go straight into the tree's columns, a section at
+    a time, with no record built.
 
-    nodes = [
-        InternalNode(
-            shared(entry["id"]),
-            float(entry["capacity"]),
-            None if (cost := entry.get("storage_cost")) is None else float(cost),
-        )
-        for entry in payload["nodes"]
-    ]
-    clients = [
-        Client(
-            shared(entry["id"]),
-            float(entry["requests"]),
-            math.inf if (qos := entry.get("qos")) is None else float(qos),
-        )
-        for entry in payload["clients"]
-    ]
-    links = [
-        Link(
-            shared(entry["child"]),
-            shared(entry["parent"]),
-            float(entry.get("comm_time", 1.0)),
-            math.inf if (bandwidth := entry.get("bandwidth")) is None else float(bandwidth),
-            None if (metrics := entry.get("metrics")) is None else _metrics_from_dict(metrics),
-        )
-        for entry in payload["links"]
-    ]
-    return TreeNetwork(nodes, clients, links)
+    Raises
+    ------
+    SerializationError
+        When a section or an entry is malformed; the message names the
+        section, the index and the key (``tree.nodes[0] has no
+        "capacity"``).
+    TreeStructureError
+        When the values or the structure are invalid (a negative capacity,
+        a duplicate id, a cycle, ...), as the constructor reports them.
+    """
+    try:
+        columns = _tree_columns(payload)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
+        error = _payload_error(payload)
+        if error is None:
+            raise
+        raise error from None
+    return TreeNetwork.from_columns(*columns)
+
+
+def _tree_columns(payload: Dict[str, Any]):
+    nodes, clients, links = payload["nodes"], payload["clients"], payload["links"]
+    node_ids = list(map(itemgetter("id"), nodes))
+    capacity = array("d", map(float, map(itemgetter("capacity"), nodes)))
+    storage = array(
+        "d",
+        (
+            capacity_k if cost is None else float(cost)
+            for cost, capacity_k in zip(map(dict.get, nodes, repeat("storage_cost")), capacity)
+        ),
+    )
+    client_ids = list(map(itemgetter("id"), clients))
+    requests = array("d", map(float, map(itemgetter("requests"), clients)))
+    qos = list(map(dict.get, clients, repeat("qos")))
+    qos = array("d", map(float, map(_BOUND, qos, qos)))
+    link_child = list(map(itemgetter("child"), links))
+    link_parent = list(map(itemgetter("parent"), links))
+    comm_time = array("d", map(float, map(dict.get, links, repeat("comm_time"), repeat(1.0))))
+    bandwidth = list(map(dict.get, links, repeat("bandwidth")))
+    bandwidth = array("d", map(float, map(_BOUND, bandwidth, bandwidth)))
+    annotated = list(map(dict.get, links, repeat("metrics")))
+    metrics = {
+        k: _metrics_from_dict(annotated[k])
+        for k in compress(range(len(annotated)), map(is_not, annotated, repeat(None)))
+    }
+    # Unhashable ids fail here, where they can be named, not in the store.
+    deque(map(hash, chain(node_ids, client_ids, link_child, link_parent)), 0)
+    return (
+        node_ids, capacity, storage, client_ids, requests, qos,
+        link_child, link_parent, comm_time, bandwidth, metrics,
+    )
 
 
 def _metrics_from_dict(payload: Dict[str, Any]):
@@ -132,6 +182,48 @@ def _metrics_from_dict(payload: Dict[str, Any]):
     return QoSMetrics.from_dict(payload)
 
 
+def _payload_error(payload: Any) -> Optional[SerializationError]:
+    """Name the first malformed section, entry or field of a tree payload."""
+    if not isinstance(payload, dict):
+        return SerializationError(f"tree is not an object (got {type(payload).__name__})")
+    for section, fields in _FIELDS.items():
+        if section not in payload:
+            return SerializationError(f'tree has no "{section}"')
+        entries = payload[section]
+        if not isinstance(entries, (list, tuple)):
+            return SerializationError(
+                f"tree.{section} is not a list (got {type(entries).__name__})"
+            )
+        for k, entry in enumerate(entries):
+            where = f"tree.{section}[{k}]"
+            if not isinstance(entry, dict):
+                return SerializationError(
+                    f"{where} is not an object (got {type(entry).__name__})"
+                )
+            for key, required, kind in fields:
+                if key not in entry:
+                    if required:
+                        return SerializationError(f'{where} has no "{key}"')
+                    continue
+                problem = _field_problem(kind, entry[key])
+                if problem:
+                    return SerializationError(f'{where} "{key}" {problem}: {entry[key]!r}')
+    return None
+
+
+def _field_problem(kind: str, value: Any) -> Optional[str]:
+    try:
+        if kind == "id":
+            hash(value)
+        elif kind == "metrics":
+            _metrics_from_dict(value)
+        elif value is not None or kind == "number":
+            float(value)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as error:
+        return {"id": "is not hashable", "metrics": f"is malformed ({error})"}.get(
+            kind, "is not a number"
+        )
+    return None
 def save_tree(tree: TreeNetwork, path: Union[str, Path]) -> Path:
     """Write a tree network to ``path`` as JSON and return the path."""
     path = Path(path)
@@ -226,12 +318,11 @@ def problem_to_dict(problem: ReplicaPlacementProblem) -> Dict[str, Any]:
 
 def problem_from_dict(payload: Dict[str, Any]) -> ReplicaPlacementProblem:
     """Rebuild a problem from :func:`problem_to_dict` output."""
-    try:
-        tree = tree_from_dict(payload["tree"])
-    except KeyError:
+    if "tree" not in payload:
         raise SerializationError(
             'problem payloads need a "tree" entry (see problem_to_dict)'
-        ) from None
+        )
+    tree = tree_from_dict(payload["tree"])
     constraints = payload.get("constraints")
     name = payload.get("name")
     return ReplicaPlacementProblem(

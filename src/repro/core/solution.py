@@ -91,7 +91,7 @@ class Assignment:
         """Build an assignment from a ``client -> server`` map (single-server policies)."""
         amounts = {}
         for client_id, server_id in servers.items():
-            amounts[(client_id, server_id)] = tree.client(client_id).requests
+            amounts[(client_id, server_id)] = tree.requests(client_id)
         return cls(amounts)
 
     def copy(self) -> "Assignment":
@@ -167,8 +167,14 @@ class Assignment:
         """
         flows: Dict[Tuple[NodeId, NodeId], float] = {}
         for (client, server), value in self._amounts.items():
-            for link in tree.path_links(client, server):
-                flows[link.key] = flows.get(link.key, 0.0) + value
+            if server == client:
+                continue  # an empty path
+            chain = tree.ancestors(client)
+            if server not in chain:
+                raise TreeStructureError(f"{server!r} is not an ancestor of {client!r}")
+            hops = chain.index(server) + 1
+            for key in zip((client,) + chain[: hops - 1], chain[:hops]):
+                flows[key] = flows.get(key, 0.0) + value
         return flows
 
     def is_integral(self, tolerance: float = 1e-9) -> bool:
@@ -231,7 +237,7 @@ class Solution:
         loads = self.assignment.server_loads()
         result: Dict[NodeId, float] = {}
         for node_id in self.placement:
-            capacity = tree.node(node_id).capacity
+            capacity = tree.capacity(node_id)
             load = loads.get(node_id, 0.0)
             result[node_id] = load / capacity if capacity > 0 else math.inf
         return result

@@ -24,6 +24,7 @@ harness rely on for diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from repro.core.exceptions import InfeasibleError
@@ -129,7 +130,13 @@ def validate_solution(
         if not tree.is_node(node_id):
             report.record("structure", f"replica placed on unknown node {node_id!r}")
 
-    for (client_id, server_id), amount in assignment.items():
+    # A sound assignment passes in bulk; only a faulty one is walked pair
+    # by pair, to name every defect in order.
+    pairs = list(map(itemgetter(0), assignment.items()))
+    sound = tree.all_upward(pairs) and placement.replicas.issuperset(
+        map(itemgetter(1), pairs)
+    )
+    for client_id, server_id in () if sound else pairs:
         if not tree.is_client(client_id):
             report.record("structure", f"assignment references unknown client {client_id!r}")
             continue
@@ -152,50 +159,53 @@ def validate_solution(
     # 2. coverage
     # ------------------------------------------------------------------ #
     client_totals = assignment.client_totals()
-    servers_by_client = assignment.servers_by_client()
-    for client in tree.clients():
-        assigned = client_totals.get(client.id, 0.0)
-        if abs(assigned - client.requests) > tolerance:
+    # Clients in breadth-first order, with their rates read from the
+    # tree's columns.
+    client_ids, rates = tree.client_ids, tree.column("requests")
+    for client_id, requests in zip(client_ids, rates):
+        assigned = client_totals.get(client_id, 0.0)
+        if abs(assigned - requests) > tolerance:
             report.record(
                 "coverage",
-                f"client {client.id!r} issues {client.requests:g} requests but "
+                f"client {client_id!r} issues {requests:g} requests but "
                 f"{assigned:g} are assigned",
             )
 
     # ------------------------------------------------------------------ #
     # 3. access-policy semantics
     # ------------------------------------------------------------------ #
-    if policy.single_server:
-        for client in tree.clients():
-            servers = servers_by_client.get(client.id, ())
-            if client.requests > 0 and len(servers) > 1:
+    if policy.single_server:  # Closest included
+        servers_by_client = assignment.servers_by_client()
+        for client_id, requests in zip(client_ids, rates):
+            servers = servers_by_client.get(client_id, ())
+            if requests > 0 and len(servers) > 1:
                 report.record(
                     "policy",
                     f"{policy.value} is a single-server policy but client "
-                    f"{client.id!r} is served by {len(servers)} servers "
+                    f"{client_id!r} is served by {len(servers)} servers "
                     f"{sorted(map(repr, servers))}",
                 )
 
     if policy is Policy.CLOSEST:
         forced = closest_server_map(tree, placement)
-        for client in tree.clients():
-            if client.requests <= 0:
+        for client_id, requests in zip(client_ids, rates):
+            if requests <= 0:
                 continue
-            servers = servers_by_client.get(client.id, ())
+            servers = servers_by_client.get(client_id, ())
             if not servers:
                 continue  # already reported as a coverage violation
-            expected = forced.get(client.id)
+            expected = forced.get(client_id)
             actual = servers[0]
             if expected is None:
                 report.record(
                     "policy",
-                    f"client {client.id!r} has no replica ancestor under the "
+                    f"client {client_id!r} has no replica ancestor under the "
                     "Closest policy",
                 )
             elif actual != expected:
                 report.record(
                     "policy",
-                    f"Closest policy forces client {client.id!r} onto "
+                    f"Closest policy forces client {client_id!r} onto "
                     f"{expected!r} (its lowest replica ancestor) but it is "
                     f"served by {actual!r}",
                 )
@@ -229,7 +239,7 @@ def validate_solution(
                 report.record(
                     "qos",
                     f"client {client_id!r} served by {server_id!r} at QoS metric "
-                    f"{metric:g} > bound {tree.client(client_id).qos:g}",
+                    f"{metric:g} > bound {tree.qos(client_id):g}",
                 )
 
     # ------------------------------------------------------------------ #
@@ -238,7 +248,7 @@ def validate_solution(
     if problem.constraints.enforce_bandwidth:
         flows = assignment.link_flows(tree)
         for (child, parent), flow in flows.items():
-            bandwidth = tree.link(child).bandwidth
+            bandwidth = tree.bandwidth(child)
             if flow > bandwidth + tolerance:
                 report.record(
                     "bandwidth",

@@ -483,10 +483,10 @@ def build_program(
         node_depth = index.node_depth
         span_start, span_end = index.client_span_start, index.client_span_end
         ones = np.ones(0)
-        for link in tree.links():
-            if not math.isfinite(link.bandwidth):
+        for (child, parent), bandwidth in zip(tree.link_keys, tree.column("bandwidth")):
+            if not math.isfinite(bandwidth):
                 continue
-            ci = client_pos.get(link.child)
+            ci = client_pos.get(child)
             if ci is not None:
                 # A client uplink: every eligible server sits at or above
                 # the link's parent, so all of the client's pairs cross.
@@ -495,7 +495,7 @@ def build_program(
                     continue
                 pair_sel = np.arange(lo, hi, dtype=np.intp)
             else:
-                ni = node_pos[link.child]
+                ni = node_pos[child]
                 cs, ce = span_start[ni], span_end[ni]
                 if cs >= ce:
                     continue
@@ -516,12 +516,12 @@ def build_program(
                 space.pair_requests[pair_sel] if single else ones,
                 np.array([pair_sel.size], dtype=np.intp),
                 np.array([-math.inf]),
-                np.array([link.bandwidth]),
+                np.array([bandwidth]),
             )
             if single:
                 req_pos_parts.append(offset + np.arange(pair_sel.size, dtype=np.intp))
                 req_pair_parts.append(pair_sel)
-            bandwidth_links.append((link.child, link.parent))
+            bandwidth_links.append((child, parent))
 
     # ------------------------------------------------------------------ #
     # Closest-specific exclusion constraints
@@ -780,21 +780,21 @@ def build_program_reference(
     # bandwidth constraints (expressed directly over the y variables)
     # ------------------------------------------------------------------ #
     if problem.constraints.enforce_bandwidth:
-        for link in tree.links():
-            if not math.isfinite(link.bandwidth):
+        for (child, parent), bandwidth in zip(tree.link_keys, tree.column("bandwidth")):
+            if not math.isfinite(bandwidth):
                 continue
             # Clients whose traffic may cross this link: those in the subtree
             # hanging below the link's child endpoint.
-            if tree.is_client(link.child):
-                crossing_clients = (link.child,)
+            if tree.is_client(child):
+                crossing_clients = (child,)
             else:
-                crossing_clients = tree.subtree_clients(link.child)
+                crossing_clients = tree.subtree_clients(child)
             entries = []
             for client_id in crossing_clients:
                 for server_id in problem.eligible_servers(client_id):
                     # The request crosses the link iff its server sits at the
                     # link's parent endpoint or higher.
-                    if server_id != link.parent and server_id not in tree.ancestors(link.parent):
+                    if server_id != parent and server_id not in tree.ancestors(parent):
                         continue
                     if not space.has_pair(client_id, server_id):
                         continue
@@ -804,8 +804,8 @@ def build_program_reference(
                 builder.add(
                     entries,
                     -math.inf,
-                    link.bandwidth,
-                    f"bandwidth[{link.child!r}->{link.parent!r}]",
+                    bandwidth,
+                    f"bandwidth[{child!r}->{parent!r}]",
                 )
 
     # ------------------------------------------------------------------ #

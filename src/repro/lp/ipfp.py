@@ -172,7 +172,7 @@ class IPFPProgram:
             for pos, node_id in enumerate(index.node_order):
                 if pos == 0:  # the root has no uplink
                     continue
-                bandwidth = tree.link(node_id).bandwidth
+                bandwidth = tree.bandwidth(node_id)
                 if not math.isfinite(bandwidth):
                     continue
                 c_lo = index.client_span_start[pos]
@@ -228,7 +228,7 @@ class IPFPProgram:
             tree = self.problem.tree
             for ci in np.nonzero(active_clients)[0]:
                 client_id = space.client_ids[int(ci)]
-                bandwidth = tree.link(client_id).bandwidth
+                bandwidth = tree.bandwidth(client_id)
                 if rates[ci] > bandwidth * (1.0 + _EPS):
                     return (
                         f"client {client_id!r} rate {rates[ci]:g} exceeds its "

@@ -211,9 +211,9 @@ class VariableSpace:
     def node_capacities(self) -> np.ndarray:
         """Capacities ``W_j`` dense over ``node_ids``."""
         if self._node_capacities is None:
-            nodes = self.problem.tree._nodes
+            tree = self.problem.tree
             self._node_capacities = np.asarray(
-                [nodes[nid].capacity for nid in self.node_ids], dtype=float
+                list(map(tree.capacity, self.node_ids)), dtype=float
             )
         return self._node_capacities
 
@@ -229,10 +229,8 @@ class VariableSpace:
             elif kind is ProblemKind.REPLICA_COST:
                 costs = self.node_capacities.copy()
             else:
-                nodes = self.problem.tree._nodes
-                costs = np.asarray(
-                    [nodes[nid].storage_cost for nid in self.node_ids], dtype=float
-                )
+                tree = self.problem.tree
+                costs = np.asarray(list(map(tree.storage_cost, self.node_ids)), dtype=float)
             self._storage_costs = costs
         return self._storage_costs
 

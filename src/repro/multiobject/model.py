@@ -116,11 +116,11 @@ class MultiObjectProblem:
         override = self._storage_costs.get((node_id, object_id))
         if override is not None:
             return override
-        return self.objects[object_id].size * float(self.tree.node(node_id).storage_cost)
+        return self.objects[object_id].size * self.tree.storage_cost(node_id)
 
     def capacity(self, node_id: NodeId) -> float:
         """Shared processing capacity of a node."""
-        return float(self.tree.node(node_id).capacity)
+        return self.tree.capacity(node_id)
 
     def load_factor(self) -> float:
         """Total requests (all objects) over total capacity."""

@@ -47,7 +47,7 @@ def reachable_servers(
     """
     constraints = ConstraintSet(qos_mode=mode)
     if bound is None:
-        bound = tree.client(client_id).qos
+        bound = tree.qos(client_id)
     return tuple(
         ancestor
         for ancestor in tree.ancestors(client_id)
@@ -95,14 +95,14 @@ def qos_feasibility_report(problem: ReplicaPlacementProblem) -> QoSReport:
     tight: List[NodeId] = []
     if not problem.constraints.has_qos:
         return QoSReport(feasible=True, unreachable_clients=[], tight_clients=[])
-    for client in tree.clients():
-        if client.requests <= 0:
+    for client_id, requests in zip(tree.client_ids, tree.column("requests")):
+        if requests <= 0:
             continue
-        eligible = problem.eligible_servers(client.id)
+        eligible = problem.eligible_servers(client_id)
         if not eligible:
-            unreachable.append(client.id)
+            unreachable.append(client_id)
         elif len(eligible) == 1:
-            tight.append(client.id)
+            tight.append(client_id)
     return QoSReport(
         feasible=not unreachable,
         unreachable_clients=unreachable,
@@ -134,7 +134,7 @@ def qos_statistics(
         total_weighted += metric * amount
         total_requests += amount
         worst = max(worst, metric)
-        bound = tree.client(client_id).qos
+        bound = tree.qos(client_id)
         if math.isfinite(bound):
             worst_slack = min(worst_slack, bound - metric)
     mean = total_weighted / total_requests if total_requests > 0 else 0.0

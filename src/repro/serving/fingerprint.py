@@ -36,11 +36,14 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from operator import itemgetter
 from typing import List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.core.constraints import ConstraintSet
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem
-from repro.core.tree import NodeId, TreeNetwork
+from repro.core.tree import TreeNetwork
 
 __all__ = ["problem_fingerprint", "tree_fingerprint"]
 
@@ -79,8 +82,12 @@ def _constraints_token(constraints: ConstraintSet) -> bytes:
     ).encode()
 
 
-def _sorted_clients(tree: TreeNetwork) -> Tuple[NodeId, ...]:
-    return tuple(sorted(tree.client_ids, key=repr))
+def _sorted_clients(tree: TreeNetwork) -> np.ndarray:
+    """Client column slots in sorted-``repr`` order of their ids."""
+    store = tree._store
+    ids = tree.client_ids
+    order = sorted(range(len(ids)), key=list(map(repr, ids)).__getitem__)
+    return (store.bfs(clients=True) - store.n_nodes)[order]
 
 
 def _structural_hasher(
@@ -93,24 +100,27 @@ def _structural_hasher(
     update(b"\x00")
     update(kind.value.encode())
     update(b"\x00")
-    for node_id in sorted(tree.node_ids, key=repr):
-        node = tree.node(node_id)
-        update(f"n:{node_id!r}".encode())
-        update(_float_bytes(node.capacity))
-        update(_float_bytes(node.storage_cost))
-    for client_id in _sorted_clients(tree):
-        client = tree.client(client_id)
-        update(f"c:{client_id!r}".encode())
-        update(_float_bytes(client.qos))
+    nodes = sorted(
+        zip(map(repr, tree.node_ids), tree.column("capacity"), tree.column("storage_cost")),
+        key=itemgetter(0),
+    )
+    for node_repr, capacity, storage_cost in nodes:
+        update(f"n:{node_repr}".encode())
+        update(_float_bytes(capacity))
+        update(_float_bytes(storage_cost))
+    clients = sorted(zip(map(repr, tree.client_ids), tree.column("qos")), key=itemgetter(0))
+    for client_repr, qos in clients:
+        update(f"c:{client_repr}".encode())
+        update(_float_bytes(qos))
+    annotated = tree._store.metrics
     links: List[Tuple[str, str, float, float, object]] = [
-        (
-            repr(link.child),
-            repr(link.parent),
-            link.comm_time,
-            link.bandwidth,
-            link.metrics,
+        (repr(child), repr(parent), comm_time, bandwidth, annotated.get(position))
+        for (child, parent), comm_time, bandwidth, position in zip(
+            tree.link_keys,
+            tree.column("comm_time"),
+            tree.column("bandwidth"),
+            tree._store.link_order,
         )
-        for link in tree.links()
     ]
     links.sort(key=lambda entry: entry[:4])
     for child_repr, parent_repr, comm_time, bandwidth, metrics in links:
@@ -162,10 +172,10 @@ def problem_fingerprint(problem: ReplicaPlacementProblem) -> str:
         digest = _structural_hasher(tree, problem.constraints, problem.kind)
         client_order = _sorted_clients(tree)
 
-    clients = tree._clients
-    digest.update(
-        b"".join(_float_bytes(clients[cid].requests) for cid in client_order)
-    )
+    # Little-endian IEEE-754 doubles with -0.0 folded (x + 0.0), gathered
+    # from the requests column: the bytes _float_bytes gives per client.
+    rates = np.frombuffer(tree._requests, dtype=np.float64)[client_order] + 0.0
+    digest.update(rates.astype("<f8").tobytes())
     return digest.hexdigest()
 
 

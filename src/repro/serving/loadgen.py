@@ -261,7 +261,7 @@ def build_schedule(
         tenants.append(
             _Tenant(
                 problem_payload=problem_to_dict(problem),
-                client_ids=[client.id for client in tree.clients()],
+                client_ids=list(tree.client_ids),
                 mix=mix,
             )
         )

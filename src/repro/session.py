@@ -827,9 +827,7 @@ class PlacementSession:
         tree = current.tree
         by_region: Dict[int, Dict[NodeId, float]] = {}
         for cid in delta.changed_clients:
-            by_region.setdefault(plan.region_of(cid), {})[cid] = tree.client(
-                cid
-            ).requests
+            by_region.setdefault(plan.region_of(cid), {})[cid] = tree.requests(cid)
         for region, updates in by_region.items():
             base = self._shard_problems[region]
             self._shard_problems[region] = ReplicaPlacementProblem(
@@ -1078,8 +1076,8 @@ class PlacementSession:
             factors: Dict[NodeId, float] = {}
             old_tree, new_tree = previous_problem.tree, self.problem.tree
             for client_id in delta.changed_clients:
-                old_rate = old_tree.client(client_id).requests
-                new_rate = new_tree.client(client_id).requests
+                old_rate = old_tree.requests(client_id)
+                new_rate = new_tree.requests(client_id)
                 if old_rate <= 0 and new_rate > 0:
                     return None  # no existing routes to scale
                 factors[client_id] = new_rate / old_rate if old_rate > 0 else 0.0
@@ -1178,23 +1176,28 @@ class PlacementSession:
     def memory_estimate(self) -> int:
         """Rough resident size of this session in bytes.
 
-        A deliberate heuristic, not a measurement (Python has no cheap
-        deep-sizeof): the tree and its index are costed per element, each
-        resident LP program by its sparsity, each resident IPFP program by
-        the bytes of its arrays, each cached solve by its assignment size.
-        The serving pool uses it for byte budgets, where relative ordering
-        between sessions matters more than absolute accuracy.
+        A deliberate estimate, not a deep measurement: the tree by the
+        bytes of its store (:attr:`TreeNetwork.nbytes`) and its index by
+        its containers and the objects they own (:attr:`TreeIndex.nbytes`),
+        each resident LP program by its sparsity, each resident IPFP
+        program by the bytes of its arrays, each cached solve by its
+        assignment size.  The serving pool uses it for byte budgets, where
+        relative ordering between sessions matters more than absolute
+        accuracy.
         """
-        size = self.problem.size
-        estimate = 4096 + 400 * size
-        if self.problem.tree._index_cache is not None:
-            estimate += 250 * size
+        tree = self.problem.tree
+        estimate = 4096 + tree.nbytes
+        if tree._index_cache is not None:
+            estimate += tree._index_cache.nbytes
         if self._shard_problems is not None:
             # Sharded sessions never build the whole-tree index; the
-            # resident footprint counts only the shard indexes that exist.
+            # resident footprint counts the shard trees and the shard
+            # indexes that exist.
             for shard_problem in self._shard_problems:
-                if shard_problem.tree._index_cache is not None:
-                    estimate += 250 * shard_problem.size
+                shard_tree = shard_problem.tree
+                estimate += shard_tree.nbytes
+                if shard_tree._index_cache is not None:
+                    estimate += shard_tree._index_cache.nbytes
         for bounder in self._bounders.values():
             program = bounder._program
             if program is None:

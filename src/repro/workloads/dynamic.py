@@ -83,9 +83,9 @@ def _scaled_rates(tree: TreeNetwork, factor_of: Dict[NodeId, float]) -> Dict[Nod
     """
     return {
         cid: (
-            float(tree.client(cid).requests)
+            float(tree.requests(cid))
             if factor == 1.0
-            else float(max(0, round(tree.client(cid).requests * factor)))
+            else float(max(0, round(tree.requests(cid) * factor)))
         )
         for cid, factor in factor_of.items()
     }
@@ -226,7 +226,7 @@ def rate_churn(
         if not (quiet_probability > 0.0 and rng.random() < quiet_probability):
             for cid in tree.client_ids:
                 if rng.random() < churn:
-                    current = tree.client(cid).requests
+                    current = tree.requests(cid)
                     drifted = current * (1.0 + rng.uniform(-magnitude, magnitude))
                     updates[cid] = float(max(0, round(drifted)))
         tree = tree.with_requests(updates)

@@ -29,11 +29,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.tree import Client, InternalNode, Link, TreeNetwork
+from repro.core.tree import TreeNetwork
 from repro.workloads.distributions import (
     heterogeneous_capacities,
     uniform_capacities,
@@ -308,21 +309,26 @@ class TreeGenerator:
             qos_bounds = [math.inf] * n_clients
 
         # --- assemble ------------------------------------------------------ #
-        nodes = list(map(InternalNode, node_names, capacities.tolist()))
-        clients = list(map(Client, client_names, requests.tolist(), qos_bounds))
+        # Straight into the tree's columns: node links first (in draw
+        # order), then client links.
         bandwidth = (
             math.inf if config.link_bandwidth is None else float(config.link_bandwidth)
         )
-        comm_time = config.link_comm_time
-        links = [
-            Link(name, node_names[parent_index], comm_time, bandwidth)
-            for name, parent_index in zip(node_names[1:], parent_index_of[1:])
-        ]
-        links.extend(
-            Link(name, parent, comm_time, bandwidth)
-            for name, parent in zip(client_names, client_parents)
+        link_child = node_names[1:] + client_names
+        link_parent = list(map(node_names.__getitem__, parent_index_of[1:])) + client_parents
+        n_links = len(link_child)
+        tree = TreeNetwork.from_columns(
+            node_names,
+            capacities,
+            capacities,
+            client_names,
+            requests,
+            qos_bounds,
+            link_child,
+            link_parent,
+            repeat(config.link_comm_time, n_links),
+            repeat(bandwidth, n_links),
         )
-        tree = TreeNetwork(nodes, clients, links)
         if config.link_metrics:
             from repro.qos.metrics import annotate_tree
 

@@ -892,7 +892,7 @@ def sample_trace(
     code_parts: List[np.ndarray] = []
     for j, cid in enumerate(client_ids):
         levels = [
-            float(p.tree.client(cid).requests) * rate_scale if cid in present else 0.0
+            float(p.tree.requests(cid)) * rate_scale if cid in present else 0.0
             for p, present in zip(problems, members)
         ]
         arrivals = inversion_poisson_arrivals(rng, breakpoints, levels)

@@ -85,7 +85,7 @@ class TestWithRequests:
             ]
         )
         assert fork == rebuilt
-        assert fork._subtree_requests == rebuilt._subtree_requests
+        assert fork._subtree == rebuilt._subtree
         assert fork.total_requests() == rebuilt.total_requests()
 
     def test_fork_shares_structural_caches(self):
@@ -93,14 +93,16 @@ class TestWithRequests:
         fork = tree.with_requests({tree.client_ids[0]: 5.0})
         assert fork._ancestors is tree._ancestors
         assert fork._subtree_clients is tree._subtree_clients
-        assert fork._order is tree._order
-        assert fork._links is tree._links
+        # One store: the position map, breadth-first order and link columns.
+        assert fork._store is tree._store
+        assert fork._store.order is tree._store.order
+        assert fork._store.comm is tree._store.comm
 
     def test_noop_fork_is_distinct_but_equal(self):
         tree = generate_tree(size=30, target_load=0.4, seed=3)
         fork = tree.with_requests({})
         assert fork is not tree and fork == tree
-        assert fork._clients is tree._clients
+        assert fork._requests is tree._requests
 
     def test_unchanged_rates_not_marked_changed(self):
         tree = generate_tree(size=30, target_load=0.4, seed=3)

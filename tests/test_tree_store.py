@@ -1,0 +1,345 @@
+"""The columnar tree store: one tree, built three ways, reads the same.
+
+:class:`~repro.core.tree.TreeNetwork` keeps an instance as typed columns in
+one store per topology, and its record classes are views built on access.
+These tests pin that:
+
+* a tree built by :class:`~repro.core.builder.TreeBuilder`, by the
+  generator and by JSON decoding agrees on every view, ``==``/``hash``,
+  the ``tree_to_dict`` bytes, fingerprints and the :class:`TreeIndex`
+  fields; an epoch fork (``with_requests``) matches ``with_clients`` bit
+  for bit, rejections included;
+* the cold path (decode, solve, validate, cost) builds no view, and
+  decoding leaves almost no GC-tracked objects;
+* the memory estimate charges what the store and its index hold;
+* a malformed tree payload is named by section, index and key on every
+  surface: ``problem_from_dict``, the serving protocol and ``repro solve``.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import math
+import tracemalloc
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.api import solve
+from repro.cli import main as cli_main
+from repro.core import tree as tree_module
+from repro.core.builder import TreeBuilder
+from repro.core.exceptions import SerializationError, TreeStructureError
+from repro.core.index import TreeIndex
+from repro.core.problem import ProblemKind, ReplicaPlacementProblem
+from repro.core.serialization import problem_from_dict, problem_to_dict, tree_from_dict, tree_to_dict
+from repro.core.tree import Client
+from repro.core.validation import validate_solution
+from repro.qos.metrics import QoSMetrics
+from repro.serving.fingerprint import problem_fingerprint
+from repro.serving.pool import SessionPool
+from repro.serving.protocol import handle_envelope
+from repro.session import PlacementSession
+from repro.workloads.generator import GeneratorConfig, TreeGenerator
+
+INDEX_FIELDS = (
+    "n_nodes",
+    "n_clients",
+    "height",
+    "node_order",
+    "client_order",
+    "node_pos",
+    "client_pos",
+    "node_parent",
+    "client_parent",
+    "node_depth",
+    "client_depth",
+    "node_span_end",
+    "client_span_start",
+    "client_span_end",
+    "node_ancestors",
+    "client_ancestors",
+    "client_requests",
+    "client_repr",
+    "remaining_template",
+    "inreq_template",
+    "residual_template",
+)
+
+
+def _generated(params):
+    return TreeGenerator(params["seed"]).generate(
+        GeneratorConfig(
+            size=params["size"],
+            target_load=params["load"],
+            homogeneous=params["homogeneous"],
+            client_attachment=params["attachment"],
+            qos_hops=params["qos_hops"],
+            link_bandwidth=params["bandwidth"],
+            link_metrics=params["metrics"],
+        )
+    )
+
+
+def _rebuilt(tree, metrics):
+    """``tree`` declared through TreeBuilder in its own link order, with
+    ``metrics`` (child -> QoSMetrics) on those uplinks and metadata on
+    every element (which no comparison may see)."""
+    builder = TreeBuilder()
+    builder.add_node(tree.root, capacity=tree.capacity(tree.root), tag=repr(tree.root))
+    for link in tree.links():
+        uplink = dict(
+            parent=link.parent,
+            comm_time=link.comm_time,
+            bandwidth=link.bandwidth,
+            metrics=metrics.get(link.child),
+            tag=repr(link.child),
+        )
+        if tree.is_node(link.child):
+            node = tree.node(link.child)
+            builder.add_node(
+                node.id, capacity=node.capacity, storage_cost=node.storage_cost, **uplink
+            )
+        else:
+            client = tree.client(link.child)
+            builder.add_client(client.id, requests=client.requests, qos=client.qos, **uplink)
+    return builder.build()
+
+
+def _decoded(tree):
+    return tree_from_dict(json.loads(json.dumps(tree_to_dict(tree))))
+
+
+def _observed(tree):
+    """Everything the three constructions must agree on."""
+    problems = [ReplicaPlacementProblem(tree=tree, kind=ProblemKind.REPLICA_COST)]
+    problems.append(ReplicaPlacementProblem(tree=tree, kind=ProblemKind.GENERAL))
+    index = TreeIndex(tree)
+    return {
+        "views": (list(tree.nodes()), list(tree.clients()), list(tree.links())),
+        "bytes": json.dumps(tree_to_dict(tree)),
+        "fingerprints": [problem_fingerprint(problem) for problem in problems],
+        "index": {name: getattr(index, name) for name in INDEX_FIELDS},
+        "orders": (tree.node_ids, tree.client_ids, tree.link_keys, tree.root),
+    }
+
+
+tree_params = st.fixed_dictionaries(
+    {
+        "seed": st.integers(min_value=0, max_value=10_000),
+        "size": st.integers(min_value=3, max_value=90),
+        "load": st.sampled_from([0.2, 0.5, 0.9]),
+        "homogeneous": st.booleans(),
+        "attachment": st.sampled_from(["spread", "leaves", "uniform"]),
+        "qos_hops": st.sampled_from([None, (1, 3), (2, 5)]),
+        "bandwidth": st.sampled_from([None, 40.0]),
+        "metrics": st.booleans(),
+    }
+)
+
+#: New rates for an epoch fork: valid ones, and each kind of rejection.
+rates = st.one_of(
+    st.integers(min_value=0, max_value=30).map(float),
+    st.floats(min_value=0, max_value=30, allow_nan=False, allow_infinity=False),
+    st.sampled_from([-1.0, math.nan, math.inf]),
+)
+
+
+link_metrics = st.builds(
+    QoSMetrics,
+    latency=st.floats(min_value=0, max_value=5),
+    jitter=st.floats(min_value=0, max_value=1),
+    loss=st.floats(min_value=0, max_value=1),
+    bandwidth=st.sampled_from([math.inf, 10.0, 55.5]),
+)
+
+
+class TestThreeConstructions:
+    def assert_agree(self, left, right):
+        assert left == right and right == left
+        assert hash(left) == hash(right)
+        assert _observed(left) == _observed(right)
+
+    @given(params=tree_params, data=st.data())
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_builder_generator_and_decoder_agree(self, params, data):
+        generated = _generated(params)
+        self.assert_agree(generated, _decoded(generated))
+        if params["metrics"]:
+            return  # annotate_tree sorts the links, which no builder declares parents-first
+        built = _rebuilt(generated, {})
+        self.assert_agree(generated, built)
+        self.assert_agree(generated, _decoded(built))
+        # Metadata rides along in the views without taking part in ==.
+        assert built.node(generated.root).metadata == {"tag": repr(generated.root)}
+        assert _decoded(built).node(generated.root).metadata == {}
+        # The builder's own link metrics, on some uplinks.
+        children = data.draw(
+            st.lists(st.sampled_from([child for child, _ in generated.link_keys]), unique=True)
+        )
+        annotated = _rebuilt(generated, {child: data.draw(link_metrics) for child in children})
+        self.assert_agree(annotated, _decoded(annotated))
+        assert (annotated == generated) == (not children)
+
+    @given(params=tree_params, data=st.data())
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_with_requests_matches_with_clients(self, params, data):
+        tree = _generated(params)
+        if not params["metrics"]:  # then with metadata too
+            tree = _rebuilt(tree, {})
+        TreeIndex.for_tree(tree)  # so the fork's index is patched, not built
+        picked = data.draw(st.lists(st.sampled_from(tree.client_ids), unique=True, max_size=6))
+        new = {cid: data.draw(rates) for cid in picked}
+        try:
+            expected = tree.with_clients(
+                [Client(cid, value, tree.qos(cid)) for cid, value in new.items()]
+            )
+        except TreeStructureError as error:
+            with pytest.raises(TreeStructureError) as raised:
+                tree.with_requests(new)
+            assert str(raised.value) == str(error)
+            return
+        fork = tree.with_requests(new)
+        assert fork == expected
+        assert fork._requests.tobytes() == expected._requests.tobytes()
+        assert fork._subtree.tobytes() == expected._subtree.tobytes()
+        assert _observed(fork) == _observed(expected)
+        patched = TreeIndex.for_tree(fork)
+        for name in INDEX_FIELDS:
+            assert getattr(patched, name) == getattr(TreeIndex(expected), name), name
+
+
+def _cold_tree():
+    return TreeGenerator(3).generate(
+        GeneratorConfig(
+            size=2860,
+            target_load=0.3,
+            homogeneous=False,
+            client_attachment="leaves",
+            max_children=3,
+        )
+    )
+
+
+class TestColdPath:
+    def test_decode_solve_validate_cost_builds_no_view(self, monkeypatch):
+        text = json.dumps(problem_to_dict(ReplicaPlacementProblem(tree=_cold_tree())))
+        built = []
+        for view in (tree_module.InternalNode, tree_module.Client, tree_module.Link):
+            original = view.__post_init__
+
+            def counted(self, original=original):
+                built.append(type(self).__name__)
+                original(self)
+
+            monkeypatch.setattr(view, "__post_init__", counted)
+        problem = problem_from_dict(json.loads(text))
+        solution = solve(problem, policy="multiple")
+        assert validate_solution(problem, solution).valid
+        assert solution.cost(problem) > 0
+        assert built == []
+        problem.tree.node(problem.tree.root)  # the accessors do build views
+        assert built == ["InternalNode"]
+
+    def test_decoding_leaves_few_gc_tracked_objects(self):
+        payload = json.loads(json.dumps(tree_to_dict(_cold_tree())))
+        gc.collect()
+        before = len(gc.get_objects())
+        tree = tree_from_dict(payload)
+        gc.collect()
+        assert (len(gc.get_objects()) - before) / tree.size < 0.1
+
+
+class TestMemoryEstimate:
+    @pytest.mark.parametrize("size", [400, 4000])
+    def test_estimate_within_2x_of_traced(self, size):
+        tree = TreeGenerator(size).generate(
+            GeneratorConfig(size=size, target_load=0.3, homogeneous=False)
+        )
+        payload = json.loads(json.dumps(tree_to_dict(tree)))
+        tracemalloc.start()
+        try:
+            decoded = tree_from_dict(payload)
+            tree_bytes = tracemalloc.get_traced_memory()[0]
+            index = TreeIndex.for_tree(decoded)
+            both_bytes = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0.5 <= decoded.nbytes / tree_bytes <= 2.0
+        assert 0.5 <= index.nbytes / (both_bytes - tree_bytes) <= 2.0
+
+        session = PlacementSession(ReplicaPlacementProblem(tree=decoded))
+        charged = session.memory_estimate()
+        assert charged >= decoded.nbytes + index.nbytes
+        assert 0.5 <= charged / both_bytes <= 2.0
+
+
+def _payload(mutate):
+    payload = problem_to_dict(ReplicaPlacementProblem(tree=_generated_small()))
+    mutate(payload["tree"])
+    return payload
+
+
+def _generated_small():
+    return TreeGenerator(5).generate(GeneratorConfig(size=20, target_load=0.3))
+
+
+MALFORMED = {
+    "node_without_capacity": (
+        lambda tree: tree["nodes"][0].pop("capacity"),
+        'tree.nodes[0] has no "capacity"',
+    ),
+    "client_without_requests": (
+        lambda tree: tree["clients"][1].pop("requests"),
+        'tree.clients[1] has no "requests"',
+    ),
+    "link_without_parent": (
+        lambda tree: tree["links"][2].pop("parent"),
+        'tree.links[2] has no "parent"',
+    ),
+    "non_numeric_capacity": (
+        lambda tree: tree["nodes"][0].update(capacity="lots"),
+        "tree.nodes[0] \"capacity\" is not a number: 'lots'",
+    ),
+    "unhashable_id": (
+        lambda tree: tree["clients"][0].update(id=[1, 2]),
+        'tree.clients[0] "id" is not hashable: [1, 2]',
+    ),
+    "nodes_not_a_list": (
+        lambda tree: tree.update(nodes=5),
+        "tree.nodes is not a list (got int)",
+    ),
+}
+
+
+class TestMalformedPayloads:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_problem_from_dict_names_the_field(self, case):
+        mutate, message = MALFORMED[case]
+        with pytest.raises(SerializationError) as raised:
+            problem_from_dict(_payload(mutate))
+        assert str(raised.value) == message
+
+    def test_missing_tree_keeps_its_message(self):
+        with pytest.raises(SerializationError, match='need a "tree" entry'):
+            problem_from_dict({"kind": "replica_cost"})
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_serving_replies_invalid_with_the_field(self, case):
+        mutate, message = MALFORMED[case]
+        envelope = {"op": "solve", "problem": _payload(mutate)}
+        reply = handle_envelope(SessionPool(capacity=2), envelope).reply
+        assert reply["type"] == "error"
+        assert reply["error"]["code"] == "invalid"
+        assert message in reply["error"]["message"]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_cli_solve_prints_an_error_line(self, case, tmp_path, capsys):
+        mutate, message = MALFORMED[case]
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(_payload(mutate)["tree"]))
+        assert cli_main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.strip() == f"error: {message}"
+        assert "Traceback" not in err
