@@ -27,10 +27,16 @@ It provides:
   :mod:`repro.session` and :mod:`repro.core.results`,
 * a multi-tenant serving subsystem (:mod:`repro.serving`): a
   fingerprint-keyed LRU pool of resident sessions behind a JSON request
-  protocol over stdio and HTTP (``repro serve``), with snapshot
+  protocol over stdio, TCP and HTTP (``repro serve``), with snapshot
   persistence across restarts and a ``connect()`` client proxy,
 * extensions of paper Section 8 (multiple objects, richer objective
   functions) in :mod:`repro.multiobject` and :mod:`repro.objectives`.
+
+Every public name of this package resolves on first use: ``import repro``
+loads only the version metadata, and ``repro.solve`` (or ``from repro
+import solve``) imports :mod:`repro.api` at that moment.  A process pays
+for the layers it touches -- ``repro serve`` never loads the client, the
+load generator, the trace ingester or the campaign harness.
 
 Quickstart
 ----------
@@ -49,41 +55,78 @@ Quickstart
 
 from __future__ import annotations
 
+import importlib
+from typing import Any, Callable, Dict, List, Tuple
+
 from repro._version import __version__, __paper__
-from repro.core.tree import TreeNetwork, InternalNode, Client, Link
-from repro.core.builder import TreeBuilder
-from repro.core.policies import Policy
-from repro.core.problem import (
-    ProblemKind,
-    ReplicaPlacementProblem,
-    replica_cost_problem,
-    replica_counting_problem,
-)
-from repro.core.solution import Assignment, Placement, Solution
-from repro.core.validation import validate_solution, ValidationReport
-from repro.core.costs import placement_cost, request_lower_bound
-from repro.core.results import result_from_dict, result_from_json
-from repro.session import (
-    PlacementSession,
-    SolveResult,
-    BoundResult,
-    CompareResult,
-)
-from repro.api import (
-    solve,
-    solve_many,
-    solve_sequence,
-    SequenceResult,
-    bound_sequence,
-    BoundSequenceResult,
-    compare_policies,
-    lower_bound,
-)
-from repro.serving import (
-    PoolStats,
-    SessionPool,
-    connect,
-    problem_fingerprint,
+
+
+def _lazy_exports(
+    namespace: Dict[str, Any], table: Dict[str, Tuple[str, ...]]
+) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package's public names.
+
+    ``namespace`` is the package's ``globals()``; ``table`` maps each
+    submodule to the names it provides.  A name is imported from its
+    submodule on first access and then bound in the package, so later
+    lookups are plain attribute reads; a name that is itself a submodule
+    of the package resolves to that module.
+    """
+    package = namespace["__name__"]
+    owners = {name: module for module, names in table.items() for name in names}
+
+    def __getattr__(name: str) -> Any:
+        module = owners.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = importlib.import_module(module)
+        if module != f"{package}.{name}":
+            value = getattr(value, name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(owners))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "repro.core.tree": ("TreeNetwork", "InternalNode", "Client", "Link"),
+        "repro.core.builder": ("TreeBuilder",),
+        "repro.core.policies": ("Policy",),
+        "repro.core.problem": (
+            "ProblemKind",
+            "ReplicaPlacementProblem",
+            "replica_cost_problem",
+            "replica_counting_problem",
+        ),
+        "repro.core.solution": ("Assignment", "Placement", "Solution"),
+        "repro.core.validation": ("validate_solution", "ValidationReport"),
+        "repro.core.costs": ("placement_cost", "request_lower_bound"),
+        "repro.core.results": ("result_from_dict", "result_from_json"),
+        "repro.session": (
+            "PlacementSession",
+            "SolveResult",
+            "BoundResult",
+            "CompareResult",
+        ),
+        "repro.api": (
+            "solve",
+            "solve_many",
+            "solve_sequence",
+            "SequenceResult",
+            "bound_sequence",
+            "BoundSequenceResult",
+            "compare_policies",
+            "lower_bound",
+        ),
+        "repro.serving.pool": ("PoolStats", "SessionPool"),
+        "repro.serving.client": ("connect",),
+        "repro.serving.fingerprint": ("problem_fingerprint",),
+    },
 )
 
 __all__ = [

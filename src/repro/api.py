@@ -163,8 +163,6 @@ test suite pins estimate/export round-trips within Poisson tolerance
 from __future__ import annotations
 
 import contextlib
-import uuid
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import (
@@ -336,6 +334,8 @@ def chunked_pool_map(chunk_fn: Callable, items: Sequence, workers: int) -> List:
     """
     import multiprocessing
     import threading
+    import uuid
+    from concurrent.futures import ProcessPoolExecutor
 
     worker_count = min(workers, len(items))
     chunk_size = (len(items) + worker_count - 1) // worker_count

@@ -55,6 +55,10 @@ request-state engine per invocation (previously only reachable via the
 ``REPRO_ENGINE`` environment variable); the choices come straight from
 :func:`repro.algorithms.common.available_engines`, so new engines (such as
 the compiled ``native`` one) appear here without CLI changes.
+
+Each sub-command imports the subsystems it runs when it runs, so a process
+pays only for its own layers: ``serve`` never loads the batch API, the
+client, the load generator, the trace ingester or the campaign harness.
 """
 
 from __future__ import annotations
@@ -66,14 +70,9 @@ import sys
 from typing import Optional, Sequence, Tuple
 
 from repro.algorithms.common import available_engines
-from repro.api import compare_policies, solve_many, solve_sequence
-from repro.session import PlacementSession
 from repro.core.exceptions import InfeasibleError, ReproError
 from repro.core.policies import Policy
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem
-from repro.core.serialization import load_tree, save_tree
-from repro.experiments.harness import CampaignConfig, run_campaign
-from repro.workloads.generator import GeneratorConfig, TreeGenerator
 
 __all__ = ["main", "build_parser"]
 
@@ -567,6 +566,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "generate":
+        from repro.core.serialization import save_tree
+        from repro.workloads.generator import GeneratorConfig, TreeGenerator
+
         tree = TreeGenerator(args.seed).generate(
             GeneratorConfig(
                 size=args.size,
@@ -581,6 +583,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "solve":
+        from repro.session import PlacementSession
+
         problem = _load_problem(args.tree, counting=args.counting)
         session = PlacementSession(
             problem,
@@ -628,6 +632,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "batch":
+        from repro.api import solve_many
+
         problems = [_load_problem(path, counting=args.counting) for path in args.trees]
         solutions = solve_many(
             problems,
@@ -671,6 +677,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if failed < len(problems) else 2
 
     if args.command == "compare":
+        from repro.api import compare_policies
+
         problem = _load_problem(args.tree, counting=args.counting)
         results = compare_policies(
             problem, bounds=args.bounds, bound_method=args.bound_method
@@ -701,6 +709,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "campaign":
+        from repro.experiments.harness import CampaignConfig, run_campaign
+
         config = CampaignConfig(
             homogeneous=not args.heterogeneous,
             trees_per_lambda=args.trees_per_lambda,
@@ -954,6 +964,8 @@ def _run_dynamic_sequence(
             zip(trace_model.boundaries[:-1], trace_model.boundaries[1:])
         )
 
+    from repro.api import bound_sequence, solve_sequence
+
     result = solve_sequence(
         epochs,
         policy=args.policy,
@@ -964,8 +976,6 @@ def _run_dynamic_sequence(
     )
     bounds = None
     if args.bounds:
-        from repro.api import bound_sequence
-
         bounds = bound_sequence(epochs, policy=args.policy, method=args.bound_method)
         gaps = bounds.gaps(result.costs)
     if args.json:
@@ -1043,8 +1053,12 @@ def _dispatch_serve(args: argparse.Namespace) -> int:
 
     Stdio keeps stdout strictly machine-readable -- one JSON reply line
     per request line, nothing else -- so supervisors can pipe it; all
-    diagnostics go to stderr.
+    diagnostics go to stderr.  SIGTERM, as SIGINT, stops the loop through
+    its shutdown path: the resident sessions are snapshotted and the
+    process exits 0.
     """
+    import signal
+
     from repro.serving.loopserver import LoopServer
     from repro.serving.pool import SessionPool
     from repro.serving.server import ReproServer
@@ -1083,7 +1097,11 @@ def _dispatch_serve(args: argparse.Namespace) -> int:
         )
     else:
         loop.add_stream(sys.stdin.fileno(), sys.stdout.fileno())
-    return loop.serve()
+    previous = signal.signal(signal.SIGTERM, lambda _signum, _frame: loop.shutdown())
+    try:
+        return loop.serve()
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def _dispatch_trace(args: argparse.Namespace) -> int:
@@ -1340,6 +1358,8 @@ def _lp_backend() -> dict:
 
 
 def _load_problem(path: str, *, counting: bool) -> ReplicaPlacementProblem:
+    from repro.core.serialization import load_tree
+
     tree = load_tree(path)
     kind = ProblemKind.REPLICA_COUNTING if counting else ProblemKind.REPLICA_COST
     return ReplicaPlacementProblem(tree=tree, kind=kind)

@@ -12,23 +12,36 @@
 * :mod:`repro.experiments.ablations` -- ablation studies on the design
   choices of the heuristics and of the lower bound;
 * :mod:`repro.experiments.reporting` -- ASCII tables and CSV export.
+
+The package's public names resolve on first use.
 """
 
-from repro.experiments.metrics import success_rate, relative_cost, RelativeCostAccumulator
-from repro.experiments.harness import (
-    CampaignConfig,
-    InstanceRecord,
-    CampaignResult,
-    run_campaign,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "repro.experiments.metrics": (
+            "success_rate",
+            "relative_cost",
+            "RelativeCostAccumulator",
+        ),
+        "repro.experiments.harness": (
+            "CampaignConfig",
+            "InstanceRecord",
+            "CampaignResult",
+            "run_campaign",
+        ),
+        "repro.experiments.figures": (
+            "FigureSeries",
+            "figure9_homogeneous_success",
+            "figure10_homogeneous_cost",
+            "figure11_heterogeneous_success",
+            "figure12_heterogeneous_cost",
+        ),
+        "repro.experiments.reporting": ("ascii_table", "series_table", "format_float"),
+    },
 )
-from repro.experiments.figures import (
-    FigureSeries,
-    figure9_homogeneous_success,
-    figure10_homogeneous_cost,
-    figure11_heterogeneous_success,
-    figure12_heterogeneous_cost,
-)
-from repro.experiments.reporting import ascii_table, series_table, format_float
 
 __all__ = [
     "success_rate",

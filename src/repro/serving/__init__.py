@@ -25,34 +25,47 @@ service.  The layers, each usable on its own:
   proxy that decodes replies back into the standard result objects;
 * :mod:`repro.serving.loadgen` -- the open-loop inhomogeneous-Poisson load
   harness behind ``repro loadtest`` and the serving throughput benchmark.
+
+The package's public names resolve on first use: importing it loads none
+of those modules, and ``from repro.serving import connect`` loads the
+client stack alone.  So a ``repro serve`` process, which answers stdio,
+TCP and HTTP peers from the loop server, pool and protocol modules, never
+loads the client, the load generator or their HTTP and TLS dependencies.
 """
 
-from repro.serving.client import (
-    RemoteSession,
-    ServingClient,
-    ServingError,
-    TcpTransport,
-    connect,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "repro.serving.client": (
+            "RemoteSession",
+            "ServingClient",
+            "ServingError",
+            "TcpTransport",
+            "connect",
+        ),
+        "repro.serving.fingerprint": ("problem_fingerprint", "tree_fingerprint"),
+        "repro.serving.loadgen": ("LoadgenConfig", "LoadtestReport", "run_loadtest"),
+        "repro.serving.loopserver": ("LoopServer",),
+        "repro.serving.metrics": ("render_prometheus",),
+        "repro.serving.pool": (
+            "PooledSession",
+            "PoolStats",
+            "SessionPool",
+            "UnknownSessionError",
+        ),
+        "repro.serving.protocol": (
+            "MAX_BATCH_ITEMS",
+            "OPS",
+            "ProtocolError",
+            "error_envelope",
+            "handle_envelope",
+        ),
+        "repro.serving.server": ("ReproServer",),
+        "repro.serving.snapshot": ("restore_pool", "save_pool", "save_session"),
+    },
 )
-from repro.serving.fingerprint import problem_fingerprint, tree_fingerprint
-from repro.serving.loadgen import LoadgenConfig, LoadtestReport, run_loadtest
-from repro.serving.loopserver import LoopServer
-from repro.serving.metrics import render_prometheus
-from repro.serving.pool import (
-    PooledSession,
-    PoolStats,
-    SessionPool,
-    UnknownSessionError,
-)
-from repro.serving.protocol import (
-    MAX_BATCH_ITEMS,
-    OPS,
-    ProtocolError,
-    error_envelope,
-    handle_envelope,
-)
-from repro.serving.server import ReproServer
-from repro.serving.snapshot import restore_pool, save_pool, save_session
 
 __all__ = [
     "problem_fingerprint",

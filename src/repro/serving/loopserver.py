@@ -36,7 +36,10 @@ its own buffer, and a buffer past ``max_buffer`` gets the peer dropped with
 one stderr line (back-pressure by eviction, not by stalling everyone else).
 A peer that vanishes mid-reply costs the same single line.  An unexpected
 error while answering one peer drops that peer (its traceback goes to
-stderr) and the others are still served.
+stderr) and the others are still served.  At the process's fd limit
+(``EMFILE``/``ENFILE``) the loop stops watching the listener -- new peers
+wait in the kernel's backlog -- and watches it again once a connection
+closes, so a full fd table costs no CPU.
 
 Request handling itself is synchronous -- a solve runs to completion
 before the next envelope is parsed -- which is the right trade for this
@@ -46,6 +49,7 @@ while batched envelopes amortise the parse/reply cycle around them.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
@@ -148,6 +152,7 @@ class LoopServer:
         self._registered: Dict[int, int] = {}  # fd -> event mask
         self._connections: List[_Connection] = []
         self._listener: Optional[socket.socket] = None
+        self._accept_paused = False  # listener unwatched until an fd frees up
         self._http = False
         self._running = False
         # Self-pipe so shutdown() from another thread wakes the select.
@@ -262,8 +267,13 @@ class LoopServer:
         while True:
             try:
                 sock, address = self._listener.accept()
-            except OSError:  # nothing pending, an aborted peer, or no fds left
-                return
+            except OSError as error:
+                if error.errno in (errno.EMFILE, errno.ENFILE):
+                    # The peer stays in the backlog and the listener stays
+                    # readable: watching it now would spin the loop.
+                    self._selector.unregister(self._listener)
+                    self._accept_paused = True
+                return  # nothing pending, an aborted peer, or no fds left
             sock.setblocking(False)
             # Replies are whole JSON lines (a batch_result spans many TCP
             # segments); Nagle would hold each line's tail segment for the
@@ -473,6 +483,10 @@ class LoopServer:
                 self._selector.unregister(fd)
         if conn in self._connections:
             self._connections.remove(conn)
+        if self._accept_paused:
+            # This close frees an fd: accept the waiting peers again.
+            self._accept_paused = False
+            self._selector.register(self._listener, selectors.EVENT_READ, "accept")
         if conn.sock is not None:
             try:
                 conn.sock.close()

@@ -17,42 +17,53 @@
   timestamped request logs (CSV/JSONL), detect epoch boundaries where the
   traffic actually moves, estimate per-client rates and replay the trace
   as epoch trajectories and IPPP arrival schedules.
+
+The package's public names resolve on first use, so ``from
+repro.workloads import TreeGenerator`` loads the generator alone, not the
+trace ingester.
 """
 
-from repro.workloads.generator import (
-    GeneratorConfig,
-    TreeGenerator,
-    generate_tree,
-    generate_campaign,
-)
-from repro.workloads.distributions import (
-    inversion_poisson_arrivals,
-    poisson_arrivals,
-    sinusoidal_intensity,
-    thinned_poisson_arrivals,
-    uniform_requests,
-    uniform_capacities,
-    heterogeneous_capacities,
-    zipf_requests,
-)
-from repro.workloads import reference_trees
-from repro.workloads.dynamic import (
-    capacity_incident,
-    client_join_leave,
-    ramp,
-    rate_churn,
-    seasonal,
-    step_change,
-)
-from repro.workloads.traces import (
-    Trace,
-    TimeIndexer,
-    TraceEpochs,
-    TraceSummary,
-    detect_epochs,
-    fixed_epochs,
-    load_trace,
-    sample_trace,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "repro.workloads.generator": (
+            "GeneratorConfig",
+            "TreeGenerator",
+            "generate_tree",
+            "generate_campaign",
+        ),
+        "repro.workloads.distributions": (
+            "inversion_poisson_arrivals",
+            "poisson_arrivals",
+            "sinusoidal_intensity",
+            "thinned_poisson_arrivals",
+            "uniform_requests",
+            "uniform_capacities",
+            "heterogeneous_capacities",
+            "zipf_requests",
+        ),
+        "repro.workloads.reference_trees": ("reference_trees",),
+        "repro.workloads.dynamic": (
+            "capacity_incident",
+            "client_join_leave",
+            "ramp",
+            "rate_churn",
+            "seasonal",
+            "step_change",
+        ),
+        "repro.workloads.traces": (
+            "Trace",
+            "TimeIndexer",
+            "TraceEpochs",
+            "TraceSummary",
+            "detect_epochs",
+            "fixed_epochs",
+            "load_trace",
+            "sample_trace",
+        ),
+    },
 )
 
 __all__ = [

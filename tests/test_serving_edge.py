@@ -22,6 +22,9 @@ Covers this PR's acceptance criteria head on:
   pipelined batches, EOF shutdown, slow-client eviction, regular-file and
   ``/dev/null`` stdin served in the loop (paced by the reader, never
   dropped), adopted fds handed back in their blocking mode;
+* **``repro serve`` processes** -- SIGTERM snapshots the resident sessions
+  and exits 0; at the fd limit the loop stops accepting instead of
+  spinning, and accepts the waiting peers once a connection closes;
 * **load harness** -- deterministic schedules, report round-trips, batched
   runs answering the same schedule as unbatched runs.
 """
@@ -30,8 +33,12 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -57,9 +64,43 @@ from repro.serving import (
 )
 from repro.serving.loadgen import build_schedule
 from repro.serving.protocol import MAX_BATCH_ITEMS, handle_envelope
-from repro.serving.snapshot import restore_pool, save_pool, snapshot_path
+from repro.serving.snapshot import (
+    SNAPSHOT_META,
+    restore_pool,
+    save_pool,
+    snapshot_path,
+)
 from repro.session import PlacementSession, SolveResult
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def spawn_tcp_server(*args: str):
+    """Start ``python *args`` (a ``repro serve --tcp`` process) on this
+    checkout; returns it and the ``(host, port)`` it listens on."""
+    proc = subprocess.Popen(
+        [sys.executable, *args],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    line = proc.stderr.readline()
+    listening = re.match(r"loop-serving on tcp://([^\s:]+):(\d+)", line)
+    if listening is None:
+        proc.kill()
+        raise AssertionError(line + proc.communicate(timeout=60)[1])
+    return proc, (listening.group(1), int(listening.group(2)))
+
+
+def cpu_seconds(pid: int) -> float:
+    """utime + stime of process ``pid`` so far."""
+    with open(f"/proc/{pid}/stat") as handle:
+        fields = handle.read().rpartition(")")[2].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
 
 
 def make_problem(seed: int, *, size: int = 20) -> ReplicaPlacementProblem:
@@ -896,6 +937,65 @@ class TestLoopServer:
         assert first["error"]["code"] == "bad_request"
         assert "request is not JSON" in first["error"]["message"]
         assert second["type"] == "pool_stats"
+
+    def test_sigterm_snapshots_resident_sessions_and_exits_zero(self, tmp_path):
+        """Supervisors stop servers with SIGTERM: it must run the same
+        shutdown path as SIGINT, final snapshot included."""
+        directory = tmp_path / "snapshots"
+        proc, (host, port) = spawn_tcp_server(
+            "-m", "repro", "serve", "--tcp", "127.0.0.1:0",
+            "--snapshot-dir", str(directory),
+        )
+        try:
+            client = connect(f"tcp://{host}:{port}")
+            session = client.open(make_problem(83))
+            assert session.solve().feasible  # read-only: no snapshot yet
+            client.transport.close()
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            err = proc.communicate(timeout=60)[1]
+        assert proc.returncode == 0, err
+        assert "Traceback" not in err
+        assert sorted(path.name for path in directory.iterdir()) == sorted(
+            [SNAPSHOT_META, snapshot_path(directory, session.fingerprint).name]
+        )
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+    def test_fd_limit_pauses_accepts_instead_of_spinning(self):
+        """Out of fds, the listener stays readable while accept() fails; a
+        loop that keeps watching it burns a CPU until a peer leaves."""
+        proc, address = spawn_tcp_server(
+            "-c",
+            "import resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_NOFILE, (48, hard))\n"
+            "from repro.cli import main\n"
+            "sys.exit(main(['serve', '--tcp', '127.0.0.1:0']))\n",
+        )
+        # 48 fds cannot hold 60 peers: the ones past the limit wait in the
+        # listen backlog, the last 10 of them with a request already sent.
+        peers = [socket.create_connection(address, timeout=10) for _ in range(60)]
+        try:
+            peers[0].sendall(b'{"op": "stats"}\n')
+            assert json.loads(peers[0].makefile().readline())["type"] == "pool_stats"
+            for peer in peers[-10:]:
+                peer.sendall(b'{"op": "stats"}\n')
+            time.sleep(0.5)
+            before = cpu_seconds(proc.pid)
+            time.sleep(2.0)
+            assert cpu_seconds(proc.pid) - before < 0.3
+            for peer in peers[:20]:
+                peer.close()
+            deadline = time.monotonic() + 5.0
+            for peer in peers[-10:]:
+                peer.settimeout(max(deadline - time.monotonic(), 0.01))
+                assert json.loads(peer.makefile().readline())["type"] == "pool_stats"
+        finally:
+            for peer in peers:
+                peer.close()
+            proc.send_signal(signal.SIGTERM)
+            err = proc.communicate(timeout=60)[1]
+        assert proc.returncode == 0, err
 
 
 # --------------------------------------------------------------------------- #
