@@ -34,7 +34,7 @@ def test_ablation_utd_second_pass(benchmark):
     print(result.table)
     with_pass = result.metrics["UTD (two passes)"]["success"]
     without_pass = result.metrics["UTD (first pass only)"]["success"]
-    assert with_pass >= without_pass
+    assert with_pass > without_pass
 
 
 @pytest.mark.benchmark(group="ablation")

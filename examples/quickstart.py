@@ -139,7 +139,7 @@ def scaling_up() -> None:
     trees or problems, preserves input order, maps infeasible instances to
     ``None`` (the paper's success-rate accounting) and, with ``workers=N``,
     fans the batch out over a process pool with per-worker chunking.  Every
-    solve runs on the indexed flat-tree engine, which is cross-validated
+    solve runs on the compiled flat-tree engine, which is cross-validated
     bit-for-bit against the paper-faithful implementation.
     """
     from repro.workloads.generator import generate_tree
@@ -167,15 +167,15 @@ def engines() -> None:
 
     Every solve mutates a request-affectation state behind
     ``make_state``: the paper-faithful ``dict`` engine, the indexed
-    ``fast`` engine (the default) and the compiled ``native`` engine,
+    ``fast`` engine and the compiled ``native`` engine (the default),
     whose hot loops run in a small C kernel library built on first use
     with the system compiler (~2.5x over ``fast``, ~6x over ``dict`` on
-    500-node trees).  Pick one per process with ``REPRO_ENGINE=native``,
-    per call with ``engine="native"``, or per block with
-    ``use_engine("native")``; all three engines are cross-validated
-    bit-for-bit, and ``native`` quietly degrades to ``fast`` on hosts
-    without a C compiler, so the selection is always safe.  ``repro
-    doctor`` prints this report from the command line.
+    500-node trees).  Pick one per process with ``REPRO_ENGINE=fast``,
+    per call with ``engine="fast"``, or per block with
+    ``use_engine("fast")``; all three engines are cross-validated
+    bit-for-bit, and ``native`` degrades to ``fast`` with a one-line
+    note on hosts without a C compiler, so the default is always safe.
+    ``repro doctor`` prints this report from the command line.
     """
     from repro.algorithms.common import available_engines, make_state, use_engine
     from repro.algorithms.native_state import native_kernels_available
@@ -188,7 +188,7 @@ def engines() -> None:
             state = make_state(problem)
         print(f"  engine={engine!r}: state is a {type(state).__name__}")
     if native_kernels_available():
-        print("  native kernels: compiled (REPRO_ENGINE=native gets the C path)")
+        print("  native kernels: compiled (the default engine runs the C path)")
     else:
         print("  native kernels: unavailable here; engine='native' runs as fast")
 

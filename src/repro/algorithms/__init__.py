@@ -8,11 +8,12 @@ Contents
   the heuristic registry;
 * :mod:`repro.algorithms.common` -- the request-state engine factory
   (:func:`~repro.algorithms.common.make_state` /
-  :func:`~repro.algorithms.common.use_engine`): every heuristic runs either
-  on the paper-faithful dict engine or on the indexed
-  :class:`repro.algorithms.fast_state.FastRequestState` (the default; set
-  ``REPRO_ENGINE=dict`` to switch back), the two being pinned to each other
-  by the cross-validation suite;
+  :func:`~repro.algorithms.common.use_engine`): every heuristic runs on the
+  compiled :class:`repro.algorithms.native_state.NativeRequestState` (the
+  default), the indexed :class:`repro.algorithms.fast_state.FastRequestState`
+  (native's fallback without a C compiler) or the paper-faithful dict
+  engine (``REPRO_ENGINE=fast|dict`` selects one), all three pinned to each
+  other by the cross-validation suite;
 * :mod:`repro.algorithms.multiple_homogeneous` -- the paper's optimal
   polynomial algorithm for the Multiple policy on homogeneous platforms
   (Section 4.1, Theorem 1);

@@ -3,7 +3,7 @@
 The kernels live in ``kernels.c`` next to this file and are compiled into a
 CPython extension module (``_repro_native``) with the system C compiler the
 first time the native engine is requested.  The shared object is cached --
-keyed by a hash of the source and the interpreter's ABI tag -- under the
+keyed by a checksum of the source and the interpreter's ABI tag -- under the
 first writable of:
 
 * ``$REPRO_NATIVE_CACHE`` (explicit override);
@@ -20,13 +20,11 @@ stderr note so silent slowdowns are visible).
 
 from __future__ import annotations
 
-import hashlib
+import importlib.machinery
 import importlib.util
 import os
-import subprocess
 import sys
-import sysconfig
-import tempfile
+import zlib
 from pathlib import Path
 from typing import Optional
 
@@ -66,8 +64,10 @@ def kernel_cache_dir() -> Optional[Path]:
 
 
 def _so_path(cache_dir: Path, source: bytes) -> Path:
-    digest = hashlib.sha256(source).hexdigest()[:16]
-    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    # Two checksums of the source: a content key for a local build cache,
+    # without loading hashlib's OpenSSL (~3.6 MB) into every solving process.
+    digest = f"{zlib.crc32(source):08x}{zlib.adler32(source):08x}"
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     tag = f"cp{sys.version_info.major}{sys.version_info.minor}"
     return cache_dir / f"_repro_native-{tag}-{digest}{suffix}"
 
@@ -81,6 +81,11 @@ def _compiler() -> Optional[str]:
 
 
 def _compile(so_path: Path, cc: str) -> None:
+    # Imported here: a process that finds the kernels built never loads them.
+    import subprocess
+    import sysconfig
+    import tempfile
+
     include = sysconfig.get_paths()["include"]
     # Compile into a private temp file, then publish atomically: concurrent
     # first-use races (pytest workers, forked pools) at worst compile twice

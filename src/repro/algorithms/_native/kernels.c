@@ -14,7 +14,9 @@
  *   - double vectors: array('d') / writable buffers of n_clients or n_nodes;
  *   - int64 vectors:  array('q') (client/node spans, depths, ancestor
  *     chains flattened with CSR-style offsets, repr ranks, orders);
- *   - replica flags:  a writable byte buffer of n_nodes.
+ *   - replica flags:  a writable byte buffer of n_nodes;
+ *   - the drain, cover and sweep kernels also write the state's replica
+ *     set and amounts dict, keyed by the layout orders' ids (sink_t).
  *
  * Compiled on first use by repro/algorithms/_native (gcc -O2 -shared); no
  * dependency beyond Python.h and libc.
@@ -70,7 +72,7 @@ release_all(buf_t *bufs, int count)
 /* ------------------------------------------------------------------ */
 
 typedef struct {
-    double key;   /* sign * remaining, compared ascending */
+    double key;   /* sign * remaining (or MG's QoS depth gap), ascending */
     int64_t rank; /* unique (repr, position) rank: total tie order */
     int64_t pos;  /* client layout position */
 } cand_t;
@@ -176,23 +178,63 @@ drain_select(const double *rem, const int64_t *rrk,
     return count;
 }
 
-/* Build the [(pos, amount), ...] taken list handed back for the Python
- * side's amounts-dict bookkeeping. */
-static PyObject *
-taken_list(const int64_t *taken_pos, const double *taken_amt, int64_t count)
+/* The Python-side bookkeeping the drain, cover and sweep kernels write
+ * through: the state's replica set and (client, server) -> amount dict,
+ * keyed by the ids of the index's layout orders. */
+typedef struct {
+    PyObject *replicas;     /* set */
+    PyObject *amounts;      /* dict */
+    PyObject *client_order; /* tuple: client layout position -> id */
+    PyObject *node_order;   /* tuple: node layout position -> id */
+} sink_t;
+
+#define SINK_FORMAT "O!O!O!O!"
+#define SINK_ARGS(k) &PySet_Type, &(k).replicas, &PyDict_Type, &(k).amounts, \
+    &PyTuple_Type, &(k).client_order, &PyTuple_Type, &(k).node_order
+
+/* Make node position i a replica: the flag vector and the id set. */
+static int
+sink_place(sink_t *sink, unsigned char *rep, int64_t i)
 {
-    PyObject *list = PyList_New((Py_ssize_t)count);
-    if (list == NULL)
-        return NULL;
-    for (int64_t k = 0; k < count; k++) {
-        PyObject *pair = Py_BuildValue("(Ld)", (long long)taken_pos[k], taken_amt[k]);
-        if (pair == NULL) {
-            Py_DECREF(list);
-            return NULL;
-        }
-        PyList_SET_ITEM(list, (Py_ssize_t)k, pair);
+    rep[i] = 1;
+    return PySet_Add(sink->replicas,
+                     PyTuple_GET_ITEM(sink->node_order, (Py_ssize_t)i));
+}
+
+/* amounts[(client p, server si)] = amounts.get(key, 0.0) + amount, the
+ * bookkeeping of every engine's assign(). */
+static int
+sink_amount(sink_t *sink, int64_t si, int64_t p, double amount)
+{
+    PyObject *key = PyTuple_Pack(
+        2, PyTuple_GET_ITEM(sink->client_order, (Py_ssize_t)p),
+        PyTuple_GET_ITEM(sink->node_order, (Py_ssize_t)si));
+    if (key == NULL)
+        return -1;
+    double value = 0.0;
+    PyObject *old = PyDict_GetItemWithError(sink->amounts, key); /* borrowed */
+    if (old != NULL)
+        value = PyFloat_AsDouble(old);
+    if (PyErr_Occurred()) {
+        Py_DECREF(key);
+        return -1;
     }
-    return list;
+    PyObject *total = PyFloat_FromDouble(value + amount);
+    int rc = total == NULL ? -1 : PyDict_SetItem(sink->amounts, key, total);
+    Py_XDECREF(total);
+    Py_DECREF(key);
+    return rc;
+}
+
+/* Record `count` served clients of server position si, in order. */
+static int
+sink_taken(sink_t *sink, int64_t si, const int64_t *taken_pos,
+           const double *taken_amt, int64_t count)
+{
+    for (int64_t k = 0; k < count; k++)
+        if (sink_amount(sink, si, taken_pos[k], taken_amt[k]) != 0)
+            return -1;
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -342,7 +384,8 @@ k_all_within_qos(PyObject *self, PyObject *args)
 }
 
 /* drain(rem, inr, res, caf, cao, rrk, thr_or_none, si, start, end, depth,
- *       budget, largest_first, split_last) -> (drained, [(pos, amt), ...]) */
+ *       budget, largest_first, split_last,
+ *       replicas, amounts, client_order, node_order) -> drained */
 static PyObject *
 k_drain(PyObject *self, PyObject *args)
 {
@@ -350,9 +393,11 @@ k_drain(PyObject *self, PyObject *args)
     long long si, start, end, depth;
     double budget;
     int largest_first, split_last;
-    if (!PyArg_ParseTuple(args, "OOOOOOOLLLLdii", &o_rem, &o_inr, &o_res,
-                          &o_caf, &o_cao, &o_rrk, &o_thr, &si, &start, &end,
-                          &depth, &budget, &largest_first, &split_last))
+    sink_t sink;
+    if (!PyArg_ParseTuple(args, "OOOOOOOLLLLdii" SINK_FORMAT, &o_rem, &o_inr,
+                          &o_res, &o_caf, &o_cao, &o_rrk, &o_thr, &si, &start,
+                          &end, &depth, &budget, &largest_first, &split_last,
+                          SINK_ARGS(sink)))
         return NULL;
     buf_t b[7] = {0};
     if (get_buf(o_rem, &b[0], 1, "rem") || get_buf(o_inr, &b[1], 1, "inr") ||
@@ -392,10 +437,9 @@ k_drain(PyObject *self, PyObject *args)
         goto done;
     if (count > 0)
         serve_taken(rem, inr, res, caf, cao, si, taken_pos, taken_amt, count);
-    PyObject *taken = taken_list(taken_pos, taken_amt, count);
-    if (taken == NULL)
+    if (sink_taken(&sink, si, taken_pos, taken_amt, count) != 0)
         goto done;
-    result = Py_BuildValue("(dN)", drained, taken);
+    result = PyFloat_FromDouble(drained);
 done:
     free(taken_pos);
     free(taken_amt);
@@ -404,7 +448,8 @@ done:
 }
 
 /* cover(rem, inr, res, caf, cao, css, cse, nse, naf, nao, thr_or_none,
- *       si, depth, bulk_min) -> (covered, [(pos, amt), ...])
+ *       si, depth, bulk_min,
+ *       replicas, amounts, client_order, node_order) -> covered
  * Serve every eligible pending client of subtree(si).  Past bulk_min
  * served clients the inreq update batches into one prefix sum over the
  * subtree span, exactly like the fast engine's _serve_bulk. */
@@ -414,9 +459,11 @@ k_cover(PyObject *self, PyObject *args)
     PyObject *o_rem, *o_inr, *o_res, *o_caf, *o_cao, *o_css, *o_cse, *o_nse,
         *o_naf, *o_nao, *o_thr;
     long long si, depth, bulk_min;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOLLL", &o_rem, &o_inr, &o_res,
-                          &o_caf, &o_cao, &o_css, &o_cse, &o_nse, &o_naf,
-                          &o_nao, &o_thr, &si, &depth, &bulk_min))
+    sink_t sink;
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOLLL" SINK_FORMAT, &o_rem, &o_inr,
+                          &o_res, &o_caf, &o_cao, &o_css, &o_cse, &o_nse,
+                          &o_naf, &o_nao, &o_thr, &si, &depth, &bulk_min,
+                          SINK_ARGS(sink)))
         return NULL;
     buf_t b[11] = {0};
     if (get_buf(o_rem, &b[0], 1, "rem") || get_buf(o_inr, &b[1], 1, "inr") ||
@@ -503,10 +550,9 @@ k_cover(PyObject *self, PyObject *args)
         total = serve_taken(rem, inr, res, caf, cao, si, taken_pos, taken_amt,
                             count);
     }
-    PyObject *taken = taken_list(taken_pos, taken_amt, count);
-    if (taken == NULL)
+    if (sink_taken(&sink, si, taken_pos, taken_amt, count) != 0)
         goto done;
-    result = Py_BuildValue("(dN)", total, taken);
+    result = PyFloat_FromDouble(total);
 done:
     free(scratch);
     free(taken_pos);
@@ -515,16 +561,16 @@ done:
     return result;
 }
 
-/* Shared body of the two sweep kernels: drain server position i with
- * `budget`, appending (i, pos, amount) triples to `assigns`.  Returns 0
- * on success, -1 on error. */
+/* Shared body of the two draining sweep kernels: drain server position i
+ * with `budget`, recording each assignment in the sink.  Returns 0 on
+ * success, -1 on error. */
 static int
 sweep_drain(double *rem, double *inr, double *res,
             const int64_t *caf, const int64_t *cao, const int64_t *rrk,
             const int64_t *thr, const int64_t *nd,
             const int64_t *css, const int64_t *cse,
             int64_t i, double budget, int largest_first, int split_last,
-            int64_t *taken_pos, double *taken_amt, PyObject *assigns)
+            int64_t *taken_pos, double *taken_amt, sink_t *sink)
 {
     if (budget <= TOL)
         return 0;
@@ -537,23 +583,12 @@ sweep_drain(double *rem, double *inr, double *res,
     if (count == 0)
         return 0;
     serve_taken(rem, inr, res, caf, cao, i, taken_pos, taken_amt, count);
-    for (int64_t k = 0; k < count; k++) {
-        PyObject *triple = Py_BuildValue("(LLd)", (long long)i,
-                                         (long long)taken_pos[k],
-                                         taken_amt[k]);
-        if (triple == NULL)
-            return -1;
-        int rc = PyList_Append(assigns, triple);
-        Py_DECREF(triple);
-        if (rc != 0)
-            return -1;
-    }
-    return 0;
+    return sink_taken(sink, i, taken_pos, taken_amt, count);
 }
 
 /* sweep_saturated(rem, inr, res, rep, cap, css, cse, caf, cao, rrk,
- *                 thr_or_none, nd, order_or_none, largest_first, split_last)
- *     -> (placed, assigns)
+ *                 thr_or_none, nd, order_or_none, largest_first, split_last,
+ *                 replicas, amounts, client_order, node_order)
  * The UTD/MTD/MBU first pass: walk the nodes (pre-order when order is
  * None, else the given permutation, e.g. post-order), place a replica on
  * every node whose pending subtree load reaches its capacity, and drain
@@ -564,10 +599,11 @@ k_sweep_saturated(PyObject *self, PyObject *args)
     PyObject *o_rem, *o_inr, *o_res, *o_rep, *o_cap, *o_css, *o_cse, *o_caf,
         *o_cao, *o_rrk, *o_thr, *o_nd, *o_order;
     int largest_first, split_last;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOii", &o_rem, &o_inr, &o_res,
-                          &o_rep, &o_cap, &o_css, &o_cse, &o_caf, &o_cao,
-                          &o_rrk, &o_thr, &o_nd, &o_order, &largest_first,
-                          &split_last))
+    sink_t sink;
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOii" SINK_FORMAT, &o_rem, &o_inr,
+                          &o_res, &o_rep, &o_cap, &o_css, &o_cse, &o_caf,
+                          &o_cao, &o_rrk, &o_thr, &o_nd, &o_order,
+                          &largest_first, &split_last, SINK_ARGS(sink)))
         return NULL;
     buf_t b[13] = {0};
     if (get_buf(o_rem, &b[0], 1, "rem") || get_buf(o_inr, &b[1], 1, "inr") ||
@@ -604,13 +640,9 @@ k_sweep_saturated(PyObject *self, PyObject *args)
     int64_t n_nodes = (int64_t)(b[4].view.len / (Py_ssize_t)sizeof(double));
     int64_t n_clients = (int64_t)(b[0].view.len / (Py_ssize_t)sizeof(double));
 
-    PyObject *placed = NULL, *assigns = NULL, *result = NULL;
+    PyObject *result = NULL;
     int64_t *taken_pos = NULL;
     double *taken_amt = NULL;
-    placed = PyList_New(0);
-    assigns = PyList_New(0);
-    if (placed == NULL || assigns == NULL)
-        goto done;
     if (n_clients > 0) {
         taken_pos = (int64_t *)malloc((size_t)n_clients * sizeof(int64_t));
         taken_amt = (double *)malloc((size_t)n_clients * sizeof(double));
@@ -623,33 +655,25 @@ k_sweep_saturated(PyObject *self, PyObject *args)
         int64_t i = order ? order[k] : k;
         double capacity = cap[i];
         if (inr[i] >= capacity - TOL && inr[i] > TOL) {
-            rep[i] = 1;
-            PyObject *pos = PyLong_FromLongLong((long long)i);
-            if (pos == NULL)
-                goto done;
-            int rc = PyList_Append(placed, pos);
-            Py_DECREF(pos);
-            if (rc != 0)
-                goto done;
-            if (sweep_drain(rem, inr, res, caf, cao, rrk, thr, nd, css, cse,
+            if (sink_place(&sink, rep, i) != 0 ||
+                sweep_drain(rem, inr, res, caf, cao, rrk, thr, nd, css, cse,
                             i, capacity, largest_first, split_last, taken_pos,
-                            taken_amt, assigns) != 0)
+                            taken_amt, &sink) != 0)
                 goto done;
         }
     }
-    result = Py_BuildValue("(OO)", placed, assigns);
+    Py_INCREF(Py_None);
+    result = Py_None;
 done:
     free(taken_pos);
     free(taken_amt);
-    Py_XDECREF(placed);
-    Py_XDECREF(assigns);
     release_all(b, 13);
     return result;
 }
 
 /* sweep_second(rem, inr, res, rep, css, cse, nse, caf, cao, rrk,
- *              thr_or_none, nd, largest_first, split_last)
- *     -> (placed, assigns)
+ *              thr_or_none, nd, largest_first, split_last,
+ *              replicas, amounts, client_order, node_order)
  * The UTD/MTD/MBU second pass: top-down, place a replica on the highest
  * non-replica node that still sees pending requests and drain everything
  * it may serve; never descend below a fresh replica, skip subtrees with
@@ -660,9 +684,11 @@ k_sweep_second(PyObject *self, PyObject *args)
     PyObject *o_rem, *o_inr, *o_res, *o_rep, *o_css, *o_cse, *o_nse, *o_caf,
         *o_cao, *o_rrk, *o_thr, *o_nd;
     int largest_first, split_last;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOii", &o_rem, &o_inr, &o_res,
-                          &o_rep, &o_css, &o_cse, &o_nse, &o_caf, &o_cao,
-                          &o_rrk, &o_thr, &o_nd, &largest_first, &split_last))
+    sink_t sink;
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOii" SINK_FORMAT, &o_rem, &o_inr,
+                          &o_res, &o_rep, &o_css, &o_cse, &o_nse, &o_caf,
+                          &o_cao, &o_rrk, &o_thr, &o_nd, &largest_first,
+                          &split_last, SINK_ARGS(sink)))
         return NULL;
     buf_t b[12] = {0};
     if (get_buf(o_rem, &b[0], 1, "rem") || get_buf(o_inr, &b[1], 1, "inr") ||
@@ -690,13 +716,9 @@ k_sweep_second(PyObject *self, PyObject *args)
     int64_t n_nodes = (int64_t)(b[6].view.len / (Py_ssize_t)sizeof(int64_t));
     int64_t n_clients = (int64_t)(b[0].view.len / (Py_ssize_t)sizeof(double));
 
-    PyObject *placed = NULL, *assigns = NULL, *result = NULL;
+    PyObject *result = NULL;
     int64_t *taken_pos = NULL;
     double *taken_amt = NULL;
-    placed = PyList_New(0);
-    assigns = PyList_New(0);
-    if (placed == NULL || assigns == NULL)
-        goto done;
     if (n_clients > 0) {
         taken_pos = (int64_t *)malloc((size_t)n_clients * sizeof(int64_t));
         taken_amt = (double *)malloc((size_t)n_clients * sizeof(double));
@@ -713,17 +735,10 @@ k_sweep_second(PyObject *self, PyObject *args)
     int64_t i = n_nodes;
     if (n_nodes > 0) {
         if (!rep[0] && inr[0] > TOL) {
-            rep[0] = 1;
-            PyObject *pos = PyLong_FromLongLong(0);
-            if (pos == NULL)
-                goto done;
-            int rc = PyList_Append(placed, pos);
-            Py_DECREF(pos);
-            if (rc != 0)
-                goto done;
-            if (sweep_drain(rem, inr, res, caf, cao, rrk, thr, nd, css, cse,
+            if (sink_place(&sink, rep, 0) != 0 ||
+                sweep_drain(rem, inr, res, caf, cao, rrk, thr, nd, css, cse,
                             0, inr[0], largest_first, split_last, taken_pos,
-                            taken_amt, assigns) != 0)
+                            taken_amt, &sink) != 0)
                 goto done;
         }
         else {
@@ -736,17 +751,10 @@ k_sweep_second(PyObject *self, PyObject *args)
             continue;
         }
         if (!rep[i]) {
-            rep[i] = 1;
-            PyObject *pos = PyLong_FromLongLong((long long)i);
-            if (pos == NULL)
-                goto done;
-            int rc = PyList_Append(placed, pos);
-            Py_DECREF(pos);
-            if (rc != 0)
-                goto done;
-            if (sweep_drain(rem, inr, res, caf, cao, rrk, thr, nd, css, cse,
+            if (sink_place(&sink, rep, i) != 0 ||
+                sweep_drain(rem, inr, res, caf, cao, rrk, thr, nd, css, cse,
                             i, inr[i], largest_first, split_last, taken_pos,
-                            taken_amt, assigns) != 0)
+                            taken_amt, &sink) != 0)
                 goto done;
             i = nse[i]; /* never descend below a fresh replica */
         }
@@ -754,13 +762,115 @@ k_sweep_second(PyObject *self, PyObject *args)
             i++; /* an old replica: keep searching below it */
         }
     }
-    result = Py_BuildValue("(OO)", placed, assigns);
+    Py_INCREF(Py_None);
+    result = Py_None;
 done:
     free(taken_pos);
     free(taken_amt);
-    Py_XDECREF(placed);
-    Py_XDECREF(assigns);
     release_all(b, 12);
+    return result;
+}
+
+/* sweep_greedy(rem, inr, res, rep, cap, css, cse, caf, cao, rrk,
+ *              thr_or_none, nd, order,
+ *              replicas, amounts, client_order, node_order)
+ * MG's bottom-up saturating fold (RequestState.greedy_sweep): walk the
+ * nodes in `order` (post-order); a node with capacity serves the eligible
+ * pending clients of its span, ordered by (-remaining, repr-rank), or under
+ * QoS by (depth - threshold, repr-rank) -- the number of eligible servers
+ * above the node -- taking min(budget, remaining) from each with
+ * assign()'s float order, and becomes a replica when it served anything. */
+static PyObject *
+k_sweep_greedy(PyObject *self, PyObject *args)
+{
+    PyObject *o_rem, *o_inr, *o_res, *o_rep, *o_cap, *o_css, *o_cse, *o_caf,
+        *o_cao, *o_rrk, *o_thr, *o_nd, *o_order;
+    sink_t sink;
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOO" SINK_FORMAT, &o_rem, &o_inr,
+                          &o_res, &o_rep, &o_cap, &o_css, &o_cse, &o_caf,
+                          &o_cao, &o_rrk, &o_thr, &o_nd, &o_order,
+                          SINK_ARGS(sink)))
+        return NULL;
+    buf_t b[13] = {0};
+    if (get_buf(o_rem, &b[0], 1, "rem") || get_buf(o_inr, &b[1], 1, "inr") ||
+        get_buf(o_res, &b[2], 1, "res") || get_buf(o_rep, &b[3], 1, "rep") ||
+        get_buf(o_cap, &b[4], 0, "cap") || get_buf(o_css, &b[5], 0, "css") ||
+        get_buf(o_cse, &b[6], 0, "cse") || get_buf(o_caf, &b[7], 0, "caf") ||
+        get_buf(o_cao, &b[8], 0, "cao") || get_buf(o_rrk, &b[9], 0, "rrk") ||
+        get_buf(o_nd, &b[10], 0, "nd") || get_buf(o_order, &b[12], 0, "order")) {
+        release_all(b, 13);
+        return NULL;
+    }
+    const int64_t *thr = NULL;
+    if (o_thr != Py_None) {
+        if (get_buf(o_thr, &b[11], 0, "thr")) {
+            release_all(b, 13);
+            return NULL;
+        }
+        thr = I64(b[11]);
+    }
+    double *rem = DBL(b[0]), *inr = DBL(b[1]), *res = DBL(b[2]);
+    unsigned char *rep = U8(b[3]);
+    const double *cap = DBL(b[4]);
+    const int64_t *css = I64(b[5]), *cse = I64(b[6]);
+    const int64_t *caf = I64(b[7]), *cao = I64(b[8]), *rrk = I64(b[9]);
+    const int64_t *nd = I64(b[10]), *order = I64(b[12]);
+    int64_t n_order = (int64_t)(b[12].view.len / (Py_ssize_t)sizeof(int64_t));
+    int64_t n_clients = (int64_t)(b[0].view.len / (Py_ssize_t)sizeof(double));
+
+    PyObject *result = NULL;
+    cand_t *cands = NULL;
+    if (n_clients > 0) {
+        cands = (cand_t *)malloc((size_t)n_clients * sizeof(cand_t));
+        if (cands == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+    }
+    for (int64_t k = 0; k < n_order; k++) {
+        int64_t i = order[k];
+        double budget = cap[i];
+        if (budget <= TOL || inr[i] <= TOL)
+            continue;
+        int64_t depth = nd[i];
+        int64_t ncand = 0;
+        for (int64_t p = css[i]; p < cse[i]; p++) {
+            double v = rem[p];
+            if (v > TOL && (thr == NULL || thr[p] <= depth)) {
+                cands[ncand].key = thr ? (double)(depth - thr[p]) : -v;
+                cands[ncand].rank = rrk[p];
+                cands[ncand].pos = p;
+                ncand++;
+            }
+        }
+        if (ncand > 1)
+            qsort(cands, (size_t)ncand, sizeof(cand_t), cand_cmp);
+        int served_any = 0;
+        for (int64_t c = 0; c < ncand; c++) {
+            if (budget <= TOL)
+                break;
+            int64_t p = cands[c].pos;
+            double pending = rem[p];
+            double take = pending < budget ? pending : budget; /* min() */
+            if (take <= TOL)
+                continue;
+            rem[p] = rem[p] - take;
+            res[i] -= take;
+            for (int64_t j = cao[p]; j < cao[p + 1]; j++)
+                inr[caf[j]] -= take;
+            if (sink_amount(&sink, i, p, take) != 0)
+                goto done;
+            budget -= take;
+            served_any = 1;
+        }
+        if (served_any && sink_place(&sink, rep, i) != 0)
+            goto done;
+    }
+    Py_INCREF(Py_None);
+    result = Py_None;
+done:
+    free(cands);
+    release_all(b, 13);
     return result;
 }
 
@@ -944,6 +1054,7 @@ static PyMethodDef kernel_methods[] = {
     {"cover", k_cover, METH_VARARGS, "Serve every eligible pending client of a subtree."},
     {"sweep_saturated", k_sweep_saturated, METH_VARARGS, "Place+drain every saturated node (first pass)."},
     {"sweep_second", k_sweep_second, METH_VARARGS, "Top-down completion pass (second pass)."},
+    {"sweep_greedy", k_sweep_greedy, METH_VARARGS, "MG's bottom-up saturating fold."},
     {"best_fit", k_best_fit, METH_VARARGS, "Best-fit ancestor for a whole client."},
     {"build_chains", k_build_chains, METH_VARARGS, "Flatten bottom-up ancestor chains in CSR form."},
     {"thresholds_distance", k_thresholds_distance, METH_VARARGS, "Per-client QoS depth thresholds (hop metric)."},

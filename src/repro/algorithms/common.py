@@ -63,8 +63,9 @@ def _make_native_state(problem: "ReplicaPlacementProblem") -> "RequestState":
 #: The interchangeable state engines: the paper-faithful dict implementation
 #: below, the indexed array implementation of
 #: :mod:`repro.algorithms.fast_state`, and the compiled-kernel implementation
-#: of :mod:`repro.algorithms.native_state` (which falls back to ``fast`` when
-#: no C compiler is available, so every name here is always valid).
+#: of :mod:`repro.algorithms.native_state`, the default (which falls back to
+#: ``fast`` when no C compiler is available, so every name here is always
+#: valid).
 #: ``_ENGINES`` and every engine-listing error message derive from this
 #: registry, so they cannot drift from the factory.
 _ENGINE_FACTORIES = {
@@ -82,9 +83,10 @@ def _engine_names() -> str:
 #: The selected engine lives in a :class:`~contextvars.ContextVar` so that
 #: concurrent batch calls (threads, async tasks) switching engines never
 #: clobber each other; forked worker processes inherit the parent's value.
-#: Every new thread starts from the ``REPRO_ENGINE`` environment default.
+#: Every new thread starts from the ``REPRO_ENGINE`` environment default,
+#: and without it from the compiled ``native`` engine.
 _engine_var: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_engine", default=os.environ.get("REPRO_ENGINE", "fast")
+    "repro_engine", default=os.environ.get("REPRO_ENGINE", "native")
 )
 
 
@@ -102,8 +104,9 @@ def set_default_engine(engine: str) -> str:
     """Select the default engine; returns the previous default.
 
     The initial default is the ``REPRO_ENGINE`` environment variable when
-    set, and the indexed ``"fast"`` engine otherwise (the two engines are
-    pinned to each other by the equivalence test suite).  The selection is
+    set, and the compiled ``"native"`` engine otherwise (which runs as
+    ``"fast"`` where the kernels cannot be built; the equivalence test
+    suite pins all three engines to each other).  The selection is
     context-local: it applies to the current thread / async context and to
     worker processes forked from it.
     """
@@ -136,7 +139,7 @@ def make_state(problem: ReplicaPlacementProblem, engine: Optional[str] = None) -
     :class:`~repro.algorithms.native_state.NativeRequestState`, which falls
     back to ``fast`` with a stderr note when the kernels cannot be built);
     by default the engine selected by :func:`set_default_engine` /
-    :func:`use_engine` is used.
+    :func:`use_engine` is used, ``"native"`` unless changed.
     """
     engine = engine or _engine_var.get()
     factory = _ENGINE_FACTORIES.get(engine)
@@ -367,6 +370,52 @@ class RequestState:
         for child in self.tree.child_nodes(node_id):
             if self.inreq[child] > _TOL:
                 self._second_pass_visit(child, largest_first, split_last)
+
+    def greedy_sweep(self) -> None:
+        """MG's bottom-up saturating fold (paper Section 6.3).
+
+        Children first, every node with capacity serves as many eligible
+        pending requests of its subtree as it can, splitting clients
+        freely, and becomes a replica when it served anything.  Clients go
+        most-pending first, or, under QoS, the most constrained first: those
+        with the fewest eligible servers above this node.
+        """
+        problem = self.problem
+        tree = self.tree
+
+        for node_id in tree.post_order_nodes():
+            budget = problem.capacity(node_id)
+            if budget <= _TOL:
+                continue
+            clients = self.eligible_pending_clients(node_id)
+            if not clients:
+                continue
+            if problem.constraints.has_qos:
+                clients.sort(
+                    key=lambda cid: (
+                        sum(
+                            1
+                            for anc in problem.eligible_servers(cid)
+                            if tree.depth(anc) < tree.depth(node_id)
+                        ),
+                        repr(cid),
+                    )
+                )
+            else:
+                clients.sort(key=lambda cid: (-self.remaining[cid], repr(cid)))
+
+            served_any = False
+            for client_id in clients:
+                if budget <= _TOL:
+                    break
+                take = min(budget, self.remaining[client_id])
+                if take <= _TOL:
+                    continue
+                self.assign(client_id, node_id, take)
+                budget -= take
+                served_any = True
+            if served_any:
+                self.place(node_id)
 
     def best_fit_server(self, client_id: NodeId, requests: float) -> Optional[NodeId]:
         """Best-fit ancestor able to host all ``requests`` of ``client_id``.

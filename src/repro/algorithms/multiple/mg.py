@@ -12,6 +12,11 @@ whenever the instance admits one under the Multiple policy -- the property
 the paper relies on for the MixedBest combiner.  Its cost can however be far
 from optimal on heterogeneous platforms, since cheap low nodes are greedily
 used regardless of the cost structure.
+
+The post-order loop is an engine method,
+:meth:`RequestState.greedy_sweep`: the dict and fast engines run it in
+Python, the native engine as one ``sweep_greedy`` kernel call (per-pair QoS
+predicates of non-monotone constraint subclasses keep the Python loop).
 """
 
 from __future__ import annotations
@@ -26,8 +31,6 @@ from repro.core.solution import Solution
 
 __all__ = ["MultipleGreedy"]
 
-_TOL = 1e-9
-
 
 @register_heuristic
 class MultipleGreedy(PlacementHeuristic):
@@ -38,44 +41,7 @@ class MultipleGreedy(PlacementHeuristic):
 
     def _solve(self, problem: ReplicaPlacementProblem) -> Optional[Solution]:
         state = make_state(problem)
-        tree = problem.tree
-
-        for node_id in tree.post_order_nodes():
-            budget = problem.capacity(node_id)
-            if budget <= _TOL:
-                continue
-            clients = state.eligible_pending_clients(node_id)
-            if not clients:
-                continue
-            # Serve the most constrained clients first: those with the fewest
-            # eligible ancestors above this node (ties broken deterministically).
-            if problem.constraints.has_qos:
-                clients.sort(
-                    key=lambda cid: (
-                        sum(
-                            1
-                            for anc in problem.eligible_servers(cid)
-                            if tree.depth(anc) < tree.depth(node_id)
-                        ),
-                        repr(cid),
-                    )
-                )
-            else:
-                clients.sort(key=lambda cid: (-state.remaining[cid], repr(cid)))
-
-            served_any = False
-            for client_id in clients:
-                if budget <= _TOL:
-                    break
-                take = min(budget, state.remaining[client_id])
-                if take <= _TOL:
-                    continue
-                state.assign(client_id, node_id, take)
-                budget -= take
-                served_any = True
-            if served_any:
-                state.place(node_id)
-
+        state.greedy_sweep()
         if not state.all_requests_affected():
             return None
         return state.to_solution(self.policy, self.name)

@@ -5,9 +5,10 @@
 of the dict and fast engines but stores the mutable state in flat
 ``array('d')`` vectors laid out by :class:`~repro.core.index.TreeIndex` and
 runs every hot loop -- span scans, decorate-sort drains, prefix-sum covers,
-whole first/second heuristic passes, the UBCF best-fit walk -- inside the C
-kernels of :mod:`repro.algorithms._native` (compiled on first use with the
-system C compiler).
+whole first/second heuristic passes, MG's bottom-up greedy fold
+(``sweep_greedy``), the UBCF best-fit walk -- inside the C kernels of
+:mod:`repro.algorithms._native` (compiled on first use with the system C
+compiler).  It is the default engine.
 
 The ``remaining`` / ``inreq`` / ``residual`` mappings every heuristic and
 test reads are :class:`VecMap` views over those vectors: id-keyed like the
@@ -21,7 +22,9 @@ Same as the fast engine's, one level down: every kernel repeats the fast
 implementation's float operations in the same order with the same ``1e-9``
 tolerances (drains select on ``(sign * remaining, repr-rank)`` exactly like
 the decorate-sort, covers batch ``inreq`` with the same prefix sums past the
-same 32-client cutoff), so ``native`` is bit-for-bit identical to ``fast``
+same 32-client cutoff, the greedy sweep orders on ``(-remaining, repr-rank)``
+or, under QoS, on ``(depth - threshold, repr-rank)`` exactly like MG's key
+sort), so ``native`` is bit-for-bit identical to ``fast``
 and ``dict`` across the engine-matrix suite.  Paths the kernels cannot
 represent -- non-monotone :class:`ConstraintSet` subclasses, spans addressed
 by client id -- delegate to the inherited fast implementations, which run
@@ -436,7 +439,7 @@ class NativeRequestState(FastRequestState):
             return 0.0
         arrays = self._arrays
         thresholds = self._qos_thresholds
-        drained, taken = self._k.drain(
+        return self._k.drain(
             self._remaining_vec,
             self._inreq_vec,
             self._residual_vec,
@@ -451,10 +454,8 @@ class NativeRequestState(FastRequestState):
             float(budget),
             1 if largest_first else 0,
             1 if split_last else 0,
+            *self._sink(),
         )
-        if taken:
-            self._record_amounts(server_id, taken)
-        return drained
 
     def cover(self, server_id: NodeId) -> float:
         if self._qos_check is not None:
@@ -466,7 +467,7 @@ class NativeRequestState(FastRequestState):
             return 0.0
         arrays = self._arrays
         thresholds = self._qos_thresholds
-        covered, taken = self._k.cover(
+        return self._k.cover(
             self._remaining_vec,
             self._inreq_vec,
             self._residual_vec,
@@ -481,18 +482,15 @@ class NativeRequestState(FastRequestState):
             si,
             arrays.nd[si] if thresholds is not None else 0,
             _BULK_COVER_MIN,
+            *self._sink(),
         )
-        if taken:
-            self._record_amounts(server_id, taken)
-        return covered
 
-    def _record_amounts(self, server_id: NodeId, taken) -> None:
-        """Fold a kernel's ``(position, amount)`` list into ``amounts``."""
-        order = self._index.client_order
-        amounts = self.amounts
-        for position, amount in taken:
-            key = (order[position], server_id)
-            amounts[key] = amounts.get(key, 0.0) + amount
+    def _sink(self):
+        """The id-keyed bookkeeping the drain, cover and sweep kernels write
+        through: the replica set and the amounts dict, with the layout
+        orders that map positions to ids."""
+        index = self._index
+        return self.replicas, self.amounts, index.client_order, index.node_order
 
     # ------------------------------------------------------------------ #
     # whole-pass sweeps (heuristic inner loops in C)
@@ -507,7 +505,7 @@ class NativeRequestState(FastRequestState):
             return
         arrays = self._arrays
         order_arr = None if order == "pre" else arrays.post_order(self._index)
-        placed, assigns = self._k.sweep_saturated(
+        self._k.sweep_saturated(
             self._remaining_vec,
             self._inreq_vec,
             self._residual_vec,
@@ -523,8 +521,8 @@ class NativeRequestState(FastRequestState):
             order_arr,
             1 if largest_first else 0,
             1 if split_last else 0,
+            *self._sink(),
         )
-        self._absorb_sweep(placed, assigns)
 
     def second_pass_sweep(
         self, *, largest_first: bool = True, split_last: bool = False
@@ -535,7 +533,7 @@ class NativeRequestState(FastRequestState):
             )
             return
         arrays = self._arrays
-        placed, assigns = self._k.sweep_second(
+        self._k.sweep_second(
             self._remaining_vec,
             self._inreq_vec,
             self._residual_vec,
@@ -550,19 +548,30 @@ class NativeRequestState(FastRequestState):
             arrays.nd,
             1 if largest_first else 0,
             1 if split_last else 0,
+            *self._sink(),
         )
-        self._absorb_sweep(placed, assigns)
 
-    def _absorb_sweep(self, placed, assigns) -> None:
-        """Fold a sweep kernel's placements and assignments into the state."""
-        node_order = self._index.node_order
-        self.replicas.update(node_order[position] for position in placed)
-        if assigns:
-            client_order = self._index.client_order
-            amounts = self.amounts
-            for si, position, amount in assigns:
-                key = (client_order[position], node_order[si])
-                amounts[key] = amounts.get(key, 0.0) + amount
+    def greedy_sweep(self) -> None:
+        if self._qos_check is not None:
+            super().greedy_sweep()
+            return
+        arrays = self._arrays
+        self._k.sweep_greedy(
+            self._remaining_vec,
+            self._inreq_vec,
+            self._residual_vec,
+            self._replica_vec,
+            arrays.cap,
+            arrays.css,
+            arrays.cse,
+            arrays.caf,
+            arrays.cao,
+            arrays.rrk,
+            self._qos_thresholds,
+            arrays.nd,
+            arrays.post_order(self._index),
+            *self._sink(),
+        )
 
     # ------------------------------------------------------------------ #
     # per-element heuristic steps

@@ -47,18 +47,18 @@ the CLI emits under ``--json``), round-trippable through
 Scaling up
 ----------
 
-Every solve runs on the indexed flat-tree engine
-(:class:`repro.core.index.TreeIndex` + the array-backed state of
-:mod:`repro.algorithms.fast_state`), cross-validated bit-for-bit against
-the paper-faithful dict engine (``REPRO_ENGINE=dict``, ``engine="dict"``,
-or :func:`repro.algorithms.common.set_default_engine` switch back).  When
-a C compiler is available, ``REPRO_ENGINE=native`` (or ``engine="native"``)
-moves the hot loops -- span scans, drain/cover, the heuristic sweeps --
-into a small compiled kernel library (:mod:`repro.algorithms.native_state`,
-built on first use, cached under ``build/native/``) that is pinned
-bit-identical to the other two engines; without a compiler the name stays
-valid and quietly degrades to ``fast``.  For
-campaign-scale workloads, :func:`solve_many` with ``workers=N`` forks a
+Every solve runs on the indexed flat-tree layout
+(:class:`repro.core.index.TreeIndex`) with the compiled ``native`` engine
+by default: the hot loops -- span scans, drain/cover, every heuristic
+sweep, MG's greedy fold included -- run in a small kernel library
+(:mod:`repro.algorithms.native_state`, built with the system C compiler on
+the first solve, cached under ``build/native/``).  It is pinned
+bit-identical to the array-backed ``fast`` engine
+(:mod:`repro.algorithms.fast_state`) and the paper-faithful ``dict``
+engine, which ``REPRO_ENGINE``, ``engine=`` or
+:func:`repro.algorithms.common.set_default_engine` select instead; without
+a compiler ``native`` degrades to ``fast`` with a one-line stderr note.
+For campaign-scale workloads, :func:`solve_many` with ``workers=N`` forks a
 process pool and splits the instance list into per-worker chunks.  For
 long-lived serving, keep a :class:`~repro.session.PlacementSession` per
 tree: the caches that a one-shot call pays for on every invocation are paid

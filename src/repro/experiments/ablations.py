@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import get_heuristic
+from repro.algorithms.common import make_state
 from repro.algorithms.multiple.mbu import MultipleBottomUp
 from repro.algorithms.upwards.utd import UpwardsTopDown
 from repro.core.policies import Policy
@@ -55,40 +56,22 @@ class AblationResult:
 
 
 class _MBULargestFirst(MultipleBottomUp):
-    """MBU variant draining large clients first (ablation only)."""
+    """MBU variant draining large clients first (ablation only).
+
+    Keeps MBU's bottom-up first pass and top-down second pass and flips
+    only the drain order of both.
+    """
 
     name = "MBU-largest-first"
 
     def _solve(self, problem):  # noqa: D102 - ablation-only override
-        # Re-run MBU's logic with the opposite drain order by temporarily
-        # patching the drain calls through a tiny subclassed state would be
-        # invasive; instead reuse MTD's machinery, which is exactly MBU with
-        # largest-first order on the second pass and a top-down first pass.
-        # For a like-for-like comparison we keep MBU's bottom-up structure
-        # and only flip the order, so we duplicate the two passes here.
-        from repro.algorithms.common import make_state
-
         state = make_state(problem)
-        tree = problem.tree
-        for node_id in tree.post_order_nodes():
-            capacity = problem.capacity(node_id)
-            if state.inreq[node_id] >= capacity - 1e-9 and state.inreq[node_id] > 1e-9:
-                state.place(node_id)
-                state.drain(node_id, capacity, largest_first=True, split_last=True)
+        state.first_pass_sweep(order="post", largest_first=True, split_last=True)
         if not state.all_requests_affected():
-            self._second_pass(state, tree, tree.root)
+            state.second_pass_sweep(largest_first=True, split_last=True)
         if not state.all_requests_affected():
             return None
         return state.to_solution(self.policy, self.name)
-
-    def _second_pass(self, state, tree, node_id):
-        if not state.is_replica(node_id) and state.inreq[node_id] > 1e-9:
-            state.place(node_id)
-            state.drain(node_id, state.inreq[node_id], largest_first=True, split_last=True)
-            return
-        for child in tree.child_nodes(node_id):
-            if state.inreq[child] > 1e-9:
-                self._second_pass(state, tree, child)
 
 
 class _UTDNoSecondPass(UpwardsTopDown):
@@ -96,8 +79,14 @@ class _UTDNoSecondPass(UpwardsTopDown):
 
     name = "UTD-no-second-pass"
 
-    def _second_pass(self, state, tree, node_id):  # noqa: D102 - disabled on purpose
-        return
+    def _solve(self, problem):  # noqa: D102 - ablation-only override
+        state = make_state(problem)
+        state.first_pass_sweep(
+            order="pre", largest_first=self.largest_first, split_last=self.split_last
+        )
+        if not state.all_requests_affected():
+            return None
+        return state.to_solution(self.policy, self.name)
 
 
 def _sample_problems(

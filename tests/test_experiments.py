@@ -214,7 +214,7 @@ class TestAblations:
         result = ablate_second_pass(count=6, seed=4)
         with_pass = result.metrics["UTD (two passes)"]["success"]
         without_pass = result.metrics["UTD (first pass only)"]["success"]
-        assert with_pass >= without_pass
+        assert with_pass > without_pass
 
     def test_lower_bound_ablation_reports_tightening(self):
         result = ablate_lower_bound(count=3, seed=5)

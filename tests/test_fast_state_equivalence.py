@@ -22,7 +22,11 @@ it just exercises the same code twice.
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.algorithms.base import available_heuristics, get_heuristic
 from repro.algorithms.common import (
@@ -32,9 +36,11 @@ from repro.algorithms.common import (
     use_engine,
 )
 from repro.algorithms.fast_state import FastRequestState
-from repro.core.constraints import ConstraintSet
+from repro.core.constraints import ClassedConstraintSet, ConstraintSet
+from repro.core.index import supports_qos_thresholds
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem
 from repro.core.tree import Link, TreeNetwork
+from repro.qos.metrics import MetricWeights, ServiceClass, annotate_tree
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
 
 #: The eight polynomial heuristics of paper Section 6.
@@ -218,6 +224,17 @@ def test_scripted_operations_match(seed, qos, engine):
     assert_states_agree(dict_state, other_state)
 
 
+@pytest.mark.parametrize("engine", ALT_ENGINES)
+def test_repeated_service_accumulates_like_seed_engine(small_problem, engine):
+    # A split drain, then a cover of the same server: c1 is served twice.
+    states = [make_state(small_problem, engine="dict"), make_state(small_problem, engine=engine)]
+    for state in states:
+        state.drain("n1", 5.0, largest_first=True, split_last=True)
+        state.cover("n1")
+    assert snapshot(states[1]) == snapshot(states[0])
+    assert states[1].amounts[("c1", "n1")] == 7.0
+
+
 class _EvenDepthQoS(ConstraintSet):
     """Deliberately non-monotone QoS metric: only even-depth servers allowed.
 
@@ -277,3 +294,96 @@ def test_state_to_solution_round_trip(small_problem, engine):
     solution = state.to_solution(Policy.MULTIPLE, "manual")
     assert solution.assignment.total_assigned() == pytest.approx(12.0)
     assert solution.placement.replicas == frozenset({"root"})
+
+
+# --------------------------------------------------------------------------- #
+# MG's greedy sweep, property-based
+# --------------------------------------------------------------------------- #
+#: rate and capacity shapes the sweep's float order must survive: generated
+#: integral rates, heavy ties (repr tie-breaks) and fractional rates and
+#: budgets whose sums are not exact in binary
+_RATE_SHAPES = ("generated", "tied", "fractional")
+#: hop and latency thresholds, a monotone classed set (thresholds) and a
+#: non-monotone one (the per-pair fallback)
+_QOS_SHAPES = ("none", "distance", "latency", "classed", "non_monotone")
+
+
+def _sweep_problem(seed: int, size: int, rates: str, zero_share: float, qos: str):
+    rng = random.Random(seed)
+    tree = TreeGenerator(seed).generate(
+        GeneratorConfig(
+            size=size,
+            target_load=0.5,
+            homogeneous=False,
+            qos_hops=(1, 4) if qos in ("distance", "latency") else None,
+        )
+    )
+    if qos in ("classed", "non_monotone"):
+        tree = annotate_tree(tree, seed=seed)
+    nodes = []
+    for node in tree.nodes():
+        capacity = node.capacity / 3 if rates == "fractional" else node.capacity
+        if rng.random() < zero_share:
+            capacity = 0.0
+        nodes.append(replace(node, capacity=capacity))
+    clients = list(tree.clients())
+    if rates == "tied":
+        clients = [replace(c, requests=rng.choice((2.0, 5.0))) for c in clients]
+    elif rates == "fractional":
+        clients = [
+            replace(c, requests=rng.choice((0.1, 1 / 3, 0.7, 2.5)) * rng.randint(1, 9))
+            for c in clients
+        ]
+    constraints = ConstraintSet.none()
+    if qos == "distance":
+        constraints = ConstraintSet.qos_distance()
+    elif qos == "latency":
+        constraints = ConstraintSet.qos_latency()
+    elif qos in ("classed", "non_monotone"):
+        classes = None
+        if qos == "non_monotone":
+            classes = (
+                ServiceClass(name="odd", weights=MetricWeights(latency=-1.0)),
+                ServiceClass(name="plain", priority=1),
+            )
+        constraints = ClassedConstraintSet.standard(tree, classes=classes, seed=seed)
+        bounded = []
+        for client in clients:
+            scores = [s for _, s in constraints.iter_ancestor_scores(tree, client.id)]
+            bound = 0.8 * max(scores)
+            bounded.append(replace(client, qos=bound) if bound > 0 else client)
+        clients = bounded
+    tree = TreeNetwork(nodes, clients, list(tree.links()))
+    return ReplicaPlacementProblem(tree=tree, constraints=constraints)
+
+
+def _sweep_outcome(state: RequestState):
+    return (
+        set(state.replicas),
+        {key: amount.hex() for key, amount in state.amounts.items()},
+        {cid: state.remaining[cid].hex() for cid in state.tree.client_ids},
+        {nid: state.residual[nid].hex() for nid in state.tree.node_ids},
+        {nid: state.inreq[nid].hex() for nid in state.tree.node_ids},
+    )
+
+
+@pytest.mark.parametrize("engine", ALT_ENGINES)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    size=st.integers(min_value=6, max_value=60),
+    rates=st.sampled_from(_RATE_SHAPES),
+    zero_share=st.sampled_from((0.0, 0.2, 0.5)),
+    qos=st.sampled_from(_QOS_SHAPES),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_greedy_sweep_matches_seed_engine(engine, seed, size, rates, zero_share, qos):
+    problem = _sweep_problem(seed, size, rates, zero_share, qos)
+    if qos == "non_monotone":
+        assert not supports_qos_thresholds(problem.constraints)
+    elif qos != "none":
+        assert supports_qos_thresholds(problem.constraints)
+    seed_state = make_state(problem, engine="dict")
+    other_state = make_state(problem, engine=engine)
+    seed_state.greedy_sweep()
+    other_state.greedy_sweep()
+    assert _sweep_outcome(other_state) == _sweep_outcome(seed_state)

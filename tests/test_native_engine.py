@@ -13,7 +13,11 @@ without a C compiler -- the no-compiler CI job runs this file too.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +107,72 @@ def test_native_engine_name_always_valid(small_problem):
     assert isinstance(state, FastRequestState)
     state.place("root")
     assert state.cover("root") == pytest.approx(12.0)
+
+
+# --------------------------------------------------------------------------- #
+# the default engine, in fresh interpreters
+# --------------------------------------------------------------------------- #
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_python(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter with no engine settings inherited."""
+    clean = {
+        key: value
+        for key, value in os.environ.items()
+        if key not in ("REPRO_ENGINE", "REPRO_NATIVE_DISABLE")
+    }
+    clean.update(env, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=clean,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_fresh_interpreter_defaults_to_native():
+    proc = _fresh_python(
+        "from repro.algorithms.common import get_default_engine\n"
+        "print(get_default_engine())"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "native"
+
+
+_SOLVE_TWICE = """
+import json, sys
+from repro.algorithms.common import make_state
+from repro.api import solve
+from repro.core.problem import ReplicaPlacementProblem
+from repro.core.serialization import load_tree
+
+problem = ReplicaPlacementProblem(tree=load_tree(sys.argv[1]))
+costs = [solve(problem).cost(problem) for _ in range(2)]
+print(json.dumps({"costs": costs, "state": type(make_state(problem)).__name__}))
+"""
+
+
+def test_disabled_default_engine_falls_back_with_one_note(tmp_path):
+    from repro.api import solve
+    from repro.core.serialization import save_tree
+
+    # Heterogeneous, so the solve runs the heuristic portfolio on a state.
+    tree = TreeGenerator(7).generate(
+        GeneratorConfig(size=60, target_load=0.4, homogeneous=False)
+    )
+    save_tree(tree, tmp_path / "tree.json")
+    problem = ReplicaPlacementProblem(tree=tree)
+    expected = solve(problem).cost(problem)
+
+    proc = _fresh_python(_SOLVE_TWICE, str(tmp_path / "tree.json"), REPRO_NATIVE_DISABLE="1")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["state"] == "FastRequestState"
+    assert report["costs"] == [expected, expected]
+    assert proc.stderr.count("native kernels unavailable") == 1
+    assert "falling back to the fast engine" in proc.stderr
 
 
 # --------------------------------------------------------------------------- #
