@@ -51,14 +51,17 @@ through :func:`repro.core.results.result_from_dict`; ``batch`` emits a
 ``{"type": "batch"}`` aggregate whose per-file ``solution`` entries decode
 with :func:`repro.core.serialization.solution_from_dict`.  ``solve``,
 ``batch``, ``dynamic`` and ``serve`` also accept ``--engine`` to pick the
-request-state engine per invocation (previously only reachable via the
-``REPRO_ENGINE`` environment variable); the choices come straight from
+request-state engine per invocation; the choices come straight from
 :func:`repro.algorithms.common.available_engines`, so new engines (such as
 the compiled ``native`` one) appear here without CLI changes.
 
-Each sub-command imports the subsystems it runs when it runs, so a process
-pays only for its own layers: ``serve`` never loads the batch API, the
-client, the load generator, the trace ingester or the campaign harness.
+An option that several sub-commands share (``--json``, ``--engine``,
+``--policy``, ``--bounds`` ...) is declared once, as a parent parser that
+each of them lists in ``parents=``, and every sub-parser binds its handler
+as ``run``.  Each sub-command imports the subsystems it runs when it runs,
+so a process pays only for its own layers: ``serve`` never loads the batch
+API, the client, the load generator, the trace ingester or the campaign
+harness.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from repro.algorithms.common import available_engines
 from repro.core.exceptions import InfeasibleError, ReproError
@@ -76,9 +79,121 @@ from repro.core.problem import ProblemKind, ReplicaPlacementProblem
 
 __all__ = ["main", "build_parser"]
 
+#: Trajectory family of ``dynamic`` -> (its generator in
+#: :mod:`repro.workloads.dynamic`, {generator keyword: the dest feeding it}).
+_TRAJECTORIES = {
+    "churn": (
+        "rate_churn",
+        {"churn": "churn", "magnitude": "magnitude",
+         "quiet_probability": "quiet", "seed": "seed"},
+    ),
+    "ramp": ("ramp", {"end_factor": "factor"}),
+    "seasonal": ("seasonal", {"amplitude": "amplitude", "period": "period"}),
+    "step": ("step_change", {"at": "at", "factor": "factor"}),
+    "join-leave": (
+        "client_join_leave",
+        {"join_rate": "join_rate", "leave_rate": "leave_rate", "seed": "seed"},
+    ),
+    "regional": (
+        "regional_churn",
+        {"depth": "region_depth", "magnitude": "magnitude",
+         "quiet_probability": "quiet", "seed": "seed"},
+    ),
+}
+#: The trajectory-family knobs, in warning order (an unseeded family
+#: ignores ``--seed`` without a warning).
+_TRAJECTORY_KNOBS = (
+    "churn", "magnitude", "quiet", "factor", "at", "amplitude", "period",
+    "join_rate", "leave_rate", "region_depth",
+)
+#: The single-trajectory dests that ``dynamic --campaign`` drops, in
+#: warning order: it fixes its own churn sweep, cost mode and family.
+_CAMPAIGN_IGNORES = (
+    "simulate", "trajectory", "mode", "resolve", "churn", "counting", "factor",
+    "at", "amplitude", "period", "join_rate", "leave_rate", "engine", "shards",
+    "region_depth", "trace",
+)
+
+
+def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser (for ``parents=``) declaring one shared option."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
+def _bounds_options(methods: Tuple[str, ...]) -> argparse.ArgumentParser:
+    """The ``--bounds`` / ``--bound-method`` parent over ``methods``."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--bounds",
+        action="store_true",
+        help="also compute the lower bound (--bound-method) and the "
+        "cost-vs-bound gaps",
+    )
+    parent.add_argument(
+        "--bound-method",
+        choices=methods,
+        default="mixed",
+        help="lower-bound method used by --bounds (default: mixed)",
+    )
+    return parent
+
 
 def build_parser() -> argparse.ArgumentParser:
-    """Build the top-level argument parser."""
+    """Build the top-level argument parser.
+
+    argparse shares a parent's Action objects between the sub-parsers that
+    list it, so no sub-parser may ``set_defaults`` a dest a parent declares:
+    the new default would apply to every sub-command.
+    """
+    json_out = _option(
+        "--json",
+        action="store_true",
+        help="emit the JSON payload (the result protocol's to_dict()) "
+        "instead of prose",
+    )
+    engine = _option(
+        "--engine",
+        choices=available_engines(),
+        default=None,
+        help="request-state engine (default: REPRO_ENGINE when set, else native)",
+    )
+    policy = _option("--policy", default="multiple", help="closest | upwards | multiple")
+    algorithm = _option("--algorithm", default=None, help="force a specific heuristic")
+    counting = _option(
+        "--counting",
+        action="store_true",
+        help="use the Replica Counting cost (homogeneous platforms)",
+    )
+    mode = _option(
+        "--mode",
+        choices=("incremental", "patch", "scratch"),
+        default="incremental",
+        help="re-solve strategy (default: incremental, cost-identical to scratch)",
+    )
+    shards = _option(
+        "--shards",
+        type=int,
+        default=None,
+        help="partition the tree into N subtree shards, solve each on its own "
+        "sliced index and reconcile at the cut (default: whole-tree)",
+    )
+    workers = _option(
+        "--workers",
+        type=int,
+        default=None,
+        help="evaluate independent instances over N worker processes "
+        "(default: sequential; dynamic: --campaign only)",
+    )
+    heterogeneous = _option(
+        "--heterogeneous",
+        action="store_true",
+        help="mix server classes (dynamic: --campaign only)",
+    )
+    bounds = _bounds_options(("mixed", "rational", "ipfp", "trivial"))
+    epoch_bounds = _bounds_options(("mixed", "rational", "ipfp"))
+
     parser = argparse.ArgumentParser(
         prog="repro-placement",
         description="Replica placement strategies in tree networks "
@@ -86,11 +201,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="generate a random tree and save it as JSON")
+    gen = sub.add_parser(
+        "generate",
+        parents=[heterogeneous],
+        help="generate a random tree and save it as JSON",
+    )
     gen.add_argument("output", help="output JSON file")
     gen.add_argument("--size", type=int, default=50, help="problem size |C|+|N|")
     gen.add_argument("--load", type=float, default=0.5, help="target load factor lambda")
-    gen.add_argument("--heterogeneous", action="store_true", help="mix server classes")
     gen.add_argument("--seed", type=int, default=None, help="random seed")
     gen.add_argument(
         "--metrics",
@@ -105,136 +223,67 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BW",
         help="give every link this finite bandwidth (default: unbounded)",
     )
+    gen.set_defaults(run=_dispatch_generate)
 
-    slv = sub.add_parser("solve", help="solve a tree JSON file under one policy")
+    slv = sub.add_parser(
+        "solve",
+        parents=[policy, algorithm, counting, json_out, engine, shards, bounds],
+        help="solve a tree JSON file under one policy",
+    )
     slv.add_argument("tree", help="tree JSON file (see the generate sub-command)")
-    slv.add_argument("--policy", default="multiple", help="closest | upwards | multiple")
-    slv.add_argument("--algorithm", default=None, help="force a specific heuristic")
-    slv.add_argument(
-        "--counting",
-        action="store_true",
-        help="use the Replica Counting cost (homogeneous platforms)",
-    )
-    slv.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the result-protocol payload instead of prose",
-    )
-    slv.add_argument(
-        "--engine",
-        choices=available_engines(),
-        default=None,
-        help="request-state engine (default: process-wide engine / REPRO_ENGINE)",
-    )
-    slv.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="partition the tree into N subtree shards, solve each on its own "
-        "sliced index and reconcile at the cut (default: whole-tree)",
-    )
-    slv.add_argument(
-        "--bounds",
-        action="store_true",
-        help="also compute the lower bound (--bound-method) and the "
-        "cost-vs-bound gap",
-    )
-    slv.add_argument(
-        "--bound-method",
-        choices=("mixed", "rational", "ipfp", "trivial"),
-        default="mixed",
-        help="lower-bound method used by --bounds (default: mixed)",
-    )
+    slv.set_defaults(run=_dispatch_solve)
 
     batch = sub.add_parser(
-        "batch", help="solve many tree JSON files (optionally in parallel)"
+        "batch",
+        parents=[policy, algorithm, counting, workers, json_out, engine],
+        help="solve many tree JSON files (optionally in parallel)",
     )
     batch.add_argument("trees", nargs="+", help="tree JSON files")
-    batch.add_argument("--policy", default="multiple", help="closest | upwards | multiple")
-    batch.add_argument("--algorithm", default=None, help="force a specific heuristic")
-    batch.add_argument(
-        "--counting",
-        action="store_true",
-        help="use the Replica Counting cost (homogeneous platforms)",
-    )
-    batch.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="solve over N worker processes (default: sequential)",
-    )
     batch.add_argument(
         "--on-error",
         choices=("none", "raise"),
         default="none",
         help="'none' prints 'no solution' for infeasible trees, 'raise' aborts",
     )
-    batch.add_argument(
-        "--json",
-        action="store_true",
-        help="emit one result-protocol payload per file instead of prose",
-    )
-    batch.add_argument(
-        "--engine",
-        choices=available_engines(),
-        default=None,
-        help="request-state engine (default: process-wide engine / REPRO_ENGINE)",
-    )
+    batch.set_defaults(run=_dispatch_batch)
 
-    cmp = sub.add_parser("compare", help="compare the three policies on a tree")
+    cmp = sub.add_parser(
+        "compare",
+        parents=[counting, bounds, json_out],
+        help="compare the three policies on a tree",
+    )
     cmp.add_argument("tree", help="tree JSON file")
-    cmp.add_argument("--counting", action="store_true", help="Replica Counting cost")
-    cmp.add_argument(
-        "--bounds",
-        action="store_true",
-        help="also compute the LP lower bound and per-policy cost-vs-bound gaps",
-    )
-    cmp.add_argument(
-        "--bound-method",
-        choices=("mixed", "rational", "ipfp", "trivial"),
-        default="mixed",
-        help="lower-bound method used by --bounds (default: mixed)",
-    )
-    cmp.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the result-protocol payload instead of prose",
-    )
+    cmp.set_defaults(run=_dispatch_compare)
 
-    camp = sub.add_parser("campaign", help="run an experimental campaign (Figures 9-12)")
-    camp.add_argument("--heterogeneous", action="store_true")
+    camp = sub.add_parser(
+        "campaign",
+        parents=[heterogeneous, workers],
+        help="run an experimental campaign (Figures 9-12)",
+    )
     camp.add_argument("--trees-per-lambda", type=int, default=5)
     camp.add_argument("--min-size", type=int, default=15)
     camp.add_argument("--max-size", type=int, default=60)
     camp.add_argument("--seed", type=int, default=2007)
-    camp.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="evaluate instances over N worker processes",
-    )
+    camp.set_defaults(run=_dispatch_campaign)
 
     dyn = sub.add_parser(
-        "dynamic", help="solve a dynamic-workload trajectory incrementally"
+        "dynamic",
+        parents=[
+            policy, mode, counting, epoch_bounds, heterogeneous, workers,
+            json_out, engine, shards,
+        ],
+        help="solve a dynamic-workload trajectory incrementally",
     )
     dyn.add_argument(
         "tree", nargs="?", default=None, help="tree JSON file (omit with --campaign)"
     )
     dyn.add_argument(
         "--trajectory",
-        choices=("churn", "ramp", "seasonal", "step", "join-leave", "regional"),
+        choices=tuple(_TRAJECTORIES),
         default="churn",
         help="request-rate trajectory family (default: churn)",
     )
     dyn.add_argument("--epochs", type=int, default=12, help="number of epochs")
-    dyn.add_argument("--policy", default="multiple", help="closest | upwards | multiple")
-    dyn.add_argument(
-        "--mode",
-        choices=("incremental", "patch", "scratch"),
-        default="incremental",
-        help="re-solve strategy (default: incremental, cost-identical to scratch)",
-    )
-    dyn.add_argument("--counting", action="store_true", help="Replica Counting cost")
     dyn.add_argument("--seed", type=int, default=None, help="trajectory random seed")
     dyn.add_argument("--churn", type=float, default=0.1, help="per-client churn probability")
     dyn.add_argument("--magnitude", type=float, default=0.5, help="churn drift magnitude")
@@ -267,52 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
         "replayed epoch stays violation- and saturation-free)",
     )
     dyn.add_argument(
-        "--bounds",
-        action="store_true",
-        help="track the per-epoch LP lower bound (incremental program patching) "
-        "and report cost-vs-bound gaps",
-    )
-    dyn.add_argument(
-        "--bound-method",
-        choices=("mixed", "rational", "ipfp"),
-        default="mixed",
-        help="per-epoch lower-bound method used by --bounds (default: mixed; "
-        "ipfp re-targets at heuristic speed)",
-    )
-    dyn.add_argument(
         "--campaign",
         action="store_true",
         help="sweep churn intensity on generated trees (ignores the tree argument)",
     )
     dyn.add_argument(
-        "--heterogeneous", action="store_true", help="campaign: mix server classes"
-    )
-    dyn.add_argument(
         "--trees-per-level", type=int, default=3, help="campaign: trees per churn level"
-    )
-    dyn.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="campaign: evaluate trajectories over N worker processes",
-    )
-    dyn.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the result-protocol payload instead of prose",
-    )
-    dyn.add_argument(
-        "--engine",
-        choices=available_engines(),
-        default=None,
-        help="request-state engine (default: process-wide engine / REPRO_ENGINE)",
-    )
-    dyn.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="solve each epoch shard-by-shard; rate changes confined to one "
-        "shard re-solve only that shard (default: whole-tree)",
     )
     dyn.add_argument(
         "--trace",
@@ -323,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         "from the log (at most --epochs of them) and per-client rates "
         "estimated per epoch",
     )
+    dyn.set_defaults(run=lambda args: _dispatch_dynamic(args, dyn))
 
     trc = sub.add_parser(
         "trace",
@@ -331,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     trc_sub = trc.add_subparsers(dest="trace_command", required=True)
     tin = trc_sub.add_parser(
         "info",
+        parents=[json_out],
         help="ingest a trace file, detect epochs and print the rate table",
     )
     tin.add_argument("file", help="trace file (CSV or JSONL, optionally .gz)")
@@ -371,14 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=4.0,
         help="mean-shift z-score a boundary must reach (default: 4.0)",
     )
-    tin.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the trace_summary payload instead of prose",
-    )
+    tin.set_defaults(run=_dispatch_trace)
 
     srv = sub.add_parser(
         "serve",
+        parents=[mode, engine],
         help="serve placement queries over resident sessions "
         "(stdio, HTTP or TCP)",
     )
@@ -417,19 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
         "memory (LRU eviction until it fits)",
     )
     srv.add_argument(
-        "--mode",
-        choices=("incremental", "patch", "scratch"),
-        default="incremental",
-        help="re-solve mode of the pooled sessions (default: incremental)",
-    )
-    srv.add_argument(
-        "--engine",
-        choices=available_engines(),
-        default=None,
-        help="request-state engine of the pooled sessions (default: "
-        "process-wide engine / REPRO_ENGINE)",
-    )
-    srv.add_argument(
         "--snapshot-dir",
         default=None,
         help="persist resident sessions here (and restore them warm on boot)",
@@ -442,9 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="age out snapshot files of tenants not seen for this many "
         "server restarts (default: keep forever)",
     )
+    srv.set_defaults(run=_dispatch_serve)
 
     load = sub.add_parser(
         "loadtest",
+        parents=[json_out],
         help="drive a serving endpoint with open-loop inhomogeneous-Poisson "
         "load and report req/s plus latency percentiles",
     )
@@ -509,11 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
         "its piecewise-constant intensity is rescaled to --horizon seconds "
         "at --rate mean requests/second",
     )
-    load.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the loadtest_report payload instead of prose",
-    )
+    load.set_defaults(run=lambda args: _dispatch_loadtest(args, load))
 
     bench = sub.add_parser(
         "bench",
@@ -536,260 +529,245 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="collect the selected bench tests without running them",
     )
+    bench.set_defaults(run=_dispatch_bench)
 
     doc = sub.add_parser(
         "doctor",
+        parents=[json_out],
         help="report engine availability, native-kernel compile status, "
         "the active default engine and the LP backend",
     )
-    doc.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the report as JSON instead of prose",
-    )
+    doc.set_defaults(run=_dispatch_doctor)
 
-    sub.add_parser("table1", help="print the computational evidence for paper Table 1")
+    sub.add_parser(
+        "table1", help="print the computational evidence for paper Table 1"
+    ).set_defaults(run=_dispatch_table1)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.run(args)
     except (ReproError, OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "generate":
-        from repro.core.serialization import save_tree
-        from repro.workloads.generator import GeneratorConfig, TreeGenerator
+def _warn_ignored(
+    args: argparse.Namespace,
+    parser: argparse.ArgumentParser,
+    dests: Iterable[str],
+    message: str,
+    *,
+    extra: Sequence[str] = (),
+) -> None:
+    """Warn about the flags among ``dests`` whose value differs from
+    ``parser``'s default, in ``dests`` order after ``extra``.
 
-        tree = TreeGenerator(args.seed).generate(
-            GeneratorConfig(
-                size=args.size,
-                target_load=args.load,
-                homogeneous=not args.heterogeneous,
-                link_bandwidth=args.bandwidth,
-                link_metrics=args.metrics,
-            )
-        )
-        save_tree(tree, args.output)
-        print(f"wrote {tree!r} to {args.output}")
-        return 0
+    ``message`` gets their comma-separated list in its ``{}``; a run that
+    silently drops a flag reads as if the flag had been honoured.
+    """
+    ignored = list(extra) + [
+        "--" + dest.replace("_", "-")
+        for dest in dests
+        if getattr(args, dest) != parser.get_default(dest)
+    ]
+    if ignored:
+        print("warning: " + message.format(", ".join(ignored)), file=sys.stderr)
 
-    if args.command == "solve":
-        from repro.session import PlacementSession
 
-        problem = _load_problem(args.tree, counting=args.counting)
-        session = PlacementSession(
-            problem,
-            policy=args.policy,
-            algorithm=args.algorithm,
-            engine=args.engine,
-            shards=args.shards,
-        )
-        try:
-            result = session.solve()
-        except InfeasibleError as error:
-            if args.json:
-                # The failed SolveResult is cached; re-query without raising.
-                print(session.solve(on_error="none").to_json(indent=2))
-            else:
-                print(f"no solution: {error}")
-            return 2
-        bound = session.bound(method=args.bound_method) if args.bounds else None
-        if args.json:
-            payload = result.to_dict()
-            if bound is not None:
-                # An extra key on the solve payload: from_dict round-trips
-                # ignore it, so the result protocol is unaffected.
-                payload["bound"] = bound.result.to_dict()
-            print(json.dumps(payload, indent=2, sort_keys=True))
-            return 0
-        solution = result.solution
-        print(solution.summary(problem))
-        for node_id in solution.placement.sorted():
-            load = solution.assignment.server_load(node_id)
-            print(f"  replica on {node_id}: load {load:g} / {problem.capacity(node_id):g}")
-        if bound is not None:
-            value = bound.result.value
-            if bound.result.feasible and value > 0:
-                gap = solution.cost(problem) / value - 1.0
-                print(
-                    f"lower bound ({args.bound_method}): {value:g} "
-                    f"| gap {gap:.3f}"
-                )
-            else:
-                print(
-                    f"lower bound ({args.bound_method}): "
-                    + ("infeasible" if not bound.result.feasible else f"{value:g}")
-                )
-        return 0
+def _dispatch_generate(args: argparse.Namespace) -> int:
+    from repro.core.serialization import save_tree
+    from repro.workloads.generator import GeneratorConfig, TreeGenerator
 
-    if args.command == "batch":
-        from repro.api import solve_many
-
-        problems = [_load_problem(path, counting=args.counting) for path in args.trees]
-        solutions = solve_many(
-            problems,
-            policy=args.policy,
-            algorithm=args.algorithm,
-            workers=args.workers,
-            on_error=args.on_error,
-            engine=args.engine,
-        )
-        failed = sum(solution is None for solution in solutions)
-        if args.json:
-            from repro.core.serialization import solution_to_dict
-
-            entries = []
-            for path, problem, solution in zip(args.trees, problems, solutions):
-                entry = {"path": path, "feasible": solution is not None}
-                if solution is not None:
-                    entry["cost"] = solution.cost(problem)
-                    entry["replicas"] = solution.replica_count()
-                    entry["algorithm"] = solution.algorithm
-                    entry["solution"] = solution_to_dict(solution)
-                entries.append(entry)
-            payload = {
-                "type": "batch",
-                "policy": str(args.policy),
-                "solved": len(problems) - failed,
-                "total": len(problems),
-                "results": entries,
-            }
-            print(json.dumps(payload, indent=2, sort_keys=True))
-            return 0 if failed < len(problems) else 2
-        for path, problem, solution in zip(args.trees, problems, solutions):
-            if solution is None:
-                print(f"{path}: no solution")
-            else:
-                print(
-                    f"{path}: cost {solution.cost(problem):g} with "
-                    f"{solution.replica_count()} replicas ({solution.algorithm})"
-                )
-        print(f"solved {len(problems) - failed}/{len(problems)} instances")
-        return 0 if failed < len(problems) else 2
-
-    if args.command == "compare":
-        from repro.api import compare_policies
-
-        problem = _load_problem(args.tree, counting=args.counting)
-        results = compare_policies(
-            problem, bounds=args.bounds, bound_method=args.bound_method
-        )
-        if args.json:
-            print(results.to_json(indent=2))
-            return 0
-        gaps = results.gaps()
-        for policy in Policy.ordered():
-            solution = results[policy]
-            if solution is None:
-                print(f"{policy.value:>9}: no solution")
-            else:
-                line = (
-                    f"{policy.value:>9}: cost {solution.cost(problem):g} "
-                    f"with {solution.replica_count()} replicas ({solution.algorithm})"
-                )
-                gap = gaps.get(policy)
-                if gap is not None:
-                    line += f" | gap {gap:.3f} vs LP bound"
-                print(line)
-        if args.bounds and results.bound is not None:
-            value = results.bound.value
-            print(
-                f"{args.bound_method} lower bound (Multiple relaxation): "
-                + ("infeasible" if not results.bound.feasible else f"{value:g}")
-            )
-        return 0
-
-    if args.command == "campaign":
-        from repro.experiments.harness import CampaignConfig, run_campaign
-
-        config = CampaignConfig(
+    tree = TreeGenerator(args.seed).generate(
+        GeneratorConfig(
+            size=args.size,
+            target_load=args.load,
             homogeneous=not args.heterogeneous,
-            trees_per_lambda=args.trees_per_lambda,
-            size_range=(args.min_size, args.max_size),
-            seed=args.seed,
+            link_bandwidth=args.bandwidth,
+            link_metrics=args.metrics,
         )
-        result = run_campaign(config, workers=args.workers)
-        print(result.describe())
-        print()
-        print("Percentage of success (Figures 9 / 11):")
-        print(result.success_table())
-        print()
-        print("Relative cost against the LP lower bound (Figures 10 / 12):")
-        print(result.relative_cost_table())
+    )
+    save_tree(tree, args.output)
+    print(f"wrote {tree!r} to {args.output}")
+    return 0
+
+
+def _dispatch_solve(args: argparse.Namespace) -> int:
+    from repro.session import PlacementSession
+
+    problem = _load_problem(args.tree, counting=args.counting)
+    session = PlacementSession(
+        problem,
+        policy=args.policy,
+        algorithm=args.algorithm,
+        engine=args.engine,
+        shards=args.shards,
+    )
+    try:
+        result = session.solve()
+    except InfeasibleError as error:
+        if args.json:
+            # The failed SolveResult is cached; re-query without raising.
+            print(session.solve(on_error="none").to_json(indent=2))
+        else:
+            print(f"no solution: {error}")
+        return 2
+    bound = session.bound(method=args.bound_method) if args.bounds else None
+    if args.json:
+        payload = result.to_dict()
+        if bound is not None:
+            # An extra key on the solve payload: from_dict round-trips
+            # ignore it, so the result protocol is unaffected.
+            payload["bound"] = bound.result.to_dict()
+        print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
+    solution = result.solution
+    print(solution.summary(problem))
+    for node_id in solution.placement.sorted():
+        load = solution.assignment.server_load(node_id)
+        print(f"  replica on {node_id}: load {load:g} / {problem.capacity(node_id):g}")
+    if bound is not None:
+        value = bound.result.value
+        if bound.result.feasible and value > 0:
+            gap = solution.cost(problem) / value - 1.0
+            print(
+                f"lower bound ({args.bound_method}): {value:g} "
+                f"| gap {gap:.3f}"
+            )
+        else:
+            print(
+                f"lower bound ({args.bound_method}): "
+                + ("infeasible" if not bound.result.feasible else f"{value:g}")
+            )
+    return 0
 
-    if args.command == "dynamic":
-        return _dispatch_dynamic(args)
 
-    if args.command == "serve":
-        return _dispatch_serve(args)
+def _dispatch_batch(args: argparse.Namespace) -> int:
+    from repro.api import solve_many
 
-    if args.command == "loadtest":
-        return _dispatch_loadtest(args)
+    problems = [_load_problem(path, counting=args.counting) for path in args.trees]
+    solutions = solve_many(
+        problems,
+        policy=args.policy,
+        algorithm=args.algorithm,
+        workers=args.workers,
+        on_error=args.on_error,
+        engine=args.engine,
+    )
+    failed = sum(solution is None for solution in solutions)
+    if args.json:
+        from repro.core.serialization import solution_to_dict
 
-    if args.command == "trace":
-        return _dispatch_trace(args)
+        entries = []
+        for path, problem, solution in zip(args.trees, problems, solutions):
+            entry = {"path": path, "feasible": solution is not None}
+            if solution is not None:
+                entry["cost"] = solution.cost(problem)
+                entry["replicas"] = solution.replica_count()
+                entry["algorithm"] = solution.algorithm
+                entry["solution"] = solution_to_dict(solution)
+            entries.append(entry)
+        payload = {
+            "type": "batch",
+            "policy": Policy.parse(args.policy).value,
+            "solved": len(problems) - failed,
+            "total": len(problems),
+            "results": entries,
+        }
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return 0 if failed < len(problems) else 2
+    for path, problem, solution in zip(args.trees, problems, solutions):
+        if solution is None:
+            print(f"{path}: no solution")
+        else:
+            print(
+                f"{path}: cost {solution.cost(problem):g} with "
+                f"{solution.replica_count()} replicas ({solution.algorithm})"
+            )
+    print(f"solved {len(problems) - failed}/{len(problems)} instances")
+    return 0 if failed < len(problems) else 2
 
-    if args.command == "bench":
-        return _dispatch_bench(args)
 
-    if args.command == "doctor":
-        return _dispatch_doctor(args)
+def _dispatch_compare(args: argparse.Namespace) -> int:
+    from repro.api import compare_policies
 
-    if args.command == "table1":
-        from repro.experiments.tables import table1_table
-
-        print(table1_table())
+    problem = _load_problem(args.tree, counting=args.counting)
+    results = compare_policies(
+        problem, bounds=args.bounds, bound_method=args.bound_method
+    )
+    if args.json:
+        print(results.to_json(indent=2))
         return 0
+    gaps = results.gaps()
+    for policy in Policy.ordered():
+        solution = results[policy]
+        if solution is None:
+            print(f"{policy.value:>9}: no solution")
+        else:
+            line = (
+                f"{policy.value:>9}: cost {solution.cost(problem):g} "
+                f"with {solution.replica_count()} replicas ({solution.algorithm})"
+            )
+            gap = gaps.get(policy)
+            if gap is not None:
+                line += f" | gap {gap:.3f} vs LP bound"
+            print(line)
+    if args.bounds and results.bound is not None:
+        value = results.bound.value
+        print(
+            f"{args.bound_method} lower bound (Multiple relaxation): "
+            + ("infeasible" if not results.bound.feasible else f"{value:g}")
+        )
+    return 0
 
-    raise ValueError(f"unknown command {args.command!r}")  # pragma: no cover
+
+def _dispatch_campaign(args: argparse.Namespace) -> int:
+    from repro.experiments.harness import CampaignConfig, run_campaign
+
+    config = CampaignConfig(
+        homogeneous=not args.heterogeneous,
+        trees_per_lambda=args.trees_per_lambda,
+        size_range=(args.min_size, args.max_size),
+        seed=args.seed,
+    )
+    result = run_campaign(config, workers=args.workers)
+    print(result.describe())
+    print()
+    print("Percentage of success (Figures 9 / 11):")
+    print(result.success_table())
+    print()
+    print("Relative cost against the LP lower bound (Figures 10 / 12):")
+    print(result.relative_cost_table())
+    return 0
 
 
-def _dispatch_dynamic(args: argparse.Namespace) -> int:
+def _dispatch_table1(args: argparse.Namespace) -> int:
+    from repro.experiments.tables import table1_table
+
+    print(table1_table())
+    return 0
+
+
+def _dispatch_dynamic(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> int:
     """The ``dynamic`` sub-command: trajectories and the churn campaign."""
     if args.campaign:
         from repro.experiments.harness import ChurnCampaignConfig, run_churn_campaign
 
-        # The campaign fixes its own churn sweep, cost mode and trajectory
-        # family; warn about every single-trajectory flag it drops.
-        ignored = ["the tree file"] if args.tree is not None else []
-        for flag, inactive in (
-            ("--simulate", not args.simulate),
-            ("--trajectory", args.trajectory == "churn"),
-            ("--mode", args.mode == "incremental"),
-            ("--resolve", args.resolve == "always"),
-            ("--churn", args.churn == 0.1),
-            ("--counting", not args.counting),
-            ("--factor", args.factor == 1.5),
-            ("--at", args.at == 1),
-            ("--amplitude", args.amplitude == 0.3),
-            ("--period", args.period == 8.0),
-            ("--join-rate", args.join_rate == 0.05),
-            ("--leave-rate", args.leave_rate == 0.05),
-            ("--engine", args.engine is None),
-            ("--shards", args.shards is None),
-            ("--region-depth", args.region_depth == 1),
-            ("--trace", args.trace is None),
-            ("--bound-method", args.bound_method == "mixed"),
-        ):
-            if not inactive:
-                ignored.append(flag)
-        if ignored:
-            print(
-                f"warning: --campaign sweeps its own churn trajectories under "
-                f"every mode; ignoring {', '.join(ignored)}",
-                file=sys.stderr,
-            )
-
+        _warn_ignored(
+            args,
+            parser,
+            _CAMPAIGN_IGNORES,
+            "--campaign sweeps its own churn trajectories under every mode; "
+            "ignoring {}",
+            extra=["the tree file"] if args.tree is not None else [],
+        )
         config = ChurnCampaignConfig(
             epochs=args.epochs,
             trees_per_level=args.trees_per_level,
@@ -799,6 +777,7 @@ def _dispatch_dynamic(args: argparse.Namespace) -> int:
             quiet_probability=args.quiet,
             seed=args.seed if args.seed is not None else 2026,
             track_bounds=args.bounds,
+            bound_method=args.bound_method,
         )
         result = run_churn_campaign(config, workers=args.workers)
         if args.json:
@@ -830,121 +809,44 @@ def _dispatch_dynamic(args: argparse.Namespace) -> int:
             "trajectory is solved sequentially (epochs are dependent)",
             file=sys.stderr,
         )
-
-    from repro.workloads import dynamic as trajectories
+    _warn_ignored(
+        args,
+        parser,
+        ("heterogeneous", "trees_per_level"),
+        "only --campaign generates its trees; ignoring {}",
+    )
 
     if args.trace is not None:
         from repro.workloads.traces import detect_epochs, load_trace
 
-        # The trace dictates epoch boundaries and per-client rates; every
-        # trajectory-family knob is dead weight and deserves a warning.
-        ignored = [
-            flag
-            for flag, default in (
-                ("--trajectory", args.trajectory == "churn"),
-                ("--seed", args.seed is None),
-                ("--churn", args.churn == 0.1),
-                ("--magnitude", args.magnitude == 0.5),
-                ("--quiet", args.quiet == 0.25),
-                ("--factor", args.factor == 1.5),
-                ("--at", args.at == 1),
-                ("--amplitude", args.amplitude == 0.3),
-                ("--period", args.period == 8.0),
-                ("--join-rate", args.join_rate == 0.05),
-                ("--leave-rate", args.leave_rate == 0.05),
-                ("--region-depth", args.region_depth == 1),
-            )
-            if not default
-        ]
-        if ignored:
-            print(
-                f"warning: --trace derives the epoch sequence from the log; "
-                f"ignoring {', '.join(ignored)}",
-                file=sys.stderr,
-            )
+        # The trace dictates epoch boundaries and per-client rates.
+        _warn_ignored(
+            args,
+            parser,
+            ("trajectory", "seed", *_TRAJECTORY_KNOBS),
+            "--trace derives the epoch sequence from the log; ignoring {}",
+        )
         problem = _load_problem(args.tree, counting=args.counting)
-        trace = load_trace(args.trace)
-        trace_model = detect_epochs(trace, max_epochs=args.epochs)
-        epochs = trace_model.problems(problem)
-        return _run_dynamic_sequence(args, epochs, trace_model=trace_model)
-
-    # Warn about non-default flags the chosen trajectory family never reads,
-    # mirroring the --campaign branch (silently dropping them reads as the
-    # flags being honoured).
-    flag_owners = {
-        "--churn": ("churn",),
-        "--magnitude": ("churn", "regional"),
-        "--quiet": ("churn", "regional"),
-        "--factor": ("ramp", "step"),
-        "--at": ("step",),
-        "--amplitude": ("seasonal",),
-        "--period": ("seasonal",),
-        "--join-rate": ("join-leave",),
-        "--leave-rate": ("join-leave",),
-        "--region-depth": ("regional",),
-    }
-    defaults = {
-        "--churn": args.churn == 0.1,
-        "--magnitude": args.magnitude == 0.5,
-        "--quiet": args.quiet == 0.25,
-        "--factor": args.factor == 1.5,
-        "--at": args.at == 1,
-        "--amplitude": args.amplitude == 0.3,
-        "--period": args.period == 8.0,
-        "--join-rate": args.join_rate == 0.05,
-        "--leave-rate": args.leave_rate == 0.05,
-        "--region-depth": args.region_depth == 1,
-    }
-    ignored = [
-        flag
-        for flag, owners in flag_owners.items()
-        if args.trajectory not in owners and not defaults[flag]
-    ]
-    if ignored:
-        print(
-            f"warning: the {args.trajectory} trajectory ignores "
-            f"{', '.join(ignored)}",
-            file=sys.stderr,
+        trace_model = detect_epochs(load_trace(args.trace), max_epochs=args.epochs)
+        return _run_dynamic_sequence(
+            args, trace_model.problems(problem), trace_model=trace_model
         )
 
+    from repro.workloads import dynamic as trajectories
+
+    generator, reads = _TRAJECTORIES[args.trajectory]
+    _warn_ignored(
+        args,
+        parser,
+        [dest for dest in _TRAJECTORY_KNOBS if dest not in reads.values()],
+        f"the {args.trajectory} trajectory ignores {{}}",
+    )
     problem = _load_problem(args.tree, counting=args.counting)
-    if args.trajectory == "churn":
-        epochs = trajectories.rate_churn(
-            problem,
-            args.epochs,
-            churn=args.churn,
-            magnitude=args.magnitude,
-            quiet_probability=args.quiet,
-            seed=args.seed,
-        )
-    elif args.trajectory == "ramp":
-        epochs = trajectories.ramp(problem, args.epochs, end_factor=args.factor)
-    elif args.trajectory == "seasonal":
-        epochs = trajectories.seasonal(
-            problem, args.epochs, amplitude=args.amplitude, period=args.period
-        )
-    elif args.trajectory == "step":
-        epochs = trajectories.step_change(
-            problem, args.epochs, at=args.at, factor=args.factor
-        )
-    elif args.trajectory == "regional":
-        epochs = trajectories.regional_churn(
-            problem,
-            args.epochs,
-            depth=args.region_depth,
-            magnitude=args.magnitude,
-            quiet_probability=args.quiet,
-            seed=args.seed,
-        )
-    else:  # join-leave
-        epochs = trajectories.client_join_leave(
-            problem,
-            args.epochs,
-            join_rate=args.join_rate,
-            leave_rate=args.leave_rate,
-            seed=args.seed,
-        )
-
+    epochs = getattr(trajectories, generator)(
+        problem,
+        args.epochs,
+        **{keyword: getattr(args, dest) for keyword, dest in reads.items()},
+    )
     return _run_dynamic_sequence(args, epochs)
 
 
@@ -957,13 +859,6 @@ def _run_dynamic_sequence(
     behind a ``--trace`` replay; it labels the run and supplies the real
     epoch time spans to the ``--simulate`` replay.
     """
-    label = "trace" if trace_model is not None else args.trajectory
-    spans = None
-    if trace_model is not None:
-        spans = list(
-            zip(trace_model.boundaries[:-1], trace_model.boundaries[1:])
-        )
-
     from repro.api import bound_sequence, solve_sequence
 
     result = solve_sequence(
@@ -978,9 +873,19 @@ def _run_dynamic_sequence(
     if args.bounds:
         bounds = bound_sequence(epochs, policy=args.policy, method=args.bound_method)
         gaps = bounds.gaps(result.costs)
+    replay = None
+    if args.simulate:
+        from repro.simulation import simulate_sequence
+
+        spans = None
+        if trace_model is not None:
+            spans = list(
+                zip(trace_model.boundaries[:-1], trace_model.boundaries[1:])
+            )
+        replay = simulate_sequence(epochs, result.solutions, spans=spans)
     if args.json:
         payload = result.to_dict()
-        payload["trajectory"] = label
+        payload["trajectory"] = "trace" if trace_model is not None else args.trajectory
         payload["tree"] = args.tree
         if trace_model is not None:
             payload["trace"] = {
@@ -993,10 +898,7 @@ def _run_dynamic_sequence(
             payload["bounds"] = bounds.to_dict()
             # gaps() yields finite floats or None, both JSON-safe as-is.
             payload["gaps"] = list(gaps)
-        if args.simulate:
-            from repro.simulation import simulate_sequence
-
-            replay = simulate_sequence(epochs, result.solutions, spans=spans)
+        if replay is not None:
             payload["replay"] = {
                 "summary": replay.summary(),
                 "transient_saturations": [
@@ -1028,17 +930,12 @@ def _run_dynamic_sequence(
         print(line)
     if bounds is not None:
         print("Bounds: " + bounds.describe())
-
-    if args.simulate:
-        from repro.simulation import simulate_sequence
-
-        replay = simulate_sequence(epochs, result.solutions, spans=spans)
+    if replay is not None:
         print()
         print("Replay: " + replay.summary())
         for epoch, link in replay.transient_saturations():
             print(f"  epoch {epoch}: link {link[0]!r}->{link[1]!r} saturates")
     return 0 if result.solved_epochs else 2
-
 
 def _host_port(text: str) -> Tuple[str, int]:
     """The ``HOST:PORT`` address of ``serve --http`` / ``--tcp``."""
@@ -1128,7 +1025,9 @@ def _dispatch_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dispatch_loadtest(args: argparse.Namespace) -> int:
+def _dispatch_loadtest(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> int:
     """The ``loadtest`` sub-command: one open-loop IPPP run + report."""
     import numpy as np
 
@@ -1185,12 +1084,12 @@ def _dispatch_loadtest(args: argparse.Namespace) -> int:
             horizon=config.horizon,
             mean_rate=config.rate,
         )
-        if args.burst != 0.5:
-            print(
-                "warning: --trace replaces the sinusoidal intensity; "
-                "ignoring --burst",
-                file=sys.stderr,
-            )
+        _warn_ignored(
+            args,
+            parser,
+            ("burst",),
+            "--trace replaces the sinusoidal intensity; ignoring {}",
+        )
     target = (
         ReproServer(SessionPool(max(args.tenants, 2)))
         if args.target is None

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.exceptions import InfeasibleError, SolverError
 from repro.core.tree import NodeId
+from repro.lp.solver import solver_output_to_stderr
 from repro.multiobject.model import MultiObjectProblem, MultiObjectSolution
 
 if TYPE_CHECKING:
@@ -123,12 +124,13 @@ class _MultiObjectProgram:
         integrality[: len(self.x_pairs)] = 1
         if integral_assignment:
             integrality[len(self.x_pairs):] = 1
-        return optimize.milp(
-            c=self.objective,
-            constraints=[optimize.LinearConstraint(self.matrix, self.lower, self.upper)],
-            integrality=integrality,
-            bounds=optimize.Bounds(self.var_lower, self.var_upper),
-        )
+        with solver_output_to_stderr():
+            return optimize.milp(
+                c=self.objective,
+                constraints=[optimize.LinearConstraint(self.matrix, self.lower, self.upper)],
+                integrality=integrality,
+                bounds=optimize.Bounds(self.var_lower, self.var_upper),
+            )
 
 
 def multi_object_lower_bound(problem: MultiObjectProblem) -> float:

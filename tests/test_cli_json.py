@@ -259,3 +259,70 @@ def test_serve_snapshot_dir_restores_across_processes(tree_file, tmp_path):
     # as a cache hit with a bit-identical payload (runtime included).
     assert stats.solves == 1 and stats.solve_cache_hits == 1
     assert warm_solve.to_dict() == first_solve.to_dict()
+
+
+@pytest.fixture(scope="module")
+def mip_tree_file(tmp_path_factory):
+    """A heterogeneous tree whose mixed-bound MIP makes HiGHS print a
+    diagnostic line to file descriptor 1 (seen with scipy 1.17.1)."""
+    path = tmp_path_factory.mktemp("cli-mip") / "tree.json"
+    result = run_cli(
+        "generate", str(path), "--size", "20", "--load", "0.3",
+        "--heterogeneous", "--seed", "4",
+    )
+    assert result.returncode == 0, result.stderr
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, payload_type",
+    [
+        (("solve", "--bounds", "--json"), "solve_result"),
+        (("compare", "--bounds", "--json"), "compare_result"),
+        (("dynamic", "--epochs", "2", "--bounds", "--json"), "sequence_result"),
+    ],
+    ids=["solve", "compare", "dynamic"],
+)
+def test_mip_bound_keeps_json_stdout_pure(mip_tree_file, argv, payload_type):
+    """Solver output of the mixed MIP goes to stderr, not before the payload."""
+    command, *flags = argv
+    result = run_cli(command, str(mip_tree_file), *flags)
+    assert result.returncode == 0, result.stderr
+    assert assert_pure_json(result.stdout)["type"] == payload_type
+
+
+def test_serve_stdio_mixed_bound_then_solve_stays_in_step(mip_tree_file):
+    """A mixed bound over ``serve --stdio`` yields exactly its reply line, so
+    the next request's reply is the next line the client reads."""
+    from repro.core.problem import ReplicaPlacementProblem
+    from repro.core.serialization import load_tree
+    from repro.serving.client import ServingClient, StdioTransport
+    from repro.session import BoundResult, SolveResult
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = f"{SRC}{os.pathsep}{env.get('PYTHONPATH', '')}".rstrip(
+        os.pathsep
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--stdio"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        client = ServingClient(StdioTransport.for_process(proc))
+        session = client.open(ReplicaPlacementProblem(tree=load_tree(mip_tree_file)))
+        bound = session.bound(method="mixed")
+        solve = session.solve()
+    finally:
+        proc.stdin.close()
+        stdout_rest = proc.stdout.read()
+        stderr = proc.stderr.read()
+        proc.wait(timeout=120)
+    assert proc.returncode == 0, stderr
+    assert isinstance(bound, BoundResult) and bound.method == "mixed"
+    assert isinstance(solve, SolveResult) and solve.feasible
+    assert bound.value <= solve.cost + 1e-9
+    assert stdout_rest == ""

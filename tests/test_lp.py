@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,3 +282,119 @@ class TestExactILP:
     def test_metadata_reports_objective(self, small_counting_problem):
         solution = exact_solution(small_counting_problem, Policy.MULTIPLE)
         assert solution.metadata["objective"] == pytest.approx(2.0)
+
+
+class TestSolverOutputRedirect:
+    """``solver_output_to_stderr`` points fd 1 at fd 2 and always puts it
+    back.  Each case runs in its own interpreter, which owns its fds."""
+
+    @staticmethod
+    def run(body: str):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        script = "import os, sys\nfrom repro.lp.solver import solver_output_to_stderr\n"
+        return subprocess.run(
+            [sys.executable, "-c", script + textwrap.dedent(body)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+
+    def test_nested_blocks_restore_fd1_once_the_outer_one_exits(self):
+        result = self.run(
+            """
+            print("python-before")  # buffered; the guard flushes it to stdout
+            free = os.dup(0); os.close(free)
+            with solver_output_to_stderr():
+                os.write(1, b"native-1\\n")
+                with solver_output_to_stderr():
+                    os.write(1, b"native-2\\n")
+                os.write(1, b"native-3\\n")
+            os.write(1, b"native-after\\n")
+            again = os.dup(0); os.close(again)
+            assert again == free, (again, free)  # the saved fd was closed
+            """
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "python-before\nnative-after\n"
+        assert result.stderr == "native-1\nnative-2\nnative-3\n"
+
+    def test_concurrent_blocks_restore_fd1(self):
+        result = self.run(
+            """
+            import threading
+            from repro.lp import solver
+
+            sys.setswitchinterval(1e-6)
+            barrier = threading.Barrier(8)
+
+            def worker():
+                barrier.wait(timeout=60)
+                for _ in range(200):
+                    with solver_output_to_stderr():
+                        with solver_output_to_stderr():
+                            pass
+
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert solver._redirect_depth == 0
+            assert solver._saved_stdout_fd is None
+            os.write(1, b"restored\\n")
+            """
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "restored\n"
+
+    @pytest.mark.parametrize("closed, expected", [(1, ""), (2, "native\n")])
+    def test_closed_fd_makes_it_a_no_op(self, closed, expected):
+        result = self.run(
+            f"""
+            sys.stdout = sys.stderr = None  # nothing flushes into the closed fd
+            os.close({closed})
+            with solver_output_to_stderr():
+                try:
+                    os.write(1, b"native\\n")
+                except OSError:
+                    pass
+            """
+        )
+        assert result.returncode == 0
+        assert result.stdout == expected
+
+    def test_backend_calls_run_inside_the_redirect(self):
+        result = self.run(
+            """
+            from repro.lp import solver
+            from scipy import optimize
+
+            seen = []
+
+            def spy(name):
+                real = getattr(optimize, name)
+
+                def call(*args, **kwargs):
+                    seen.append((name, solver._redirect_depth))
+                    return real(*args, **kwargs)
+
+                setattr(optimize, name, call)
+
+            spy("milp")
+            spy("linprog")
+            from repro.core.problem import replica_cost_problem
+            from repro.lp import lp_lower_bound, rational_relaxation_bound
+            from repro.workloads.generator import generate_tree
+
+            problem = replica_cost_problem(generate_tree(size=20, target_load=0.3, seed=4))
+            lp_lower_bound(problem)
+            rational_relaxation_bound(problem)
+            assert {name for name, _ in seen} == {"milp", "linprog"}, seen
+            assert all(depth == 1 for _, depth in seen), seen
+            assert solver._redirect_depth == 0
+            """
+        )
+        assert result.returncode == 0, result.stderr
