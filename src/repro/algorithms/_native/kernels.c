@@ -18,6 +18,13 @@
  *   - the drain, cover and sweep kernels also write the state's replica
  *     set and amounts dict, keyed by the layout orders' ids (sink_t).
  *
+ * Drains (drain, both first passes, the second pass, MG's sweep) take the
+ * span's pending clients in (key, repr-rank) order and stop once the
+ * server's budget is spent.  They heapify the candidates and pop them one
+ * by one: (key, rank) is a total order, so the pops come out in exactly the
+ * order a full sort would list them, and a drain that takes k of n
+ * candidates costs O(n + k log n) instead of O(n log n).
+ *
  * Compiled on first use by repro/algorithms/_native (gcc -O2 -shared); no
  * dependency beyond Python.h and libc.
  */
@@ -77,16 +84,50 @@ typedef struct {
     int64_t pos;  /* client layout position */
 } cand_t;
 
+/* x before y in the drains' total order: key, then rank. */
 static int
-cand_cmp(const void *a, const void *b)
+cand_before(const cand_t *x, const cand_t *y)
 {
-    const cand_t *x = (const cand_t *)a;
-    const cand_t *y = (const cand_t *)b;
-    if (x->key < y->key) return -1;
-    if (x->key > y->key) return 1;
-    if (x->rank < y->rank) return -1;
-    if (x->rank > y->rank) return 1;
-    return 0;
+    return x->key < y->key || (x->key == y->key && x->rank < y->rank);
+}
+
+/* Restore the min-heap property below slot i of heap[0:n]. */
+static void
+heap_sift_down(cand_t *heap, int64_t n, int64_t i)
+{
+    cand_t item = heap[i];
+    for (;;) {
+        int64_t child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && cand_before(&heap[child + 1], &heap[child]))
+            child++;
+        if (!cand_before(&heap[child], &item))
+            break;
+        heap[i] = heap[child];
+        i = child;
+    }
+    heap[i] = item;
+}
+
+static void
+heapify(cand_t *heap, int64_t n)
+{
+    for (int64_t i = n / 2 - 1; i >= 0; i--)
+        heap_sift_down(heap, n, i);
+}
+
+/* Remove the least candidate of heap[0:*n] and return its client position. */
+static int64_t
+heap_pop(cand_t *heap, int64_t *n)
+{
+    int64_t pos = heap[0].pos;
+    *n -= 1;
+    if (*n > 0) {
+        heap[0] = heap[*n];
+        heap_sift_down(heap, *n, 0);
+    }
+    return pos;
 }
 
 /* Serve `taken` clients from server position `si`: one fast-engine
@@ -113,11 +154,13 @@ serve_taken(double *rem, double *inr, double *res,
 }
 
 /* Candidate selection + budget walk of the fast engine's drain():
- * filter the span's pending (QoS-eligible) clients, order them by
- * (sign * remaining, repr-rank) ascending, then consume whole clients
- * until the budget runs out (optionally splitting the last one).
- * Fills taken_pos/taken_amt (caller-allocated, span-sized) and returns
- * the count; *drained_out receives the amount drained. */
+ * filter the span's pending (QoS-eligible) clients, then consume whole
+ * clients in (sign * remaining, repr-rank) ascending order until the budget
+ * runs out (optionally splitting the last one).  The order is a heap walk:
+ * the candidates are heapified and popped one at a time, which yields the
+ * decorate-sort's order without sorting the clients the budget never
+ * reaches.  Fills taken_pos/taken_amt (caller-allocated, span-sized) and
+ * returns the count; *drained_out receives the amount drained. */
 static int64_t
 drain_select(const double *rem, const int64_t *rrk,
              const int64_t *thr, int64_t depth,
@@ -145,13 +188,12 @@ drain_select(const double *rem, const int64_t *rrk,
             ncand++;
         }
     }
-    if (ncand > 1)
-        qsort(cands, (size_t)ncand, sizeof(cand_t), cand_cmp);
+    heapify(cands, ncand);
 
     double drained = 0.0;
     int64_t count = 0;
-    for (int64_t k = 0; k < ncand; k++) {
-        int64_t p = cands[k].pos;
+    while (ncand > 0) {
+        int64_t p = heap_pop(cands, &ncand);
         double pending = rem[p];
         if (pending <= budget + TOL) {
             taken_pos[count] = p;
@@ -779,7 +821,9 @@ done:
  * pending clients of its span, ordered by (-remaining, repr-rank), or under
  * QoS by (depth - threshold, repr-rank) -- the number of eligible servers
  * above the node -- taking min(budget, remaining) from each with
- * assign()'s float order, and becomes a replica when it served anything. */
+ * assign()'s float order, and becomes a replica when it served anything.
+ * Like drain_select, it pops a heap of the candidates until the budget is
+ * spent. */
 static PyObject *
 k_sweep_greedy(PyObject *self, PyObject *args)
 {
@@ -843,13 +887,10 @@ k_sweep_greedy(PyObject *self, PyObject *args)
                 ncand++;
             }
         }
-        if (ncand > 1)
-            qsort(cands, (size_t)ncand, sizeof(cand_t), cand_cmp);
+        heapify(cands, ncand);
         int served_any = 0;
-        for (int64_t c = 0; c < ncand; c++) {
-            if (budget <= TOL)
-                break;
-            int64_t p = cands[c].pos;
+        while (ncand > 0 && budget > TOL) {
+            int64_t p = heap_pop(cands, &ncand);
             double pending = rem[p];
             double take = pending < budget ? pending : budget; /* min() */
             if (take <= TOL)

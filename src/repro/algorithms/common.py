@@ -447,7 +447,7 @@ class RequestState:
         """Freeze the current state into a :class:`~repro.core.solution.Solution`."""
         return Solution(
             placement=Placement(self.replicas),
-            assignment=Assignment(self.amounts),
+            assignment=Assignment.of_positive(self.amounts),
             policy=policy,
             algorithm=algorithm,
             metadata=metadata,

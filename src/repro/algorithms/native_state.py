@@ -4,7 +4,7 @@
 :func:`repro.algorithms.common.make_state`.  It keeps the exact public API
 of the dict and fast engines but stores the mutable state in flat
 ``array('d')`` vectors laid out by :class:`~repro.core.index.TreeIndex` and
-runs every hot loop -- span scans, decorate-sort drains, prefix-sum covers,
+runs every hot loop -- span scans, heap-ordered drains, prefix-sum covers,
 whole first/second heuristic passes, MG's bottom-up greedy fold
 (``sweep_greedy``), the UBCF best-fit walk -- inside the C kernels of
 :mod:`repro.algorithms._native` (compiled on first use with the system C
@@ -20,12 +20,13 @@ Equivalence contract
 
 Same as the fast engine's, one level down: every kernel repeats the fast
 implementation's float operations in the same order with the same ``1e-9``
-tolerances (drains select on ``(sign * remaining, repr-rank)`` exactly like
-the decorate-sort, covers batch ``inreq`` with the same prefix sums past the
-same 32-client cutoff, the greedy sweep orders on ``(-remaining, repr-rank)``
-or, under QoS, on ``(depth - threshold, repr-rank)`` exactly like MG's key
-sort), so ``native`` is bit-for-bit identical to ``fast``
-and ``dict`` across the engine-matrix suite.  Paths the kernels cannot
+tolerances (drains pop a heap on ``(sign * remaining, repr-rank)``, a total
+order, so they take clients in the decorate-sort's order; covers batch
+``inreq`` with the same prefix sums past the same 32-client cutoff; the
+greedy sweep pops on ``(-remaining, repr-rank)`` or, under QoS, on
+``(depth - threshold, repr-rank)``, the order of MG's key sort), so
+``native`` is bit-for-bit identical to ``fast`` and ``dict`` across the
+engine-matrix suite.  Paths the kernels cannot
 represent -- non-monotone :class:`ConstraintSet` subclasses, spans addressed
 by client id -- delegate to the inherited fast implementations, which run
 unmodified over the same arrays.
@@ -42,12 +43,14 @@ import sys
 from array import array
 from typing import Dict, Iterator, Optional, Tuple
 
+import numpy as np
+
 from repro.algorithms import _native
 from repro.algorithms.common import _TOL
 from repro.algorithms.fast_state import _BULK_COVER_MIN, FastRequestState
 from repro.core.index import TreeIndex
 from repro.core.problem import ReplicaPlacementProblem
-from repro.core.tree import NodeId
+from repro.core.tree import NodeId, _floats, _ints, _view
 
 __all__ = [
     "NativeRequestState",
@@ -172,9 +175,7 @@ class _NativeArrays:
         self.nse = array("q", index.node_span_end)
         self.nd = array("q", index.node_depth)
         self.cd = array("q", index.client_depth)
-        self.cap = array(
-            "d", map(index.residual_template.__getitem__, index.node_order)
-        )
+        self.cap = _floats(_view(index.store.capacity)[index._node_perm])
         # Bottom-up ancestor chains as dense node positions, flattened in
         # CSR form (client c's chain is caf[cao[c] : cao[c + 1]]).
         client_parent = array("q", index.client_parent)
@@ -187,14 +188,19 @@ class _NativeArrays:
         kernels.build_chains(node_parent, node_parent, self.naf, self.nao)
         # Integer rank of every client under the (repr(id), position)
         # lexicographic order: comparing ranks in C reproduces the decorated
-        # tuple sort's tie-breaking exactly (stable sort on repr alone keeps
-        # equal reprs in position order, which is the trailing tuple key).
+        # tuple sort's tie-breaking exactly (a stable sort on repr alone
+        # keeps equal reprs in position order, the trailing tuple key).
+        # numpy compares unicode strings by code point, as Python does, but
+        # ignores trailing NULs; the rare repr holding one is sorted by
+        # Python.
         reprs = index.client_repr
-        by_repr = sorted(range(index.n_clients), key=reprs.__getitem__)
-        rrk = array("q", bytes(8 * index.n_clients))
-        for rank, position in enumerate(by_repr):
-            rrk[position] = rank
-        self.rrk = rrk
+        if "\x00" in "".join(reprs):
+            by_repr = sorted(range(index.n_clients), key=reprs.__getitem__)
+        else:
+            by_repr = np.argsort(np.array(reprs, dtype=str), kind="stable")
+        rrk = np.empty(index.n_clients, dtype=np.int64)
+        rrk[by_repr] = np.arange(index.n_clients)
+        self.rrk = _ints(rrk)
         self._post_order = None
 
     def post_order(self, index: TreeIndex) -> array:
@@ -287,13 +293,11 @@ class NativeRequestState(FastRequestState):
         self._index = index
         arrays = _native_arrays(index, kernels)
         self._arrays = arrays
-        remaining_vec = array("d", index.client_requests)
-        inreq_vec = array(
-            "d", map(index.inreq_template.__getitem__, index.node_order)
-        )
-        residual_vec = array(
-            "d", map(index.residual_template.__getitem__, index.node_order)
-        )
+        # Gathered from the tree's columns by layout position.
+        tree = self.tree
+        remaining_vec = _floats(_view(tree._requests)[index._client_slots])
+        inreq_vec = _floats(_view(tree._subtree)[index._node_perm])
+        residual_vec = arrays.cap[:]
         self._remaining_vec = remaining_vec
         self._inreq_vec = inreq_vec
         self._residual_vec = residual_vec

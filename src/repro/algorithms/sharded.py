@@ -136,7 +136,8 @@ def stitch_solutions(
                 amounts[pair] = amounts.get(pair, 0.0) + value
     return Solution(
         placement=placement,
-        assignment=Assignment(amounts),
+        # sums of the regions' amounts, each a positive float already
+        assignment=Assignment.of_positive(amounts),
         policy=policy,
         algorithm=algorithm,
         metadata=metadata or {},

@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="solve a tree JSON file under one policy",
     )
     slv.add_argument("tree", help="tree JSON file (see the generate sub-command)")
-    slv.set_defaults(run=_dispatch_solve)
+    slv.set_defaults(run=lambda args: _dispatch_solve(args, slv))
 
     batch = sub.add_parser(
         "batch",
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare the three policies on a tree",
     )
     cmp.add_argument("tree", help="tree JSON file")
-    cmp.set_defaults(run=_dispatch_compare)
+    cmp.set_defaults(run=lambda args: _dispatch_compare(args, cmp))
 
     camp = sub.add_parser(
         "campaign",
@@ -579,6 +579,18 @@ def _warn_ignored(
         print("warning: " + message.format(", ".join(ignored)), file=sys.stderr)
 
 
+def _warn_unbounded(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """``--bound-method`` computes no bound without ``--bounds``."""
+    if not args.bounds:
+        _warn_ignored(args, parser, ("bound_method",), "ignoring {} (no --bounds)")
+
+
+def _bound_name(method: str) -> str:
+    """How prose names a bound: the mixed and rational programs give the
+    LP bound, the other methods go by their name."""
+    return "LP" if method in ("mixed", "rational") else method
+
+
 def _dispatch_generate(args: argparse.Namespace) -> int:
     from repro.core.serialization import save_tree
     from repro.workloads.generator import GeneratorConfig, TreeGenerator
@@ -597,9 +609,10 @@ def _dispatch_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dispatch_solve(args: argparse.Namespace) -> int:
+def _dispatch_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from repro.session import PlacementSession
 
+    _warn_unbounded(args, parser)
     problem = _load_problem(args.tree, counting=args.counting)
     session = PlacementSession(
         problem,
@@ -693,9 +706,10 @@ def _dispatch_batch(args: argparse.Namespace) -> int:
     return 0 if failed < len(problems) else 2
 
 
-def _dispatch_compare(args: argparse.Namespace) -> int:
+def _dispatch_compare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from repro.api import compare_policies
 
+    _warn_unbounded(args, parser)
     problem = _load_problem(args.tree, counting=args.counting)
     results = compare_policies(
         problem, bounds=args.bounds, bound_method=args.bound_method
@@ -715,7 +729,7 @@ def _dispatch_compare(args: argparse.Namespace) -> int:
             )
             gap = gaps.get(policy)
             if gap is not None:
-                line += f" | gap {gap:.3f} vs LP bound"
+                line += f" | gap {gap:.3f} vs {_bound_name(args.bound_method)} bound"
             print(line)
     if args.bounds and results.bound is not None:
         value = results.bound.value
@@ -757,6 +771,7 @@ def _dispatch_dynamic(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
     """The ``dynamic`` sub-command: trajectories and the churn campaign."""
+    _warn_unbounded(args, parser)
     if args.campaign:
         from repro.experiments.harness import ChurnCampaignConfig, run_churn_campaign
 
@@ -795,7 +810,10 @@ def _dispatch_dynamic(
         print(result.replica_churn_table())
         if args.bounds:
             print()
-            print("Cost relative to the per-epoch LP lower bound:")
+            print(
+                f"Cost relative to the per-epoch {_bound_name(args.bound_method)} "
+                "lower bound:"
+            )
             print(result.gap_table())
         return 0
 

@@ -50,7 +50,7 @@ def placement_cost(problem: ReplicaPlacementProblem, placement) -> float:
         nodes: Iterable[NodeId] = placement.replicas
     else:
         nodes = placement
-    return sum(problem.storage_cost(node_id) for node_id in nodes)
+    return sum(problem.storage_costs_of(nodes))
 
 
 def request_lower_bound(tree: TreeNetwork) -> int:

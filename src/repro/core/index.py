@@ -527,17 +527,19 @@ class TreeIndex:
         """
         cached = self._np_cache.get("client_ancestor_positions")
         if cached is None:
-            import numpy as np
-
-            node_pos = self.node_pos
-            lengths = [len(chain) for chain in self.client_ancestors]
+            # One numpy step per depth level: every client still climbing
+            # writes its current ancestor into its next slot, then moves up.
             offsets = np.zeros(self.n_clients + 1, dtype=np.intp)
-            np.cumsum(lengths, out=offsets[1:])
-            flat = np.fromiter(
-                (node_pos[nid] for chain in self.client_ancestors for nid in chain),
-                dtype=np.intp,
-                count=int(offsets[-1]),
-            )
+            np.cumsum(self.client_depth, out=offsets[1:])
+            flat = np.empty(int(offsets[-1]), dtype=np.intp)
+            node_parent = np.array(self.node_parent, dtype=np.intp)
+            ancestor = np.array(self.client_parent, dtype=np.intp)
+            slot = offsets[:-1].copy()
+            while ancestor.size:
+                flat[slot] = ancestor
+                ancestor = node_parent[ancestor]
+                climbing = ancestor >= 0
+                ancestor, slot = ancestor[climbing], slot[climbing] + 1
             cached = (flat, offsets)
             self._np_cache["client_ancestor_positions"] = cached
         return cached

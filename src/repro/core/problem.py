@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.constraints import ConstraintSet, QoSMode
 from repro.core.exceptions import TreeStructureError
@@ -86,9 +86,18 @@ class ReplicaPlacementProblem:
             return self.tree.capacity(node_id)
         return self.tree.storage_cost(node_id)
 
+    def storage_costs_of(self, node_ids: Iterable[NodeId]) -> List[float]:
+        """``[storage_cost(n) for n in node_ids]``, read from the tree's
+        columns."""
+        kind = self.kind
+        name = "storage_cost" if kind is ProblemKind.GENERAL else "capacity"
+        costs = self.tree.node_values(name, node_ids)
+        return [1.0] * len(costs) if kind is ProblemKind.REPLICA_COUNTING else costs
+
     def storage_costs(self) -> Dict[NodeId, float]:
         """Mapping of every internal node to its storage cost."""
-        return {nid: self.storage_cost(nid) for nid in self.tree.node_ids}
+        node_ids = self.tree.node_ids
+        return dict(zip(node_ids, self.storage_costs_of(node_ids)))
 
     def capacity(self, node_id: NodeId) -> float:
         """Processing capacity ``W_j`` of ``node_id``."""

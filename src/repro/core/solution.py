@@ -22,6 +22,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.exceptions import PolicyViolationError, TreeStructureError
 from repro.core.policies import Policy
+from repro.core.problem import ReplicaPlacementProblem
 from repro.core.tree import NodeId, TreeNetwork
 
 __all__ = ["Placement", "Assignment", "Solution"]
@@ -87,6 +88,15 @@ class Assignment:
     # construction helpers
     # ------------------------------------------------------------------ #
     @classmethod
+    def of_positive(cls, amounts: Mapping[Tuple[NodeId, NodeId], float]) -> "Assignment":
+        """An assignment over a copy of ``amounts``, whose values the caller
+        guarantees are positive floats (a solver state's bookkeeping), so
+        they are not re-checked one by one."""
+        assignment = cls.__new__(cls)
+        assignment._amounts = dict(amounts)
+        return assignment
+
+    @classmethod
     def single_server(cls, servers: Mapping[NodeId, NodeId], tree: TreeNetwork) -> "Assignment":
         """Build an assignment from a ``client -> server`` map (single-server policies)."""
         amounts = {}
@@ -96,7 +106,7 @@ class Assignment:
 
     def copy(self) -> "Assignment":
         """Return an independent copy of this assignment."""
-        return Assignment(dict(self._amounts))
+        return Assignment.of_positive(self._amounts)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -225,7 +235,14 @@ class Solution:
 
     # ------------------------------------------------------------------ #
     def cost(self, problem) -> float:
-        """Total storage cost of the placement under ``problem``'s cost mode."""
+        """Total storage cost of the placement under ``problem``'s cost mode.
+
+        Summed in the placement's iteration order, so reading a
+        :class:`~repro.core.problem.ReplicaPlacementProblem`'s costs from
+        the tree's columns adds the same floats as the per-node calls.
+        """
+        if isinstance(problem, ReplicaPlacementProblem):
+            return sum(problem.storage_costs_of(self.placement))
         return sum(problem.storage_cost(node_id) for node_id in self.placement)
 
     def replica_count(self) -> int:

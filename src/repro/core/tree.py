@@ -55,7 +55,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
-from operator import attrgetter, contains, itemgetter
+from operator import attrgetter
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -205,6 +205,20 @@ class Link:
     def key(self) -> Tuple[NodeId, NodeId]:
         """The ``(child, parent)`` pair identifying this link."""
         return (self.child, self.parent)
+
+
+def _setters(cls, *names: str) -> Tuple[Any, ...]:
+    """The slot setters of a slotted frozen record: a view built with
+    ``object.__new__`` gets its fields through them, skipping ``__init__``
+    and ``__post_init__``, whose checks construction already ran on the
+    columns."""
+    return tuple(cls.__dict__[name].__set__ for name in names)
+
+
+_NODE_SLOTS = _setters(InternalNode, "id", "capacity", "storage_cost", "metadata")
+_CLIENT_SLOTS = _setters(Client, "id", "requests", "qos", "metadata")
+_LINK_SLOTS = _setters(Link, "child", "parent", "comm_time", "bandwidth", "metrics")
+_new = object.__new__
 
 
 def _floats(values: Iterable[float]) -> array:
@@ -601,25 +615,40 @@ class TreeNetwork:
             )
         return self._link_view(self._store.pos[child])
 
+    # The views fill their slots directly (see _setters); absent metadata
+    # becomes a fresh {}, as the records' default.
     def _node_view(self, p: int) -> InternalNode:
         store = self._store
-        metadata = store.metadata.get(p)
-        if metadata is None:
-            return InternalNode(store.ids[p], store.capacity[p], store.storage[p])
-        return InternalNode(store.ids[p], store.capacity[p], store.storage[p], metadata)
+        view = _new(InternalNode)
+        set_id, set_capacity, set_cost, set_metadata = _NODE_SLOTS
+        set_id(view, store.ids[p])
+        set_capacity(view, store.capacity[p])
+        set_cost(view, store.storage[p])
+        set_metadata(view, store.metadata.get(p) or {})
+        return view
 
     def _client_view(self, k: int) -> Client:
         store = self._store
         p = store.n_nodes + k
-        metadata = store.metadata.get(p)
-        if metadata is None:
-            return Client(store.ids[p], self._requests[k], store.qos[k])
-        return Client(store.ids[p], self._requests[k], store.qos[k], metadata)
+        view = _new(Client)
+        set_id, set_requests, set_qos, set_metadata = _CLIENT_SLOTS
+        set_id(view, store.ids[p])
+        set_requests(view, self._requests[k])
+        set_qos(view, store.qos[k])
+        set_metadata(view, store.metadata.get(p) or {})
+        return view
 
     def _link_view(self, p: int) -> Link:
         store = self._store
         child, parent = store.endpoints.get(p) or (store.ids[p], store.ids[store.parent[p]])
-        return Link(child, parent, store.comm[p], store.bandwidth[p], store.metrics.get(p))
+        view = _new(Link)
+        set_child, set_parent, set_comm, set_bandwidth, set_metrics = _LINK_SLOTS
+        set_child(view, child)
+        set_parent(view, parent)
+        set_comm(view, store.comm[p])
+        set_bandwidth(view, store.bandwidth[p])
+        set_metrics(view, store.metrics.get(p))
+        return view
 
     def is_client(self, element_id: NodeId) -> bool:
         """``True`` when ``element_id`` identifies a client leaf."""
@@ -662,6 +691,19 @@ class TreeNetwork:
     def storage_cost(self, node_id: NodeId) -> float:
         """Declared storage cost ``s_j`` of an internal node."""
         return self._store.storage[self._node_position(node_id)]
+
+    def node_values(self, name: str, node_ids: Iterable[NodeId]) -> List[float]:
+        """``"capacity"`` or ``"storage_cost"`` of each of ``node_ids``, in
+        their order, read from the column by position; the first unknown id
+        raises like :meth:`capacity`."""
+        store = self._store
+        node_ids = list(node_ids)
+        positions = list(map(store.pos.get, node_ids, repeat(_ABSENT)))
+        if positions and max(positions) >= store.n_nodes:
+            for node_id in node_ids:
+                self._node_position(node_id)
+        values = store.capacity if name == "capacity" else store.storage
+        return list(map(values.__getitem__, positions))
 
     def requests(self, client_id: NodeId) -> float:
         """Request rate ``r_i`` of a client."""
@@ -746,19 +788,6 @@ class TreeNetwork:
             if store.memo.ancestors is not None:
                 raise  # an unhashable id
         return self._ancestors[self._position(element_id)]
-
-    def all_upward(self, pairs: Sequence[Tuple[NodeId, NodeId]]) -> bool:
-        """``True`` when every ``(client, server)`` pair names a client and
-        one of its ancestors: the shape of a placement assignment, checked
-        in bulk."""
-        if not pairs:
-            return True
-        store = self._store
-        positions = list(map(store.pos.get, map(itemgetter(0), pairs), repeat(-1)))
-        if min(positions) < store.n_nodes:
-            return False
-        chains = map((store.memo.ancestors or self._ancestors).__getitem__, positions)
-        return all(map(contains, chains, map(itemgetter(1), pairs)))
 
     def is_ancestor(self, ancestor_id: NodeId, element_id: NodeId) -> bool:
         """``True`` when ``ancestor_id`` lies on the path from ``element_id`` to the root."""

@@ -19,19 +19,28 @@ Section 3):
 The result is a :class:`ValidationReport` collecting every violation found
 (rather than stopping at the first one), which the tests and the experiment
 harness rely on for diagnostics.
+
+Structure, coverage and server capacities are checked in bulk first, over
+the tree's columns: the upward check lifts every client ``depth[c] -
+depth[s]`` parents, and ``np.bincount`` adds the client totals and server
+loads in assignment order, the order of the per-pair sums.  Only a check
+that fails in bulk walks the pairs, to name every violation in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.exceptions import InfeasibleError
 from repro.core.policies import Policy
 from repro.core.problem import ReplicaPlacementProblem
 from repro.core.solution import Solution
-from repro.core.tree import NodeId
+from repro.core.tree import _ABSENT, NodeId, _view
 
 __all__ = ["ValidationReport", "validate_solution", "closest_server_map"]
 
@@ -96,6 +105,28 @@ def closest_server_map(tree, placement) -> dict:
     return servers
 
 
+def _upward_columns(tree, amounts: dict):
+    """``(client slots, server positions, amounts)`` of an assignment whose
+    every pair names a client and one of its ancestors, else ``None``.
+
+    Each client climbs ``depth[c] - depth[s]`` parents on the store's
+    columns, one numpy step per level, and must land on its server.
+    """
+    store, n = tree._store, len(amounts)
+    clients = np.fromiter(map(store.pos.get, map(itemgetter(0), amounts), repeat(-1)), np.int64, n)
+    servers = np.fromiter(map(store.pos.get, map(itemgetter(1), amounts), repeat(_ABSENT)), np.int64, n)
+    if n and (clients.min() < store.n_nodes or servers.max() >= store.n_nodes):
+        return None
+    parent, depth = _view(store.parent), _view(store.depth)
+    lift = depth[clients] - depth[servers]
+    at = clients
+    for step in range(int(lift.max(initial=0))):
+        at = np.where(lift > step, parent[at], at)
+    if not np.array_equal(at, servers):
+        return None
+    return clients - store.n_nodes, servers, np.fromiter(amounts.values(), np.float64, n)
+
+
 def validate_solution(
     problem: ReplicaPlacementProblem,
     solution: Solution,
@@ -126,17 +157,20 @@ def validate_solution(
     # ------------------------------------------------------------------ #
     # 1. structural checks
     # ------------------------------------------------------------------ #
-    for node_id in placement:
-        if not tree.is_node(node_id):
-            report.record("structure", f"replica placed on unknown node {node_id!r}")
+    store = tree._store
+    if max(map(store.pos.get, placement, repeat(_ABSENT)), default=0) >= store.n_nodes:
+        for node_id in placement:
+            if not tree.is_node(node_id):
+                report.record("structure", f"replica placed on unknown node {node_id!r}")
 
     # A sound assignment passes in bulk; only a faulty one is walked pair
     # by pair, to name every defect in order.
-    pairs = list(map(itemgetter(0), assignment.items()))
-    sound = tree.all_upward(pairs) and placement.replicas.issuperset(
-        map(itemgetter(1), pairs)
+    amounts = assignment._amounts
+    columns = _upward_columns(tree, amounts)
+    sound = columns is not None and placement.replicas.issuperset(
+        map(itemgetter(1), amounts)
     )
-    for client_id, server_id in () if sound else pairs:
+    for client_id, server_id in () if sound else list(amounts):
         if not tree.is_client(client_id):
             report.record("structure", f"assignment references unknown client {client_id!r}")
             continue
@@ -155,14 +189,24 @@ def validate_solution(
                 "replicas can only serve clients of their own subtree",
             )
 
+    # Bulk verdicts of the coverage and capacity checks; a check that fails
+    # (or an assignment that is not upward) walks the pairs below.
+    covered = within = False
+    if columns is not None:
+        slots, servers, values = columns
+        totals = np.bincount(slots, weights=values, minlength=len(store.ids) - store.n_nodes)
+        covered = not (np.abs(totals - _view(tree._requests)) > tolerance).any()
+        loads = np.bincount(servers, weights=values, minlength=store.n_nodes)
+        within = not (loads > _view(store.capacity) + tolerance).any()
+
     # ------------------------------------------------------------------ #
     # 2. coverage
     # ------------------------------------------------------------------ #
-    client_totals = assignment.client_totals()
     # Clients in breadth-first order, with their rates read from the
     # tree's columns.
     client_ids, rates = tree.client_ids, tree.column("requests")
-    for client_id, requests in zip(client_ids, rates):
+    client_totals = {} if covered else assignment.client_totals()
+    for client_id, requests in () if covered else zip(client_ids, rates):
         assigned = client_totals.get(client_id, 0.0)
         if abs(assigned - requests) > tolerance:
             report.record(
@@ -213,7 +257,7 @@ def validate_solution(
     # ------------------------------------------------------------------ #
     # 4. server capacities
     # ------------------------------------------------------------------ #
-    for server_id, load in assignment.server_loads().items():
+    for server_id, load in () if within else assignment.server_loads().items():
         if not tree.is_node(server_id):
             continue  # structural violation already recorded
         capacity = problem.capacity(server_id)

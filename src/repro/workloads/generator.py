@@ -50,68 +50,6 @@ __all__ = [
 ]
 
 
-class _OrderedSampler:
-    """Select-by-rank over a dynamic subset of ``0..n-1``, in position order.
-
-    A Fenwick tree of membership bits: ``select(k)`` returns the position of
-    the ``k``-th member (0-based, ascending position), ``add``/``discard``
-    flip membership -- all ``O(log n)``.  The generator loops below use it to
-    replace ``O(n)`` "filter the prefix, then index into it" scans while
-    drawing *exactly* the same elements for the same rng stream (the member
-    count and the rank-to-element mapping match the filtered list they
-    replace).
-    """
-
-    __slots__ = ("_n", "_tree", "_member", "_count")
-
-    def __init__(self, n: int) -> None:
-        self._n = n
-        self._tree = [0] * (n + 1)
-        self._member = [False] * n
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __contains__(self, position: int) -> bool:
-        return self._member[position]
-
-    def _update(self, position: int, delta: int) -> None:
-        tree, n = self._tree, self._n
-        index = position + 1
-        while index <= n:
-            tree[index] += delta
-            index += index & (-index)
-
-    def add(self, position: int) -> None:
-        if not self._member[position]:
-            self._member[position] = True
-            self._count += 1
-            self._update(position, 1)
-
-    def discard(self, position: int) -> None:
-        if self._member[position]:
-            self._member[position] = False
-            self._count -= 1
-            self._update(position, -1)
-
-    def select(self, rank: int) -> int:
-        """Position of the ``rank``-th member (0-based, ascending)."""
-        if not 0 <= rank < self._count:
-            raise IndexError(rank)
-        tree, n = self._tree, self._n
-        target = rank + 1
-        position = 0
-        bit = 1 << n.bit_length()
-        while bit:
-            nxt = position + bit
-            if nxt <= n and tree[nxt] < target:
-                target -= tree[nxt]
-                position = nxt
-            bit >>= 1
-        return position  # 0-based: `position` 1-past-the-prefix minus one
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Parameters of a random tree draw.
@@ -219,27 +157,22 @@ class TreeGenerator:
 
         # --- topology over internal nodes (random recursive tree) -------- #
         # The candidate pool is "nodes already drawn that still have a free
-        # child slot, in draw order"; the sampler keeps it under O(log n)
-        # per node where rebuilding the filtered prefix would be O(n).  The
-        # pool can never drain (a newly added node always has free slots
-        # with max_children >= 1), so the legacy all-full fallback is kept
-        # only as a guard.
+        # child slot, in draw order", an ascending list: a draw indexes it,
+        # a full node leaves it at the drawn index, and the new node joins
+        # at the end.  It never drains (a new node has a free slot with
+        # max_children >= 1).
         node_names = [f"n{i}" for i in range(n_nodes)]
         parent_index_of = [-1] * n_nodes
         child_count = [0] * n_nodes
-        open_nodes = _OrderedSampler(n_nodes)
-        open_nodes.add(0)
+        open_nodes = [0]
         for index in range(1, n_nodes):
-            if len(open_nodes):
-                choice = int(rng.integers(len(open_nodes)))
-                parent_index = open_nodes.select(choice)
-            else:  # pragma: no cover - unreachable with max_children >= 1
-                parent_index = int(rng.integers(index))
+            choice = int(rng.integers(len(open_nodes)))
+            parent_index = open_nodes[choice]
             parent_index_of[index] = parent_index
             child_count[parent_index] += 1
             if child_count[parent_index] >= config.max_children:
-                open_nodes.discard(parent_index)
-            open_nodes.add(index)
+                del open_nodes[choice]
+            open_nodes.append(index)
 
         # --- attach clients ---------------------------------------------- #
         # "leaves" attaches clients below the internal nodes that have no
@@ -258,20 +191,16 @@ class TreeGenerator:
             # Balance the number of clients per edge node: every client goes
             # to one of the currently least-loaded pool nodes.  Those are
             # exactly the pool nodes not yet drawn at the current load level
-            # (in pool order), so one sampler drained level by level -- and
-            # refilled with the whole pool when a level completes -- replaces
-            # the O(|pool|) min-and-filter scan per client.
-            lightest = _OrderedSampler(len(attachment_pool))
-            for position in range(len(attachment_pool)):
-                lightest.add(position)
-            for _ in client_names:
-                choice = int(rng.integers(len(lightest)))
-                position = lightest.select(choice)
-                client_parents.append(attachment_pool[position])
-                lightest.discard(position)
-                if not len(lightest):
-                    for refill in range(len(attachment_pool)):
-                        lightest.add(refill)
+            # (in pool order), so each level draws from a fresh copy of the
+            # pool and removes the drawn node.  The draw bounds are known in
+            # advance (P, P - 1, ..., 1, P, ... for a pool of P), and one
+            # bulk draw over them consumes the same stream as a scalar draw
+            # per client.
+            pool = len(attachment_pool)
+            choices = rng.integers(pool - np.arange(n_clients) % pool).tolist()
+            for start in range(0, n_clients, pool):
+                lightest = list(attachment_pool)
+                client_parents.extend(map(lightest.pop, choices[start : start + pool]))
         else:
             # One bulk draw consumes the same stream as a scalar draw per
             # client (the pinned-digest tests hold it to that).
@@ -417,10 +346,9 @@ def large_tree(
 ) -> TreeNetwork:
     """A distribution tree with (exactly) ``n_clients`` client leaves.
 
-    The scaling-up entry point: the generator's draw loops are
-    ``O(size log size)`` (see :class:`_OrderedSampler`), so a 10^5-client
-    tree builds in seconds -- the regime the sharded solve path
-    (:func:`repro.algorithms.sharded.solve_sharded`) is built for.  The
+    The scaling-up entry point: the generator's draws are list operations,
+    so a 10^5-client tree builds in seconds -- the regime the sharded solve
+    path (:func:`repro.algorithms.sharded.solve_sharded`) is built for.  The
     default ``client_fraction=0.9`` keeps the internal hierarchy an order
     of magnitude smaller than the client population, the shape of a real
     edge-distribution tree; all other :class:`GeneratorConfig` knobs pass

@@ -165,3 +165,30 @@ def test_campaign_only_flags_warn_on_a_single_trajectory(
         "warning: only --campaign generates its trees; "
         "ignoring --heterogeneous, --trees-per-level"
     ) in err
+
+
+@pytest.mark.parametrize("command", ["solve", "compare", "dynamic"])
+def test_bound_method_without_bounds_warns(command, tree_file, capsys):
+    argv = [command, tree_file] + (["--epochs", "2"] if command == "dynamic" else [])
+    assert main([*argv, "--bound-method", "ipfp"]) == 0
+    assert "warning: ignoring --bound-method (no --bounds)" in capsys.readouterr().err
+    assert main([*argv, "--bounds", "--bound-method", "ipfp", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert "warning" not in captured.err
+    json.loads(captured.out)
+
+
+def test_prose_names_the_bound_method(tree_file, capsys):
+    assert main(["compare", tree_file, "--bounds", "--bound-method", "ipfp"]) == 0
+    out = capsys.readouterr().out
+    assert "vs ipfp bound" in out and "LP bound" not in out
+    assert main(["compare", tree_file, "--bounds"]) == 0
+    assert "vs LP bound" in capsys.readouterr().out
+    campaign = [
+        "dynamic", "--campaign", "--bounds", "--epochs", "2",
+        "--trees-per-level", "1", "--seed", "5",
+    ]
+    assert main([*campaign, "--bound-method", "ipfp"]) == 0
+    out = capsys.readouterr().out
+    assert "Cost relative to the per-epoch ipfp lower bound:" in out
+    assert "LP" not in out

@@ -387,3 +387,88 @@ def test_greedy_sweep_matches_seed_engine(engine, seed, size, rates, zero_share,
     seed_state.greedy_sweep()
     other_state.greedy_sweep()
     assert _sweep_outcome(other_state) == _sweep_outcome(seed_state)
+
+
+# --------------------------------------------------------------------------- #
+# the drains (drain, both first passes, the second pass, MG's sweep)
+# --------------------------------------------------------------------------- #
+#: a node's budget as a share of its capacity: small shares stop a drain
+#: mid-span, the whole capacity lets the first passes saturate
+_BUDGET_SHARES = (0.3, 0.6, 1.0)
+_DRAIN_STEPS = ("drain", "first_pre", "first_post", "second", "greedy")
+
+
+def _run_drain_step(state: RequestState, step: str, share: float, **order) -> None:
+    if step == "drain":
+        for node_id in state.tree.post_order_nodes():
+            state.place(node_id)
+            state.drain(node_id, share * state.problem.capacity(node_id), **order)
+    elif step in ("first_pre", "first_post"):
+        state.first_pass_sweep(order=step[len("first_"):], **order)
+    elif step == "second":
+        state.first_pass_sweep(**order)
+        state.second_pass_sweep(**order)
+    else:
+        state.greedy_sweep()
+
+
+@pytest.mark.parametrize("engine", ALT_ENGINES)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    size=st.integers(min_value=6, max_value=60),
+    rates=st.sampled_from(_RATE_SHAPES),
+    zero_share=st.sampled_from((0.0, 0.2)),
+    qos=st.sampled_from(("none", "distance", "latency", "classed")),
+    step=st.sampled_from(_DRAIN_STEPS),
+    share=st.sampled_from(_BUDGET_SHARES),
+    largest_first=st.booleans(),
+    split_last=st.booleans(),
+)
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_drains_match_seed_engine(
+    engine, seed, size, rates, zero_share, qos, step, share, largest_first, split_last
+):
+    """Every drain takes the same clients in the same order on every engine:
+    tied rates (repr tie-breaks), budgets that stop mid-span, whole-client
+    mode skipping clients larger than the budget, and QoS thresholds.
+
+    The fast engine subtracts a drain's total from the server's residual
+    at once where the dict engine subtracts per client, so residuals are
+    compared only between the fast and native engines, which share that
+    float order."""
+    problem = _sweep_problem(seed, size, rates, zero_share, qos)
+    order = dict(largest_first=largest_first, split_last=split_last)
+    states = {}
+    for name in dict.fromkeys(("dict", "fast", engine)):
+        states[name] = make_state(problem, engine=name)
+        _run_drain_step(states[name], step, share, **order)
+
+    def served(state):
+        return (
+            set(state.replicas),
+            [(key, amount.hex()) for key, amount in state.amounts.items()],
+            _sweep_outcome(state)[2],
+        )
+
+    assert served(states[engine]) == served(states["dict"])
+    assert _sweep_outcome(states[engine]) == _sweep_outcome(states["fast"])
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("seed", [3, 8])
+def test_to_solution_keeps_every_positive_amount(engine, seed):
+    """``to_solution`` hands the state's amounts over unchecked: every one is
+    a positive float, so the assignment equals a checked copy, in order."""
+    from repro.core.policies import Policy
+    from repro.core.solution import Assignment
+
+    problem = instance(seed)
+    state = make_state(problem, engine=engine)
+    state.first_pass_sweep(largest_first=False, split_last=True)
+    state.greedy_sweep()
+    assert state.amounts
+    assert all(type(value) is float and value > 0 for value in state.amounts.values())
+    assignment = state.to_solution(Policy.MULTIPLE, "sweeps").assignment
+    assert assignment == Assignment(state.amounts)
+    assert list(assignment.items()) == list(Assignment(state.amounts).items())
+    assert assignment._amounts is not state.amounts

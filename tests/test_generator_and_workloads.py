@@ -429,22 +429,6 @@ class TestArrivalProcesses:
             sinusoidal_intensity(1.0, period=0.0)
 
 
-class TestOrderedSampler:
-    def test_select_walks_members_in_ascending_order(self):
-        from repro.workloads.generator import _OrderedSampler
-
-        sampler = _OrderedSampler(10)
-        for position in (7, 2, 5, 9):
-            sampler.add(position)
-        assert len(sampler) == 4
-        assert [sampler.select(k) for k in range(4)] == [2, 5, 7, 9]
-        sampler.discard(5)
-        assert 5 not in sampler
-        assert [sampler.select(k) for k in range(3)] == [2, 7, 9]
-        sampler.add(0)
-        assert sampler.select(0) == 0
-
-
 class TestLargeTree:
     def test_large_tree_hits_the_requested_client_count(self):
         tree = large_tree(2_000, seed=3)

@@ -7,11 +7,16 @@ import math
 import pytest
 
 from repro.core.constraints import ConstraintSet
-from repro.core.exceptions import InfeasibleError, PolicyViolationError
+from repro.core.exceptions import InfeasibleError, PolicyViolationError, TreeStructureError
 from repro.core.policies import Policy
-from repro.core.problem import replica_cost_problem
+from repro.core.problem import ProblemKind, replica_cost_problem
 from repro.core.solution import Assignment, Placement, Solution
-from repro.core.validation import closest_server_map, validate_solution
+from repro.core.validation import (
+    TOLERANCE,
+    ValidationReport,
+    closest_server_map,
+    validate_solution,
+)
 
 
 def solution_for(small_tree, amounts, replicas, policy=Policy.MULTIPLE):
@@ -198,3 +203,212 @@ class TestValidation:
         assert servers == {"c1": "root", "c2": "root", "c3": "root"}
         servers = closest_server_map(small_tree, ["n1"])
         assert servers == {"c1": "n1", "c2": "n1"}
+
+
+# --------------------------------------------------------------------------- #
+# bulk checks against the per-pair walk
+# --------------------------------------------------------------------------- #
+def _reference_report(problem, solution, policy=None, tolerance=TOLERANCE):
+    """Every check of :func:`validate_solution`, walked pair by pair: the
+    reference its bulk checks must agree with, violation for violation."""
+    tree = problem.tree
+    policy = policy or solution.policy
+    report = ValidationReport()
+    placement, assignment = solution.placement, solution.assignment
+    for node_id in placement:
+        if not tree.is_node(node_id):
+            report.record("structure", f"replica placed on unknown node {node_id!r}")
+    for (client_id, server_id), _amount in assignment.items():
+        if not tree.is_client(client_id):
+            report.record("structure", f"assignment references unknown client {client_id!r}")
+            continue
+        if not tree.is_node(server_id):
+            report.record("structure", f"assignment references unknown server {server_id!r}")
+            continue
+        if server_id not in placement:
+            report.record(
+                "structure",
+                f"client {client_id!r} assigned to {server_id!r} which holds no replica",
+            )
+        if server_id not in tree.ancestors(client_id):
+            report.record(
+                "structure",
+                f"server {server_id!r} is not an ancestor of client {client_id!r}; "
+                "replicas can only serve clients of their own subtree",
+            )
+    totals = assignment.client_totals()
+    rates = {client_id: tree.requests(client_id) for client_id in tree.client_ids}
+    for client_id, requests in rates.items():
+        assigned = totals.get(client_id, 0.0)
+        if abs(assigned - requests) > tolerance:
+            report.record(
+                "coverage",
+                f"client {client_id!r} issues {requests:g} requests but "
+                f"{assigned:g} are assigned",
+            )
+    if policy.single_server:
+        servers_by_client = assignment.servers_by_client()
+        for client_id, requests in rates.items():
+            servers = servers_by_client.get(client_id, ())
+            if requests > 0 and len(servers) > 1:
+                report.record(
+                    "policy",
+                    f"{policy.value} is a single-server policy but client "
+                    f"{client_id!r} is served by {len(servers)} servers "
+                    f"{sorted(map(repr, servers))}",
+                )
+    if policy is Policy.CLOSEST:
+        forced = closest_server_map(tree, placement)
+        for client_id, requests in rates.items():
+            servers = servers_by_client.get(client_id, ())
+            if requests <= 0 or not servers:
+                continue
+            expected = forced.get(client_id)
+            if expected is None:
+                report.record(
+                    "policy",
+                    f"client {client_id!r} has no replica ancestor under the "
+                    "Closest policy",
+                )
+            elif servers[0] != expected:
+                report.record(
+                    "policy",
+                    f"Closest policy forces client {client_id!r} onto "
+                    f"{expected!r} (its lowest replica ancestor) but it is "
+                    f"served by {servers[0]!r}",
+                )
+    for server_id, load in assignment.server_loads().items():
+        if tree.is_node(server_id) and load > tree.capacity(server_id) + tolerance:
+            report.record(
+                "capacity",
+                f"server {server_id!r} processes {load:g} requests, "
+                f"capacity {tree.capacity(server_id):g}",
+            )
+    if problem.constraints.has_qos:
+        for (client_id, server_id), amount in assignment.items():
+            if amount <= tolerance or not tree.is_client(client_id):
+                continue
+            if not tree.is_node(server_id) or server_id not in tree.ancestors(client_id):
+                continue
+            if not problem.qos_satisfied(client_id, server_id):
+                metric = problem.constraints.qos_metric(tree, client_id, server_id)
+                report.record(
+                    "qos",
+                    f"client {client_id!r} served by {server_id!r} at QoS metric "
+                    f"{metric:g} > bound {tree.qos(client_id):g}",
+                )
+    if problem.constraints.enforce_bandwidth:
+        for (child, parent), flow in assignment.link_flows(tree).items():
+            if flow > tree.bandwidth(child) + tolerance:
+                report.record(
+                    "bandwidth",
+                    f"link {child!r}->{parent!r} carries {flow:g} requests, "
+                    f"bandwidth {tree.bandwidth(child):g}",
+                )
+    return report
+
+
+def _mutations(tree, solution):
+    """Single defects of a valid solution: ``(name, replicas, amounts)``."""
+    replicas = set(solution.placement)
+    amounts = dict(solution.assignment.items())
+    (client, server), amount = next(iter(amounts.items()))
+
+    def moved(target):
+        return {(c, target if (c, s) == (client, server) else s): a for (c, s), a in amounts.items()}
+
+    elsewhere = [n for n in tree.node_ids if n not in tree.ancestors(client)]
+    yield "valid", replicas, amounts
+    yield "over_capacity", replicas, {**amounts, (client, server): amount + tree.capacity(server) + 1}
+    yield "under_covered", replicas, {**amounts, (client, server): amount / 2}
+    yield "over_covered", replicas, {**amounts, (client, server): amount + 1.0}
+    root = tree.root
+    if root != server:  # two servers: a policy violation unless Multiple
+        split = {**amounts, (client, server): amount / 2, (client, root): amount / 2}
+        yield "split", replicas | {root}, split
+    yield "non_ancestor", replicas | {elsewhere[0]}, moved(elsewhere[0])
+    yield "unknown_client", replicas, {**amounts, ("ghost", server): 1.0}
+    yield "unknown_server", replicas | {"ghost"}, moved("ghost")
+    yield "unknown_replica", replicas | {"ghost"}, amounts
+    yield "no_replica", replicas - {server}, amounts
+
+
+#: a heuristic that solves every seed below under each policy
+_VALIDATED = {
+    Policy.CLOSEST: "CTDA",
+    Policy.UPWARDS: "UBCF",
+    Policy.MULTIPLE: "MG",
+}
+
+
+@pytest.mark.parametrize("policy", list(_VALIDATED))
+@pytest.mark.parametrize("constraints", ["none", "qos", "bandwidth"])
+@pytest.mark.parametrize("seed", [2, 9, 13])
+def test_bulk_checks_match_the_per_pair_walk(policy, constraints, seed):
+    from repro.algorithms.base import get_heuristic
+    from repro.core.problem import ReplicaPlacementProblem
+    from repro.workloads.generator import GeneratorConfig, TreeGenerator
+
+    tree = TreeGenerator(seed).generate(
+        GeneratorConfig(
+            size=45, target_load=0.3, homogeneous=False, qos_hops=(2, 5), link_bandwidth=40.0
+        )
+    )
+    problem = ReplicaPlacementProblem(tree=tree)
+    solution = get_heuristic(_VALIDATED[policy]).try_solve(problem)
+    assert solution is not None
+    checked = ReplicaPlacementProblem(
+        tree=tree,
+        constraints={
+            "none": ConstraintSet.none(),
+            "qos": ConstraintSet.qos_distance(),
+            "bandwidth": ConstraintSet(enforce_bandwidth=True),
+        }[constraints],
+    )
+
+    def outcome(check, mutated):
+        # With bandwidth enforced, a pair off its client's root path makes
+        # the link flows raise; both sides must raise alike.
+        try:
+            report = check(checked, mutated)
+        except TreeStructureError as error:
+            return str(error)
+        return report.valid, report.violations, report.categories
+
+    for name, replicas, amounts in _mutations(tree, solution):
+        mutated = Solution(Placement(replicas), Assignment(amounts), policy, "mutated")
+        found = outcome(validate_solution, mutated)
+        assert found == outcome(_reference_report, mutated), name
+        if name == "valid" and constraints == "none":
+            assert found[0]
+        elif name not in ("valid", "split"):
+            assert isinstance(found, str) or not found[0], name
+
+
+# --------------------------------------------------------------------------- #
+# Solution.cost reads the columns
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("kind", list(ProblemKind))
+def test_cost_is_the_per_node_sum_bit_for_bit(kind):
+    from repro.core.builder import TreeBuilder
+    from repro.core.problem import ReplicaPlacementProblem
+
+    builder = TreeBuilder().add_node("root", capacity=30, storage_cost=0.1)
+    costs = (1 / 3, 0.7, 2.5, 0.1, 1e-3, 7.0)
+    for k, cost in enumerate(costs):
+        builder.add_node(f"n{k}", capacity=30, storage_cost=cost, parent="root")
+        builder.add_client(f"c{k}", requests=5, parent=f"n{k}")
+    tree = builder.build()
+    problem = ReplicaPlacementProblem(tree=tree, kind=kind)
+    for replicas in ([], ["n2"], list(tree.node_ids), ["n5", "root", "n0", "n3"]):
+        solution = Solution(Placement(replicas), Assignment(), Policy.MULTIPLE)
+        expected = sum(problem.storage_cost(node_id) for node_id in solution.placement)
+        cost = solution.cost(problem)
+        assert type(cost) is type(expected)
+        assert float(cost).hex() == float(expected).hex()
+    ghost = Solution(Placement(["n1", "ghost"]), Assignment(), Policy.MULTIPLE)
+    with pytest.raises(TreeStructureError) as per_node:
+        sum(problem.storage_cost(node_id) for node_id in ghost.placement)
+    with pytest.raises(TreeStructureError) as bulk:
+        ghost.cost(problem)
+    assert str(bulk.value) == str(per_node.value) == "unknown internal node 'ghost'"

@@ -34,7 +34,7 @@ from repro.core.exceptions import SerializationError, TreeStructureError
 from repro.core.index import TreeIndex
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem
 from repro.core.serialization import problem_from_dict, problem_to_dict, tree_from_dict, tree_to_dict
-from repro.core.tree import Client
+from repro.core.tree import Client, InternalNode, Link
 from repro.core.validation import validate_solution
 from repro.qos.metrics import QoSMetrics
 from repro.serving.fingerprint import problem_fingerprint
@@ -222,10 +222,52 @@ def _cold_tree():
     )
 
 
+class TestViews:
+    def test_views_equal_their_records(self):
+        params = dict(
+            seed=3, size=30, load=0.5, homogeneous=False, attachment="spread",
+            qos_hops=(2, 5), bandwidth=40.0, metrics=False,
+        )
+        generated = _generated({**params, "metrics": True})
+        tree = _rebuilt(_generated(params), {})  # metadata on every element
+        for node in tree.nodes():
+            record = InternalNode(node.id, node.capacity, node.storage_cost, node.metadata)
+            assert node == record and hash(node) == hash(record)
+            assert node.metadata == record.metadata
+        for client in tree.clients():
+            assert client == Client(client.id, client.requests, client.qos)
+        for link in generated.links():
+            assert link.metrics is not None
+            assert link == Link(link.child, link.parent, link.comm_time, link.bandwidth, link.metrics)
+        # absent metadata is a fresh dict per view, as the records' default
+        client_id = generated.client_ids[0]
+        first, second = generated.client(client_id), generated.client(client_id)
+        assert first.metadata == {} and first.metadata is not second.metadata
+        with pytest.raises(AttributeError):
+            first.requests = 1.0  # still frozen
+
+    def test_constructing_a_record_still_checks_its_values(self):
+        with pytest.raises(TreeStructureError, match="capacity -1.0"):
+            InternalNode("n", -1.0)
+        with pytest.raises(TreeStructureError, match="storage cost nan"):
+            InternalNode("n", 1.0, math.nan)
+        assert InternalNode("n", 4.0).storage_cost == 4.0
+        with pytest.raises(TreeStructureError, match="request rate inf"):
+            Client("c", math.inf)
+        with pytest.raises(TreeStructureError, match="QoS bound 0.0"):
+            Client("c", 1.0, qos=0.0)
+        with pytest.raises(TreeStructureError, match="comm time -1.0"):
+            Link("c", "n", comm_time=-1.0)
+        with pytest.raises(TreeStructureError, match="bandwidth nan"):
+            Link("c", "n", bandwidth=math.nan)
+
+
 class TestColdPath:
     def test_decode_solve_validate_cost_builds_no_view(self, monkeypatch):
         text = json.dumps(problem_to_dict(ReplicaPlacementProblem(tree=_cold_tree())))
         built = []
+        # Records come from their constructors (__post_init__) and views
+        # from the tree's view builders, which skip the constructor.
         for view in (tree_module.InternalNode, tree_module.Client, tree_module.Link):
             original = view.__post_init__
 
@@ -234,6 +276,15 @@ class TestColdPath:
                 original(self)
 
             monkeypatch.setattr(view, "__post_init__", counted)
+        for builder in ("_node_view", "_client_view", "_link_view"):
+            original = getattr(tree_module.TreeNetwork, builder)
+
+            def counted_view(self, position, original=original):
+                view = original(self, position)
+                built.append(type(view).__name__)
+                return view
+
+            monkeypatch.setattr(tree_module.TreeNetwork, builder, counted_view)
         problem = problem_from_dict(json.loads(text))
         solution = solve(problem, policy="multiple")
         assert validate_solution(problem, solution).valid
