@@ -2,18 +2,37 @@
 
 Experiment campaigns need to persist generated trees (so a run can be
 reproduced exactly) and solver outputs (so relative-cost tables can be
-recomputed without re-solving).  The format is deliberately plain JSON:
+recomputed without re-solving).  The format is deliberately plain JSON.  A
+tree is written a section at a time, as one list per field:
 
 .. code-block:: json
 
     {
-      "nodes":   [{"id": "root", "capacity": 10, "storage_cost": 10}, ...],
-      "clients": [{"id": "c1", "requests": 7, "qos": null}, ...],
-      "links":   [{"child": "c1", "parent": "root",
-                   "comm_time": 1.0, "bandwidth": null}, ...]
+      "nodes":   {"id": ["root", "n1"], "capacity": [10, 4],
+                  "storage_cost": [10, 2]},
+      "clients": {"id": ["c1", "c2"], "requests": [7, 3], "qos": [null, 2]},
+      "links":   {"child": ["n1", "c1", "c2"], "parent": ["root", "n1", "n1"],
+                  "comm_time": [1.0, 2.0, 1.0], "bandwidth": [null, 5, null],
+                  "metrics": {"1": {"latency": 0.5, "jitter": 0.0,
+                                    "loss": 0.0, "bandwidth": null}}}
     }
 
-``null`` encodes the absence of a bound (``math.inf`` in memory).
+Nodes and clients are listed in breadth-first order and links in link
+order; ``metrics`` maps a link's index to its QoS metrics.  ``null``
+encodes the absence of a bound (``math.inf`` in memory).  A column whose
+every entry is the reader's default is left out: storage cost equal to
+capacity, comm time 1.0, no QoS bound, no bandwidth bound, no metrics.
+
+The earlier record layout, one object per element, is still read::
+
+    {"nodes": [{"id": "root", "capacity": 10, "storage_cost": 10}, ...],
+     "clients": [{"id": "c1", "requests": 7, "qos": null}, ...],
+     "links": [{"child": "c1", "parent": "root", "comm_time": 1.0,
+                "bandwidth": null}, ...]}
+
+:func:`tree_from_dict` tells the layouts apart by type (an object of lists
+or a list of objects) and transposes records into columns, so both go
+through one parser.
 """
 
 from __future__ import annotations
@@ -25,14 +44,16 @@ from collections import deque
 from itertools import chain, compress, repeat
 from operator import is_not, itemgetter
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Iterable, Mapping, Optional, Union
+
+import numpy as np
 
 from repro.core.constraints import ConstraintSet, QoSMode
 from repro.core.exceptions import SerializationError
 from repro.core.policies import Policy
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem
 from repro.core.solution import Assignment, Placement, Solution
-from repro.core.tree import TreeNetwork
+from repro.core.tree import TreeNetwork, _view
 
 __all__ = [
     "tree_to_dict",
@@ -50,69 +71,99 @@ __all__ = [
 ]
 
 
-def _encode_bound(value: float) -> Optional[float]:
-    return None if math.isinf(value) else value
-
-
 def tree_to_dict(tree: TreeNetwork) -> Dict[str, Any]:
-    """Serialise a tree network to a JSON-compatible dictionary.
+    """Serialise a tree network to a JSON-compatible dictionary of columns.
 
-    Reads the tree's columns: nodes and clients in breadth-first order,
-    links in link order, and builds no record views.
+    Reads the store's id and value columns: nodes and clients in
+    breadth-first order, links in link order, with no record view and no
+    per-element object built.
     """
-    metrics = tree._store.metrics
-    link_order = tree._store.link_order
+    store = tree._store
+    nodes = store.bfs(clients=False)
+    clients = store.bfs(clients=True) - store.n_nodes
+    links = _view(store.link_order)
+    ids = store.ids
+    child = list(map(ids.__getitem__, links.tolist()))
+    parent = list(map(ids.__getitem__, _view(store.parent)[links].tolist()))
+    # Endpoints declared with another type than the element's id (1.0 for 1).
+    for k, (declared_child, declared_parent) in _by_link(links, store.endpoints):
+        child[k], parent[k] = declared_child, declared_parent
+    comm = _view(store.comm)[links]
     return {
-        "nodes": [
-            {"id": node_id, "capacity": capacity, "storage_cost": cost}
-            for node_id, capacity, cost in zip(
-                tree.node_ids, tree.column("capacity"), tree.column("storage_cost")
-            )
-        ],
-        "clients": [
-            {"id": client_id, "requests": requests, "qos": _encode_bound(qos)}
-            for client_id, requests, qos in zip(
-                tree.client_ids, tree.column("requests"), tree.column("qos")
-            )
-        ],
-        "links": [
-            _link_to_dict(child, parent, comm_time, bandwidth, metrics.get(position))
-            for (child, parent), comm_time, bandwidth, position in zip(
-                tree.link_keys, tree.column("comm_time"), tree.column("bandwidth"), link_order
-            )
-        ],
+        "nodes": _present(
+            id=list(store.node_ids),
+            capacity=_view(store.capacity)[nodes].tolist(),
+            storage_cost=(
+                None
+                if store.storage.tobytes() == store.capacity.tobytes()
+                else _view(store.storage)[nodes].tolist()
+            ),
+        ),
+        "clients": _present(
+            id=list(store.client_ids),
+            requests=_view(tree._requests)[clients].tolist(),
+            qos=_bounds(_view(store.qos)[clients]),
+        ),
+        "links": _present(
+            child=child,
+            parent=parent,
+            comm_time=comm.tolist() if (comm != 1.0).any() else None,
+            bandwidth=_bounds(_view(store.bandwidth)[links]),
+            metrics={str(k): value.to_dict() for k, value in _by_link(links, store.metrics)}
+            or None,
+        ),
     }
 
 
-def _link_to_dict(child, parent, comm_time: float, bandwidth: float, metrics) -> Dict[str, Any]:
-    entry = {
-        "child": child,
-        "parent": parent,
-        "comm_time": comm_time,
-        "bandwidth": _encode_bound(bandwidth),
-    }
-    # Omitted (rather than null) when absent so pre-metric tree files and
-    # their digests stay byte-identical.
-    if metrics is not None:
-        entry["metrics"] = metrics.to_dict()
-    return entry
+def _present(**columns: Any) -> Dict[str, Any]:
+    """The given columns less the ``None`` ones, whose every entry is the
+    reader's default."""
+    return {key: column for key, column in columns.items() if column is not None}
 
 
-#: ``null`` (or an absent key) is an unbounded QoS bound or bandwidth:
-#: ``_BOUND(value, value)`` maps None to inf and keeps anything else.
-_BOUND = {None: math.inf}.get
+def _bounds(values: np.ndarray) -> Optional[list]:
+    """A bound column with ``null`` for inf, or None when all are inf."""
+    unbounded = np.isinf(values)
+    if unbounded.all():
+        return None
+    column = values.tolist()
+    for k in np.flatnonzero(unbounded).tolist():
+        column[k] = None
+    return column
 
-#: Fields of each section: (key, required, kind) -- "id" (hashable), "number"
-#: (accepted by float()), "bound" (a number or null) or "metrics".
+
+def _by_link(links: np.ndarray, sparse: Mapping[int, Any]) -> Iterable:
+    """``(link index, value)`` of each link whose child position ``sparse``
+    maps, in link order."""
+    if not sparse:
+        return ()
+    at = np.flatnonzero(np.isin(links, list(sparse)))
+    return zip(at.tolist(), map(sparse.__getitem__, links[at].tolist()))
+
+
+#: The default of a field that every element must set.
+_REQUIRED = object()
+
+#: Fields of each section: (key, kind, default).  The kind is "id"
+#: (hashable), "number" (accepted by float()), "bound" (a number or null)
+#: or "metrics"; the default is what a record without the key holds.
 _FIELDS = {
-    "nodes": (("id", True, "id"), ("capacity", True, "number"), ("storage_cost", False, "bound")),
-    "clients": (("id", True, "id"), ("requests", True, "number"), ("qos", False, "bound")),
+    "nodes": (
+        ("id", "id", _REQUIRED),
+        ("capacity", "number", _REQUIRED),
+        ("storage_cost", "bound", None),
+    ),
+    "clients": (
+        ("id", "id", _REQUIRED),
+        ("requests", "number", _REQUIRED),
+        ("qos", "bound", None),
+    ),
     "links": (
-        ("child", True, "id"),
-        ("parent", True, "id"),
-        ("comm_time", False, "number"),
-        ("bandwidth", False, "bound"),
-        ("metrics", False, "metrics"),
+        ("child", "id", _REQUIRED),
+        ("parent", "id", _REQUIRED),
+        ("comm_time", "number", 1.0),
+        ("bandwidth", "bound", None),
+        ("metrics", "metrics", None),
     ),
 }
 
@@ -120,15 +171,18 @@ _FIELDS = {
 def tree_from_dict(payload: Dict[str, Any]) -> TreeNetwork:
     """Rebuild a tree network from :func:`tree_to_dict` output.
 
-    The payload's fields go straight into the tree's columns, a section at
-    a time, with no record built.
+    Accepts both layouts (see the module docstring): a section is an
+    object of columns or a list of records, which is transposed into
+    columns first.  The columns go straight into the tree's store, with
+    no record built.
 
     Raises
     ------
     SerializationError
-        When a section or an entry is malformed; the message names the
-        section, the index and the key (``tree.nodes[0] has no
-        "capacity"``).
+        When a section, a column or an entry is malformed; the message
+        names the section, the column or record index and the key
+        (``tree.nodes.capacity[3] is not a number: 'lots'``,
+        ``tree.nodes[0] has no "capacity"``).
     TreeStructureError
         When the values or the structure are invalid (a negative capacity,
         a duplicate id, a cycle, ...), as the constructor reports them.
@@ -144,29 +198,22 @@ def tree_from_dict(payload: Dict[str, Any]) -> TreeNetwork:
 
 
 def _tree_columns(payload: Dict[str, Any]):
-    nodes, clients, links = payload["nodes"], payload["clients"], payload["links"]
-    node_ids = list(map(itemgetter("id"), nodes))
-    capacity = array("d", map(float, map(itemgetter("capacity"), nodes)))
-    storage = array(
-        "d",
-        (
-            capacity_k if cost is None else float(cost)
-            for cost, capacity_k in zip(map(dict.get, nodes, repeat("storage_cost")), capacity)
-        ),
-    )
-    client_ids = list(map(itemgetter("id"), clients))
-    requests = array("d", map(float, map(itemgetter("requests"), clients)))
-    qos = list(map(dict.get, clients, repeat("qos")))
-    qos = array("d", map(float, map(_BOUND, qos, qos)))
-    link_child = list(map(itemgetter("child"), links))
-    link_parent = list(map(itemgetter("parent"), links))
-    comm_time = array("d", map(float, map(dict.get, links, repeat("comm_time"), repeat(1.0))))
-    bandwidth = list(map(dict.get, links, repeat("bandwidth")))
-    bandwidth = array("d", map(float, map(_BOUND, bandwidth, bandwidth)))
-    annotated = list(map(dict.get, links, repeat("metrics")))
+    nodes, clients, links = (_section(payload[name], fields) for name, fields in _FIELDS.items())
+    node_ids = _column(nodes, "id")
+    capacity = _numbers(nodes, "capacity", len(node_ids))
+    storage = _numbers(nodes, "storage_cost", len(node_ids), capacity, nullable=True)
+    client_ids = _column(clients, "id")
+    requests = _numbers(clients, "requests", len(client_ids))
+    qos = _numbers(clients, "qos", len(client_ids), math.inf, nullable=True)
+    link_child = _column(links, "child")
+    n_links = len(link_child)
+    link_parent = _column(links, "parent", n_links)
+    comm_time = _numbers(links, "comm_time", n_links, 1.0)
+    bandwidth = _numbers(links, "bandwidth", n_links, math.inf, nullable=True)
     metrics = {
-        k: _metrics_from_dict(annotated[k])
-        for k in compress(range(len(annotated)), map(is_not, annotated, repeat(None)))
+        _link_index(key, n_links): _metrics_from_dict(entry)
+        for key, entry in links.get("metrics", {}).items()
+        if entry is not None
     }
     # Unhashable ids fail here, where they can be named, not in the store.
     deque(map(hash, chain(node_ids, client_ids, link_child, link_parent)), 0)
@@ -176,6 +223,64 @@ def _tree_columns(payload: Dict[str, Any]):
     )
 
 
+def _section(entries: Any, fields) -> Dict[str, Any]:
+    """A section as columns: an object of columns as it is, a list of
+    records transposed (absent keys take the field's default, and link
+    metrics become the sparse ``{index: metrics}`` map)."""
+    if isinstance(entries, dict):
+        return entries
+    columns = {}
+    for key, kind, default in fields:
+        if default is _REQUIRED:
+            values = list(map(itemgetter(key), entries))
+        else:
+            values = list(map(dict.get, entries, repeat(key), repeat(default)))
+        if kind == "metrics":
+            values = dict(compress(enumerate(values), map(is_not, values, repeat(None))))
+        columns[key] = values
+    return columns
+
+
+def _column(columns: Dict[str, Any], key: str, size: Optional[int] = None) -> list:
+    """Column ``key``, which must be a list (of ``size`` entries)."""
+    column = columns[key]
+    if not isinstance(column, (list, tuple)) or size not in (None, len(column)):
+        raise ValueError(f"malformed column {key!r}")
+    return column
+
+
+def _numbers(
+    columns, key: str, size: int, default: Any = _REQUIRED, nullable: bool = False
+) -> array:
+    """Column ``key`` as ``array("d")``, each entry read as ``float()``
+    reads it.
+
+    A left-out column is ``default`` (a number, or a column giving each
+    entry's value); a ``nullable`` column's ``None`` entries take the
+    default too, and any other column's are an error.
+    """
+    if key not in columns and default is not _REQUIRED:
+        return array("d", [default]) * size if isinstance(default, float) else default
+    column = _column(columns, key, size)
+    try:
+        return array("d", column)
+    except TypeError:
+        if not nullable:
+            return array("d", map(float, column))
+    if isinstance(default, float):
+        fill = {None: default}.get
+        return array("d", map(float, map(fill, column, column)))
+    return array("d", (other if value is None else float(value) for value, other in zip(column, default)))
+
+
+def _link_index(key: Any, n_links: int) -> int:
+    """The link index a metrics key names (decimal, as JSON keys are)."""
+    index = int(key)
+    if str(index) != str(key) or not 0 <= index < n_links:
+        raise ValueError(f"not a link index: {key!r}")
+    return index
+
+
 def _metrics_from_dict(payload: Dict[str, Any]):
     from repro.qos.metrics import QoSMetrics
 
@@ -183,31 +288,75 @@ def _metrics_from_dict(payload: Dict[str, Any]):
 
 
 def _payload_error(payload: Any) -> Optional[SerializationError]:
-    """Name the first malformed section, entry or field of a tree payload."""
+    """Name the first malformed section, column, entry or field of a tree
+    payload, in either layout."""
     if not isinstance(payload, dict):
         return SerializationError(f"tree is not an object (got {type(payload).__name__})")
     for section, fields in _FIELDS.items():
         if section not in payload:
             return SerializationError(f'tree has no "{section}"')
         entries = payload[section]
-        if not isinstance(entries, (list, tuple)):
-            return SerializationError(
-                f"tree.{section} is not a list (got {type(entries).__name__})"
+        if isinstance(entries, dict):
+            problem = _columns_problem(section, fields, entries)
+        elif isinstance(entries, (list, tuple)):
+            problem = _records_problem(section, fields, entries)
+        else:
+            problem = (
+                f"tree.{section} is neither a list of records nor an object of "
+                f"columns (got {type(entries).__name__})"
             )
-        for k, entry in enumerate(entries):
-            where = f"tree.{section}[{k}]"
-            if not isinstance(entry, dict):
-                return SerializationError(
-                    f"{where} is not an object (got {type(entry).__name__})"
-                )
-            for key, required, kind in fields:
-                if key not in entry:
-                    if required:
-                        return SerializationError(f'{where} has no "{key}"')
-                    continue
-                problem = _field_problem(kind, entry[key])
+        if problem:
+            return SerializationError(problem)
+    return None
+
+
+def _records_problem(section: str, fields, entries: list) -> Optional[str]:
+    for k, entry in enumerate(entries):
+        where = f"tree.{section}[{k}]"
+        if not isinstance(entry, dict):
+            return f"{where} is not an object (got {type(entry).__name__})"
+        for key, kind, default in fields:
+            if key not in entry:
+                if default is _REQUIRED:
+                    return f'{where} has no "{key}"'
+                continue
+            problem = _field_problem(kind, entry[key])
+            if problem:
+                return f'{where} "{key}" {problem}: {entry[key]!r}'
+    return None
+
+
+def _columns_problem(section: str, fields, columns: dict) -> Optional[str]:
+    size = first = None
+    for key, kind, default in fields:
+        where = f"tree.{section}.{key}"
+        if key not in columns:
+            if default is _REQUIRED:
+                return f'tree.{section} has no "{key}"'
+            continue
+        column = columns[key]
+        if kind == "metrics":
+            if not isinstance(column, dict):
+                return f"{where} is not an object (got {type(column).__name__})"
+            for index, entry in column.items():
+                try:
+                    _link_index(index, size)
+                except (TypeError, ValueError):
+                    return f"{where} key {index!r} is not the index of one of the {size} links"
+                problem = _field_problem(kind, entry)
                 if problem:
-                    return SerializationError(f'{where} "{key}" {problem}: {entry[key]!r}')
+                    return f"{where}[{index!r}] {problem}: {entry!r}"
+            continue
+        if not isinstance(column, (list, tuple)):
+            return f"{where} is not a list (got {type(column).__name__})"
+        if size is None:
+            size, first = len(column), where
+        elif len(column) != size:
+            return f"{where} has {len(column)} entries where {first} has {size}"
+        for k, value in enumerate(column):
+            problem = _field_problem(kind, value)
+            if problem:
+                return f"{where}[{k}] {problem}: {value!r}"
     return None
 
 
@@ -216,7 +365,8 @@ def _field_problem(kind: str, value: Any) -> Optional[str]:
         if kind == "id":
             hash(value)
         elif kind == "metrics":
-            _metrics_from_dict(value)
+            if value is not None:
+                _metrics_from_dict(value)
         elif value is not None or kind == "number":
             float(value)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as error:
@@ -224,6 +374,8 @@ def _field_problem(kind: str, value: Any) -> Optional[str]:
             kind, "is not a number"
         )
     return None
+
+
 def save_tree(tree: TreeNetwork, path: Union[str, Path]) -> Path:
     """Write a tree network to ``path`` as JSON and return the path."""
     path = Path(path)

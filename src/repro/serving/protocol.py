@@ -10,6 +10,11 @@ selectors loop server -- see :mod:`repro.serving.server` and
      "fingerprint": "....",         # resident-session key, optional
      "params":      {...}}          # op-specific keyword arguments
 
+``problem``'s tree is written as one list per field
+(``{"nodes": {"id": [...], "capacity": [...]}, ...}``, see
+:mod:`repro.core.serialization`); a tree in the earlier record layout (a
+list of one object per element) is still read.
+
 ``problem`` creates (or finds) the resident session for that content;
 ``fingerprint`` addresses an already-resident session without re-shipping
 the tree (an :class:`~repro.serving.pool.UnknownSessionError` miss produces

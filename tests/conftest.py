@@ -122,6 +122,48 @@ def make_random_problem(seed: int, *, size=40, load=0.4, homogeneous=True, **kwa
 
 
 # --------------------------------------------------------------------------- #
+# tree payload layouts
+# --------------------------------------------------------------------------- #
+def tree_records(tree):
+    """A column tree payload (``tree_to_dict`` output) in the record layout,
+    as the record writer wrote it: every field on every element, left-out
+    columns filled back with their defaults, ``metrics`` only on annotated
+    links."""
+    nodes, clients, links = tree["nodes"], tree["clients"], tree["links"]
+    unbounded = [None] * len(clients["id"])
+    node_records = [
+        {"id": node_id, "capacity": capacity, "storage_cost": cost}
+        for node_id, capacity, cost in zip(
+            nodes["id"], nodes["capacity"], nodes.get("storage_cost", nodes["capacity"])
+        )
+    ]
+    client_records = [
+        {"id": client_id, "requests": requests, "qos": qos}
+        for client_id, requests, qos in zip(
+            clients["id"], clients["requests"], clients.get("qos", unbounded)
+        )
+    ]
+    n_links = len(links["child"])
+    link_records = [
+        {"child": child, "parent": parent, "comm_time": comm_time, "bandwidth": bandwidth}
+        for child, parent, comm_time, bandwidth in zip(
+            links["child"],
+            links["parent"],
+            links.get("comm_time", [1.0] * n_links),
+            links.get("bandwidth", [None] * n_links),
+        )
+    ]
+    for k, metrics in links.get("metrics", {}).items():
+        link_records[int(k)]["metrics"] = metrics
+    return {"nodes": node_records, "clients": client_records, "links": link_records}
+
+
+def problem_records(payload):
+    """A ``problem_to_dict`` payload with its tree in the record layout."""
+    return {**payload, "tree": tree_records(payload["tree"])}
+
+
+# --------------------------------------------------------------------------- #
 # assertion helpers
 # --------------------------------------------------------------------------- #
 def assert_valid(problem, solution, policy=None):

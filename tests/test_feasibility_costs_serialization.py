@@ -35,7 +35,7 @@ from repro.core.serialization import (
     tree_to_dict,
 )
 from repro.core.validation import validate_solution
-from tests.conftest import assert_valid
+from tests.conftest import assert_valid, tree_records
 
 
 class TestClosestAssignment:
@@ -202,12 +202,25 @@ class TestSerialization:
         )
         payload = tree_to_dict(tree_from_dict(tree_to_dict(tree)))
         assert payload == tree_to_dict(tree)
-        assert [type(entry["parent"]) for entry in payload["links"]] == [float, int]
+        assert [type(parent) for parent in payload["links"]["parent"]] == [float, int]
+        # and through the record layout
+        assert tree_to_dict(tree_from_dict(tree_records(payload))) == payload
 
     def test_infinite_bounds_encoded_as_null(self, small_tree):
+        # every bound infinite: the columns are left out
         payload = tree_to_dict(small_tree)
-        assert payload["clients"][0]["qos"] is None
-        assert payload["links"][0]["bandwidth"] is None
+        assert "qos" not in payload["clients"] and "bandwidth" not in payload["links"]
+        tree = (
+            TreeBuilder()
+            .add_node("root", capacity=10)
+            .add_client("c1", requests=2, parent="root", qos=3, bandwidth=4)
+            .add_client("c2", requests=2, parent="root")
+            .build()
+        )
+        payload = tree_to_dict(tree)
+        assert payload["clients"]["qos"][0] == 3 and payload["clients"]["qos"][1] is None
+        assert payload["links"]["bandwidth"][0] == 4 and payload["links"]["bandwidth"][1] is None
+        assert tree_from_dict(json.loads(json.dumps(payload))) == tree
 
     def test_qos_roundtrip(self, qos_tree):
         rebuilt = tree_from_dict(tree_to_dict(qos_tree))

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.problem import ReplicaPlacementProblem
 from repro.core.serialization import problem_to_dict
+from tests.conftest import problem_records
 
 from repro.workloads.distributions import (
     heterogeneous_capacities,
@@ -188,7 +189,14 @@ def _digest(payload) -> str:
 
 
 def _tree_digest(tree) -> str:
-    return _digest(problem_to_dict(ReplicaPlacementProblem(tree=tree)))
+    return _digest(_records(tree))
+
+
+def _records(tree):
+    """The problem payload of ``tree`` in the record layout the digests
+    were pinned on (the writer emits columns; the rendering fills back the
+    left-out default columns, so the bytes are the record writer's)."""
+    return problem_records(problem_to_dict(ReplicaPlacementProblem(tree=tree)))
 
 
 class TestPinnedDraws:
@@ -251,10 +259,7 @@ class TestPinnedDraws:
             homogeneous=False,
             seed=5,
         )
-        payload = [
-            [load, problem_to_dict(ReplicaPlacementProblem(tree=tree))]
-            for load, tree in campaign
-        ]
+        payload = [[load, _records(tree)] for load, tree in campaign]
         assert (
             _digest(payload)
             == "e79129e88fc540a93d00e16df8bf1b526a17dfc9421faafb58c60e745332b9cf"

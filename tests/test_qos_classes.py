@@ -210,7 +210,8 @@ class TestSerialization:
     def test_unannotated_links_stay_byte_identical(self):
         tree = TreeGenerator(3).generate(GeneratorConfig(size=20, target_load=0.4))
         payload = tree_to_dict(tree)
-        assert all("metrics" not in entry for entry in payload["links"])
+        assert isinstance(payload["links"], dict)  # columns, not a list of records
+        assert "metrics" not in payload["links"]
 
     def test_classed_constraints_round_trip(self):
         problem = _classed_problem()

@@ -51,6 +51,7 @@ from repro.serving.client import ServingError
 from repro.serving.snapshot import restore_pool, save_pool, snapshot_path
 from repro.session import BoundResult, PlacementSession, SolveResult
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
+from tests.conftest import problem_records
 
 POLICIES = ("closest", "upwards", "multiple")
 KINDS = ("counting", "cost", "qos", "bandwidth")
@@ -524,15 +525,20 @@ class TestErrorEnvelopes:
         "field, named", [("requests", "request rate nan"), ("qos", "QoS bound nan")]
     )
     def test_nan_client_field_is_an_invalid_problem(self, field, named):
-        # json.loads accepts a NaN literal; the tree records must refuse it.
-        payload = problem_to_dict(make_problem(41, size=20))
-        payload["tree"]["clients"][0][field] = float("nan")
-        line = json.dumps({"op": "solve", "problem": payload})
-        assert "NaN" in line
-        reply = json.loads(ReproServer(capacity=2).handle_line(line))
-        assert reply["type"] == "error", reply
-        assert reply["error"]["code"] == "invalid"
-        assert named in reply["error"]["message"]
+        # json.loads accepts a NaN literal; the tree columns must refuse it,
+        # in the column layout and in the record layout.
+        columns = problem_to_dict(make_problem(41, size=20))
+        records = problem_records(columns)
+        clients = columns["tree"]["clients"]
+        clients.setdefault(field, [None] * len(clients["id"]))[0] = float("nan")
+        records["tree"]["clients"][0][field] = float("nan")
+        for payload in (columns, records):
+            line = json.dumps({"op": "solve", "problem": payload})
+            assert "NaN" in line
+            reply = json.loads(ReproServer(capacity=2).handle_line(line))
+            assert reply["type"] == "error", reply
+            assert reply["error"]["code"] == "invalid"
+            assert named in reply["error"]["message"]
 
     def test_non_json_line(self):
         server = ReproServer(capacity=2)
@@ -595,6 +601,30 @@ class TestSnapshots:
         assert canonical(reply_bound) == canonical(bound2.to_dict())
         stats = client.stats()
         assert stats.restored == 1
+        assert stats.solve_cache_hits >= 1 and stats.bound_cache_hits >= 1
+
+    def test_record_layout_snapshot_restores_the_same_session(self, tmp_path):
+        """A snapshot whose problem is in the record layout (as the record
+        writer left them) restores under the same fingerprint, with the same
+        cached results."""
+        problem = make_problem(54, "qos")
+        *_, solve2, bound2, fingerprint = self.warm_server(tmp_path, problem)
+        path = snapshot_path(tmp_path, fingerprint)
+        snapshot = json.loads(path.read_text())
+        state = snapshot["state"]
+        assert isinstance(state["problem"]["tree"]["links"], dict)
+        state["problem"] = problem_records(state["problem"])
+        del snapshot["fingerprint"]  # the loader recomputes it from the problem
+        path.write_text(json.dumps(snapshot))
+
+        reborn = ReproServer(capacity=4, snapshot_dir=tmp_path)
+        assert reborn.restored == 1
+        client = connect(reborn)
+        reply_solve = client.request({"op": "solve", "fingerprint": fingerprint})
+        reply_bound = client.request({"op": "bound", "fingerprint": fingerprint})
+        assert canonical(reply_solve) == canonical(solve2.to_dict())
+        assert canonical(reply_bound) == canonical(bound2.to_dict())
+        stats = client.stats()
         assert stats.solve_cache_hits >= 1 and stats.bound_cache_hits >= 1
 
     def test_restored_bound_patches_instead_of_rebuilding(self, tmp_path):

@@ -5,15 +5,17 @@ one store per topology, and its record classes are views built on access.
 These tests pin that:
 
 * a tree built by :class:`~repro.core.builder.TreeBuilder`, by the
-  generator and by JSON decoding agrees on every view, ``==``/``hash``,
-  the ``tree_to_dict`` bytes, fingerprints and the :class:`TreeIndex`
-  fields; an epoch fork (``with_requests``) matches ``with_clients`` bit
-  for bit, rejections included;
+  generator and by JSON decoding (of the column layout and of the record
+  layout) agrees on every view, ``==``/``hash``, the ``tree_to_dict``
+  bytes, fingerprints and the :class:`TreeIndex` fields; an epoch fork
+  (``with_requests``) matches ``with_clients`` bit for bit, rejections
+  included;
 * the cold path (decode, solve, validate, cost) builds no view, and
   decoding leaves almost no GC-tracked objects;
 * the memory estimate charges what the store and its index hold;
-* a malformed tree payload is named by section, index and key on every
-  surface: ``problem_from_dict``, the serving protocol and ``repro solve``.
+* a malformed tree payload, in either layout, is named by section, index
+  and key (or column) on every surface: ``problem_from_dict``, the serving
+  protocol and ``repro solve``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import gc
 import json
 import math
 import tracemalloc
+from itertools import chain
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -42,6 +45,7 @@ from repro.serving.pool import SessionPool
 from repro.serving.protocol import handle_envelope
 from repro.session import PlacementSession
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
+from tests.conftest import problem_records, tree_records
 
 INDEX_FIELDS = (
     "n_nodes",
@@ -82,33 +86,46 @@ def _generated(params):
     )
 
 
-def _rebuilt(tree, metrics):
+def _rebuilt(tree, metrics, relabel=False, mixed=False):
     """``tree`` declared through TreeBuilder in its own link order, with
     ``metrics`` (child -> QoSMetrics) on those uplinks and metadata on
-    every element (which no comparison may see)."""
+    every element (which no comparison may see).  With ``relabel`` the ids
+    become ints and every other uplink declares its parent as a float (1.0
+    for 1).  With ``mixed`` every other uplink's child departs from the
+    generated values -- half the storage cost, one more comm time unit, no
+    QoS or bandwidth bound -- so the storage cost and comm time columns are
+    written, and a bounded tree's QoS and bandwidth columns mix numbers
+    with nulls."""
+    ids = {element: element for element in chain(tree.node_ids, tree.client_ids)}
+    if relabel:
+        ids = {element: k for k, element in enumerate(ids)}
     builder = TreeBuilder()
-    builder.add_node(tree.root, capacity=tree.capacity(tree.root), tag=repr(tree.root))
-    for link in tree.links():
+    builder.add_node(ids[tree.root], capacity=tree.capacity(tree.root), tag=repr(tree.root))
+    for k, link in enumerate(tree.links()):
+        parent = ids[link.parent]
+        changed = mixed and k % 2 == 0
         uplink = dict(
-            parent=link.parent,
-            comm_time=link.comm_time,
-            bandwidth=link.bandwidth,
+            parent=float(parent) if relabel and k % 2 else parent,
+            comm_time=link.comm_time + changed,
+            bandwidth=math.inf if changed else link.bandwidth,
             metrics=metrics.get(link.child),
             tag=repr(link.child),
         )
         if tree.is_node(link.child):
             node = tree.node(link.child)
-            builder.add_node(
-                node.id, capacity=node.capacity, storage_cost=node.storage_cost, **uplink
-            )
+            cost = node.storage_cost / (1 + changed)
+            builder.add_node(ids[node.id], capacity=node.capacity, storage_cost=cost, **uplink)
         else:
             client = tree.client(link.child)
-            builder.add_client(client.id, requests=client.requests, qos=client.qos, **uplink)
+            qos = math.inf if changed else client.qos
+            builder.add_client(ids[client.id], requests=client.requests, qos=qos, **uplink)
     return builder.build()
 
 
-def _decoded(tree):
-    return tree_from_dict(json.loads(json.dumps(tree_to_dict(tree))))
+def _decoded(tree, records=False):
+    """``tree`` through JSON text, in the column layout or as records."""
+    payload = tree_to_dict(tree)
+    return tree_from_dict(json.loads(json.dumps(tree_records(payload) if records else payload)))
 
 
 def _observed(tree):
@@ -161,11 +178,16 @@ class TestThreeConstructions:
         assert hash(left) == hash(right)
         assert _observed(left) == _observed(right)
 
+    def assert_decodes(self, tree):
+        """Both layouts decode to a tree that agrees with ``tree``."""
+        for records in (False, True):
+            self.assert_agree(tree, _decoded(tree, records))
+
     @given(params=tree_params, data=st.data())
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_builder_generator_and_decoder_agree(self, params, data):
         generated = _generated(params)
-        self.assert_agree(generated, _decoded(generated))
+        self.assert_decodes(generated)
         if params["metrics"]:
             return  # annotate_tree sorts the links, which no builder declares parents-first
         built = _rebuilt(generated, {})
@@ -178,9 +200,12 @@ class TestThreeConstructions:
         children = data.draw(
             st.lists(st.sampled_from([child for child, _ in generated.link_keys]), unique=True)
         )
-        annotated = _rebuilt(generated, {child: data.draw(link_metrics) for child in children})
-        self.assert_agree(annotated, _decoded(annotated))
-        assert (annotated == generated) == (not children)
+        relabel, mixed = data.draw(st.booleans()), data.draw(st.booleans())
+        annotated = _rebuilt(
+            generated, {child: data.draw(link_metrics) for child in children}, relabel, mixed
+        )
+        self.assert_decodes(annotated)
+        assert (annotated == generated) == (not children and not relabel and not mixed)
 
     @given(params=tree_params, data=st.data())
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -326,50 +351,108 @@ class TestMemoryEstimate:
         assert 0.5 <= charged / both_bytes <= 2.0
 
 
-def _payload(mutate):
-    payload = problem_to_dict(ReplicaPlacementProblem(tree=_generated_small()))
-    mutate(payload["tree"])
-    return payload
-
-
 def _generated_small():
     return TreeGenerator(5).generate(GeneratorConfig(size=20, target_load=0.3))
 
 
+def _set(column, k, value):
+    column[k] = value
+
+
+#: A malformed tree in each layout: (layout, mutation, message).  The
+#: tree has 6 nodes, 14 clients and 19 links, and writes neither storage
+#: costs (equal to capacity) nor comm times (all 1.0).
 MALFORMED = {
     "node_without_capacity": (
+        "records",
         lambda tree: tree["nodes"][0].pop("capacity"),
         'tree.nodes[0] has no "capacity"',
     ),
     "client_without_requests": (
+        "records",
         lambda tree: tree["clients"][1].pop("requests"),
         'tree.clients[1] has no "requests"',
     ),
     "link_without_parent": (
+        "records",
         lambda tree: tree["links"][2].pop("parent"),
         'tree.links[2] has no "parent"',
     ),
     "non_numeric_capacity": (
+        "records",
         lambda tree: tree["nodes"][0].update(capacity="lots"),
         "tree.nodes[0] \"capacity\" is not a number: 'lots'",
     ),
     "unhashable_id": (
+        "records",
         lambda tree: tree["clients"][0].update(id=[1, 2]),
         'tree.clients[0] "id" is not hashable: [1, 2]',
     ),
     "nodes_not_a_list": (
+        "records",
         lambda tree: tree.update(nodes=5),
-        "tree.nodes is not a list (got int)",
+        "tree.nodes is neither a list of records nor an object of columns (got int)",
+    ),
+    "columns_without_capacity": (
+        "columns",
+        lambda tree: tree["nodes"].pop("capacity"),
+        'tree.nodes has no "capacity"',
+    ),
+    "columns_non_numeric_capacity": (
+        "columns",
+        lambda tree: _set(tree["nodes"]["capacity"], 3, "lots"),
+        "tree.nodes.capacity[3] is not a number: 'lots'",
+    ),
+    "columns_null_comm_time": (
+        "columns",
+        lambda tree: tree["links"].update(comm_time=[1.0] * 18 + [None]),
+        "tree.links.comm_time[18] is not a number: None",
+    ),
+    "columns_capacity_not_a_list": (
+        "columns",
+        lambda tree: tree["nodes"].update(capacity=5),
+        "tree.nodes.capacity is not a list (got int)",
+    ),
+    "columns_of_unequal_length": (
+        "columns",
+        lambda tree: tree["clients"]["requests"].pop(),
+        "tree.clients.requests has 13 entries where tree.clients.id has 14",
+    ),
+    "columns_unhashable_id": (
+        "columns",
+        lambda tree: _set(tree["clients"]["id"], 0, [1, 2]),
+        "tree.clients.id[0] is not hashable: [1, 2]",
+    ),
+    "columns_metrics_key": (
+        "columns",
+        lambda tree: tree["links"].update(metrics={"19": {"latency": 1.0}}),
+        "tree.links.metrics key '19' is not the index of one of the 19 links",
+    ),
+    "columns_metrics_entry": (
+        "columns",
+        lambda tree: tree["links"].update(metrics={"2": {"loss": 2}}),
+        "tree.links.metrics['2'] is malformed (loss must lie in [0, 1], got 2.0): "
+        "{'loss': 2}",
     ),
 }
+
+
+def _payload(case):
+    """The problem payload of ``case`` and the message it must raise."""
+    layout, mutate, message = MALFORMED[case]
+    payload = problem_to_dict(ReplicaPlacementProblem(tree=_generated_small()))
+    if layout == "records":
+        payload = problem_records(payload)
+    mutate(payload["tree"])
+    return payload, message
 
 
 class TestMalformedPayloads:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_problem_from_dict_names_the_field(self, case):
-        mutate, message = MALFORMED[case]
+        payload, message = _payload(case)
         with pytest.raises(SerializationError) as raised:
-            problem_from_dict(_payload(mutate))
+            problem_from_dict(payload)
         assert str(raised.value) == message
 
     def test_missing_tree_keeps_its_message(self):
@@ -378,8 +461,8 @@ class TestMalformedPayloads:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_serving_replies_invalid_with_the_field(self, case):
-        mutate, message = MALFORMED[case]
-        envelope = {"op": "solve", "problem": _payload(mutate)}
+        payload, message = _payload(case)
+        envelope = {"op": "solve", "problem": payload}
         reply = handle_envelope(SessionPool(capacity=2), envelope).reply
         assert reply["type"] == "error"
         assert reply["error"]["code"] == "invalid"
@@ -387,9 +470,9 @@ class TestMalformedPayloads:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_cli_solve_prints_an_error_line(self, case, tmp_path, capsys):
-        mutate, message = MALFORMED[case]
+        payload, message = _payload(case)
         path = tmp_path / "tree.json"
-        path.write_text(json.dumps(_payload(mutate)["tree"]))
+        path.write_text(json.dumps(payload["tree"]))
         assert cli_main(["solve", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.strip() == f"error: {message}"
