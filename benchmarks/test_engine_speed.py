@@ -1,4 +1,4 @@
-"""Perf smoke benchmark: indexed engine + batch solving vs the seed loop.
+"""Perf smoke benchmark: native engine + batch solving vs the seed loop.
 
 The workload is a QoS campaign slice in the spirit of paper Section 7: 32
 heterogeneous 500-node trees (uniform client attachment, binary internal
@@ -7,8 +7,8 @@ the Upwards policy.  Three configurations are timed:
 
 * ``seed_sequential`` -- the pre-batch way of running a campaign: a plain
   sequential loop of :func:`repro.api.solve` on the seed dict engine;
-* ``fast_sequential`` -- the same loop on the indexed fast engine;
-* ``batch_workers4`` -- ``solve_many(..., workers=4)`` on the fast engine.
+* ``native_sequential`` -- the same loop on the compiled native engine;
+* ``batch_workers4`` -- ``solve_many(..., workers=4)`` on the native engine.
 
 All three produce identical results (asserted).  Every ``repro bench``
 run appends an entry to ``BENCH_engine.json`` at the repository root so
@@ -21,7 +21,9 @@ time-slicing one core cannot beat that core's sequential throughput, so
 only the engine gain (minus ~45 ms of pool overhead; the fork-inherited
 batch keeps it that low) remains observable; there the assertion enforces a
 strict-improvement floor and the JSON entry records the measured ratio for
-the trajectory.
+the trajectory.  Without compiled kernels the native engine *is* the dict
+engine, so there is nothing to compare: the entry is recorded and the
+floors are skipped.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import pytest
 from benchmarks.conftest import record_bench
 from repro.api import solve_many
 from repro.algorithms.common import use_engine
+from repro.algorithms.native_state import native_kernels_available
 from repro.core.constraints import ConstraintSet
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
@@ -80,7 +83,7 @@ def timed_solve(engine, workers):
     """Best solve wall time over REPS runs on freshly generated problems.
 
     Trees are regenerated (outside the timed region) for every repetition so
-    the fast engine's per-tree index cache never carries over between runs.
+    the per-tree index cache never carries over between runs.
     """
     best = float("inf")
     result = None
@@ -110,14 +113,14 @@ def available_cpus() -> int:
 @pytest.mark.bench
 def test_engine_and_batch_speed():
     t_seed, seed_costs = timed_solve("dict", None)
-    t_fast, fast_costs = timed_solve("fast", None)
-    t_batch, batch_costs = timed_solve("fast", 4)
+    t_native, native_costs = timed_solve("native", None)
+    t_batch, batch_costs = timed_solve("native", 4)
 
     # Identical outcomes whatever the engine or worker count.
-    assert seed_costs == fast_costs == batch_costs
+    assert seed_costs == native_costs == batch_costs
 
     cpus = available_cpus()
-    speedup_engine = t_seed / t_fast
+    speedup_engine = t_seed / t_native
     speedup_batch = t_seed / t_batch
     entry = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -130,9 +133,10 @@ def test_engine_and_batch_speed():
             "heterogeneous": True,
         },
         "cpus": cpus,
+        "native_kernels_compiled": native_kernels_available(),
         "seconds": {
             "seed_sequential": round(t_seed, 4),
-            "fast_sequential": round(t_fast, 4),
+            "native_sequential": round(t_native, 4),
             "batch_workers4": round(t_batch, 4),
         },
         "speedup": {
@@ -143,6 +147,11 @@ def test_engine_and_batch_speed():
     }
     record_bench(entry)
 
+    if not entry["native_kernels_compiled"]:
+        pytest.skip(
+            "native kernels unavailable (fallback to dict); timings recorded, "
+            "speedup floors not applicable"
+        )
     if cpus >= 2:
         assert speedup_batch >= 2.0, (
             f"solve_many(workers=4) is only {speedup_batch:.2f}x faster than "
@@ -157,6 +166,6 @@ def test_engine_and_batch_speed():
         # (the measurable half of the speedup) and leave the recorded batch
         # timing in BENCH_engine.json as trajectory data.
         assert speedup_engine >= 1.3, (
-            f"indexed engine is only {speedup_engine:.2f}x faster than the "
+            f"native engine is only {speedup_engine:.2f}x faster than the "
             f"seed engine (required 1.3x); times: {entry['seconds']}"
         )

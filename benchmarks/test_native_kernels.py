@@ -1,24 +1,24 @@
-"""Perf smoke benchmark: the compiled native engine vs fast vs dict.
+"""Perf smoke benchmark: the compiled native engine vs the dict engine.
 
-Two workloads, all three engines, identical results asserted:
+Two workloads, both engines, identical results asserted:
 
 * ``campaign_500`` -- the 500-node QoS campaign slice of
   ``test_engine_speed.py`` (16 heterogeneous trees, hop-count QoS, Upwards
   policy), solved on warm per-tree index caches so the timing isolates the
   solve path the engines actually differ on (the index build is shared by
-  all three and dominated by it otherwise);
+  both and dominated by it otherwise);
 * ``big_20k`` -- one heterogeneous tree with ~20k clients under the
   Multiple policy, the scale where per-client Python loops stop being
   noise.
 
 Every ``repro bench`` run appends an entry to ``BENCH_engine.json`` at the
-repository root so future PRs have a performance trajectory.  The acceptance floor of the
-native engine is **2x over the fast engine** on the 500-node solve path
-(the observed ratio on an idle host is ~2.5x vs fast and ~6x vs the seed
-dict engine); the 20k-client ratio is recorded for the trajectory with a
-strict-improvement floor.  When the kernels cannot be compiled the native
-engine *is* the fast engine, so the floors would measure noise; the entry
-records the fallback instead and the assertions are skipped.
+repository root so future PRs have a performance trajectory.  The
+acceptance floors of the native engine are **5x over the dict engine** on
+the 500-node solve path and **2.3x** on the 20k-client instance (measured
+8.2-8.8x and 11.8-12.5x on a 2-vCPU host).  When the kernels cannot be
+compiled the native engine *is* the dict engine, so the floors would
+measure noise; the entry records the fallback instead and the assertions
+are skipped.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.core.constraints import ConstraintSet
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
 
-ENGINES = ("dict", "fast", "native")
+ENGINES = ("dict", "native")
 
 CAMPAIGN_TREE_SIZE = 500
 CAMPAIGN_INSTANCES = 16
@@ -136,23 +136,19 @@ def test_native_kernel_speed():
         campaign_times[engine], campaign_costs[engine] = timed_campaign(
             problems, engine
         )
-    assert campaign_costs["dict"] == campaign_costs["fast"] == campaign_costs["native"]
+    assert campaign_costs["dict"] == campaign_costs["native"]
 
     big = big_problem()
     big_times = {}
     big_costs = {}
     for engine in ENGINES:
         big_times[engine], big_costs[engine] = timed_big(big, engine)
-    assert big_costs["dict"] == big_costs["fast"] == big_costs["native"]
+    assert big_costs["dict"] == big_costs["native"]
 
     speedups = {
-        "campaign_500_native_vs_fast": round(
-            campaign_times["fast"] / campaign_times["native"], 3
-        ),
         "campaign_500_native_vs_dict": round(
             campaign_times["dict"] / campaign_times["native"], 3
         ),
-        "big_20k_native_vs_fast": round(big_times["fast"] / big_times["native"], 3),
         "big_20k_native_vs_dict": round(big_times["dict"] / big_times["native"], 3),
     }
     entry = {
@@ -185,17 +181,17 @@ def test_native_kernel_speed():
 
     if not native_compiled:
         pytest.skip(
-            "native kernels unavailable (fallback to fast); timings recorded, "
+            "native kernels unavailable (fallback to dict); timings recorded, "
             "speedup floors not applicable"
         )
 
-    assert speedups["campaign_500_native_vs_fast"] >= 2.0, (
+    assert speedups["campaign_500_native_vs_dict"] >= 5.0, (
         f"native engine is only "
-        f"{speedups['campaign_500_native_vs_fast']:.2f}x faster than fast on "
-        f"the 500-node campaign (required 2x); times: {entry['seconds']}"
+        f"{speedups['campaign_500_native_vs_dict']:.2f}x faster than dict on "
+        f"the 500-node campaign (required 5x); times: {entry['seconds']}"
     )
-    assert speedups["big_20k_native_vs_fast"] >= 1.3, (
-        f"native engine is only {speedups['big_20k_native_vs_fast']:.2f}x "
-        f"faster than fast on the 20k-client instance (required 1.3x); "
+    assert speedups["big_20k_native_vs_dict"] >= 2.3, (
+        f"native engine is only {speedups['big_20k_native_vs_dict']:.2f}x "
+        f"faster than dict on the 20k-client instance (required 2.3x); "
         f"times: {entry['seconds']}"
     )

@@ -10,8 +10,8 @@ the LP-based lower bound and prints where the replicas end up.  A "session
 API" section walks the stateful ``PlacementSession`` (one object owning the
 tree index, the LP program and the incremental solver state across epochs),
 a "scaling up" section shows the batch API solving a whole sweep of random
-instances in one call, an "engines" section tours the three interchangeable
-request-state engines (dict / fast / compiled native) behind the factory,
+instances in one call, an "engines" section tours the two interchangeable
+request-state engines (dict / compiled native) behind the factory,
 a "dynamic workloads" section revises a placement
 across a churning request-rate trajectory with the incremental re-solver,
 a "traces" section ingests a timestamped request log, detects its epochs
@@ -163,24 +163,23 @@ def scaling_up() -> None:
 
 
 def engines() -> None:
-    """Engines: three interchangeable state implementations, one factory.
+    """Engines: two interchangeable state implementations, one factory.
 
     Every solve mutates a request-affectation state behind
-    ``make_state``: the paper-faithful ``dict`` engine, the indexed
-    ``fast`` engine and the compiled ``native`` engine (the default),
-    whose hot loops run in a small C kernel library built on first use
-    with the system compiler (~2.5x over ``fast``, ~6x over ``dict`` on
-    500-node trees).  Pick one per process with ``REPRO_ENGINE=fast``,
-    per call with ``engine="fast"``, or per block with
-    ``use_engine("fast")``; all three engines are cross-validated
-    bit-for-bit, and ``native`` degrades to ``fast`` with a one-line
+    ``make_state``: the paper-faithful ``dict`` engine or the compiled
+    ``native`` engine (the default), whose hot loops run in a small C
+    kernel library built on first use with the system compiler (~8x over
+    ``dict`` on 500-node trees).  Pick one per process with
+    ``REPRO_ENGINE=dict``, per call with ``engine="dict"``, or per block
+    with ``use_engine("dict")``; the two engines are cross-validated
+    bit-for-bit, and ``native`` degrades to ``dict`` with a one-line
     note on hosts without a C compiler, so the default is always safe.
     ``repro doctor`` prints this report from the command line.
     """
     from repro.algorithms.common import available_engines, make_state, use_engine
     from repro.algorithms.native_state import native_kernels_available
 
-    print("Engines: dict (paper-faithful), fast (indexed), native (compiled)")
+    print("Engines: dict (paper-faithful), native (compiled)")
     print(f"  available_engines() -> {available_engines()}")
     problem = replica_counting_problem(build_tree())
     for engine in available_engines():
@@ -190,7 +189,7 @@ def engines() -> None:
     if native_kernels_available():
         print("  native kernels: compiled (the default engine runs the C path)")
     else:
-        print("  native kernels: unavailable here; engine='native' runs as fast")
+        print("  native kernels: unavailable here; engine='native' runs as dict")
 
 
 def sharded_solving() -> None:

@@ -10,10 +10,10 @@ Contents
   (:func:`~repro.algorithms.common.make_state` /
   :func:`~repro.algorithms.common.use_engine`): every heuristic runs on the
   compiled :class:`repro.algorithms.native_state.NativeRequestState` (the
-  default), the indexed :class:`repro.algorithms.fast_state.FastRequestState`
-  (native's fallback without a C compiler) or the paper-faithful dict
-  engine (``REPRO_ENGINE=fast|dict`` selects one), all three pinned to each
-  other by the cross-validation suite;
+  default) or the paper-faithful dict engine
+  :class:`~repro.algorithms.common.RequestState` (``REPRO_ENGINE=dict``
+  selects it; it is also native's fallback without a C compiler), the two
+  pinned to each other by the cross-validation suite;
 * :mod:`repro.algorithms.multiple_homogeneous` -- the paper's optimal
   polynomial algorithm for the Multiple policy on homogeneous platforms
   (Section 4.1, Theorem 1);
@@ -44,7 +44,6 @@ from repro.algorithms.common import (
     set_default_engine,
     use_engine,
 )
-from repro.algorithms.fast_state import FastRequestState
 from repro.algorithms.multiple_homogeneous import MultipleHomogeneousOptimal
 from repro.algorithms.closest import (
     ClosestTopDownAll,
@@ -71,7 +70,6 @@ __all__ = [
     "heuristics_for_policy",
     "solve_with",
     "RequestState",
-    "FastRequestState",
     "make_state",
     "available_engines",
     "get_default_engine",

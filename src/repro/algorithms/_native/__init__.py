@@ -14,7 +14,7 @@ so later processes (pytest workers, forked solvers, servers) just ``dlopen``
 it.  Everything degrades gracefully: when no compiler is available, when the
 cache directories cannot be written, or when ``REPRO_NATIVE_DISABLE=1`` is
 set, :func:`load_kernels` returns ``None`` and the ``native`` engine falls
-back to the ``fast`` implementation (``make_state`` prints a one-line
+back to the ``dict`` implementation (``make_state`` prints a one-line
 stderr note so silent slowdowns are visible).
 """
 

@@ -2,12 +2,12 @@
  *
  * Every function operates on the flat TreeIndex layouts -- positional
  * double vectors for the mutable state (remaining / inreq / residual),
- * int64 span and ancestor-chain arrays for the structure -- exactly like
- * repro/algorithms/fast_state.py does from interpreted code.  The float
- * arithmetic mirrors the fast engine operation for operation (same
- * additions, in the same order, with the same 1e-9 tolerances), which is
- * what keeps the three engines bit-for-bit identical on every workload
- * the equivalence suite pins.
+ * int64 span and ancestor-chain arrays for the structure.  The float
+ * arithmetic mirrors the dict engine (repro/algorithms/common.py,
+ * RequestState) operation for operation: same additions, in the same
+ * order, with the same 1e-9 tolerances.  That is what keeps the two
+ * engines bit-for-bit identical on every state field the equivalence
+ * suite pins.
  *
  * Buffer conventions (checked only by size where cheap; the Python wrapper
  * in repro/algorithms/native_state.py owns the layout):
@@ -130,10 +130,10 @@ heap_pop(cand_t *heap, int64_t *n)
     return pos;
 }
 
-/* Serve `taken` clients from server position `si`: one fast-engine
- * `_serve` -- per client, subtract from remaining, walk the client's
- * ancestor chain subtracting from inreq, then subtract the grand total
- * from the server's residual (one subtraction, like the fast engine). */
+/* Serve `taken` clients from server position `si` in the dict engine's
+ * serve order (RequestState._serve): per client, subtract from remaining
+ * and walk the client's ancestor chain subtracting from inreq; then
+ * subtract the grand total from the server's residual, once. */
 static double
 serve_taken(double *rem, double *inr, double *res,
             const int64_t *caf, const int64_t *cao,
@@ -153,7 +153,7 @@ serve_taken(double *rem, double *inr, double *res,
     return total;
 }
 
-/* Candidate selection + budget walk of the fast engine's drain():
+/* Candidate selection + budget walk of the dict engine's drain():
  * filter the span's pending (QoS-eligible) clients, then consume whole
  * clients in (sign * remaining, repr-rank) ascending order until the budget
  * runs out (optionally splitting the last one).  The order is a heap walk:
@@ -302,7 +302,7 @@ k_assign(PyObject *self, PyObject *args)
     }
     double *rem = DBL(b[0]), *inr = DBL(b[1]), *res = DBL(b[2]);
     const int64_t *caf = I64(b[3]), *cao = I64(b[4]);
-    /* same order as the fast engine's assign(): remaining, residual,
+    /* same order as the dict engine's assign(): remaining, residual,
      * then the ancestor walk */
     rem[ci] = rem[ci] - amount;
     res[si] -= amount;
@@ -489,52 +489,45 @@ done:
     return result;
 }
 
-/* cover(rem, inr, res, caf, cao, css, cse, nse, naf, nao, thr_or_none,
- *       si, depth, bulk_min,
+/* cover(rem, inr, res, caf, cao, css, cse, thr_or_none, si, depth,
  *       replicas, amounts, client_order, node_order) -> covered
- * Serve every eligible pending client of subtree(si).  Past bulk_min
- * served clients the inreq update batches into one prefix sum over the
- * subtree span, exactly like the fast engine's _serve_bulk. */
+ * Serve every eligible pending client of subtree(si), in span order, with
+ * serve_taken: the dict engine's cover(). */
 static PyObject *
 k_cover(PyObject *self, PyObject *args)
 {
-    PyObject *o_rem, *o_inr, *o_res, *o_caf, *o_cao, *o_css, *o_cse, *o_nse,
-        *o_naf, *o_nao, *o_thr;
-    long long si, depth, bulk_min;
+    PyObject *o_rem, *o_inr, *o_res, *o_caf, *o_cao, *o_css, *o_cse, *o_thr;
+    long long si, depth;
     sink_t sink;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOLLL" SINK_FORMAT, &o_rem, &o_inr,
-                          &o_res, &o_caf, &o_cao, &o_css, &o_cse, &o_nse,
-                          &o_naf, &o_nao, &o_thr, &si, &depth, &bulk_min,
-                          SINK_ARGS(sink)))
+    if (!PyArg_ParseTuple(args, "OOOOOOOOLL" SINK_FORMAT, &o_rem, &o_inr,
+                          &o_res, &o_caf, &o_cao, &o_css, &o_cse, &o_thr, &si,
+                          &depth, SINK_ARGS(sink)))
         return NULL;
-    buf_t b[11] = {0};
+    buf_t b[8] = {0};
     if (get_buf(o_rem, &b[0], 1, "rem") || get_buf(o_inr, &b[1], 1, "inr") ||
         get_buf(o_res, &b[2], 1, "res") || get_buf(o_caf, &b[3], 0, "caf") ||
         get_buf(o_cao, &b[4], 0, "cao") || get_buf(o_css, &b[5], 0, "css") ||
-        get_buf(o_cse, &b[6], 0, "cse") || get_buf(o_nse, &b[7], 0, "nse") ||
-        get_buf(o_naf, &b[8], 0, "naf") || get_buf(o_nao, &b[9], 0, "nao")) {
-        release_all(b, 11);
+        get_buf(o_cse, &b[6], 0, "cse")) {
+        release_all(b, 8);
         return NULL;
     }
     const int64_t *thr = NULL;
     if (o_thr != Py_None) {
-        if (get_buf(o_thr, &b[10], 0, "thr")) {
-            release_all(b, 11);
+        if (get_buf(o_thr, &b[7], 0, "thr")) {
+            release_all(b, 8);
             return NULL;
         }
-        thr = I64(b[10]);
+        thr = I64(b[7]);
     }
     double *rem = DBL(b[0]), *inr = DBL(b[1]), *res = DBL(b[2]);
     const int64_t *caf = I64(b[3]), *cao = I64(b[4]);
-    const int64_t *css = I64(b[5]), *cse = I64(b[6]), *nse = I64(b[7]);
-    const int64_t *naf = I64(b[8]), *nao = I64(b[9]);
+    const int64_t *css = I64(b[5]), *cse = I64(b[6]);
 
     int64_t start = css[si], end = cse[si];
     int64_t span = end - start;
     PyObject *result = NULL;
     int64_t *taken_pos = NULL;
     double *taken_amt = NULL;
-    double *scratch = NULL;
     if (span > 0) {
         taken_pos = (int64_t *)malloc((size_t)span * sizeof(int64_t));
         taken_amt = (double *)malloc((size_t)span * sizeof(double));
@@ -544,62 +537,24 @@ k_cover(PyObject *self, PyObject *args)
         }
     }
     int64_t count = 0;
-    for (int64_t p = start; p < end; p++)
-        if (rem[p] > TOL && (thr == NULL || thr[p] <= depth))
-            taken_pos[count++] = p;
-
+    for (int64_t p = start; p < end; p++) {
+        if (rem[p] > TOL && (thr == NULL || thr[p] <= depth)) {
+            taken_pos[count] = p;
+            taken_amt[count] = rem[p];
+            count++;
+        }
+    }
     double total = 0.0;
-    if (count == 0) {
-        /* nothing to serve */
-    }
-    else if (count >= bulk_min) {
-        /* _serve_bulk: zero out the served clients, one prefix sum over
-         * the span, subtract per-node deltas inside the subtree and the
-         * grand total above it. */
-        scratch = (double *)calloc((size_t)(2 * span + 1), sizeof(double));
-        if (scratch == NULL) {
-            PyErr_NoMemory();
-            goto done;
-        }
-        double *served = scratch;          /* span doubles */
-        double *prefix = scratch + span;   /* span + 1 doubles */
-        for (int64_t k = 0; k < count; k++) {
-            int64_t p = taken_pos[k];
-            double amount = rem[p];
-            taken_amt[k] = amount;
-            rem[p] = 0.0;
-            served[p - start] = amount;
-            total += amount;
-        }
-        res[si] -= total;
-        double running = 0.0;
-        prefix[0] = 0.0;
-        for (int64_t k = 0; k < span; k++) {
-            running = running + served[k];
-            prefix[k + 1] = running;
-        }
-        for (int64_t ni = si; ni < nse[si]; ni++) {
-            double delta = prefix[cse[ni] - start] - prefix[css[ni] - start];
-            if (delta != 0.0)
-                inr[ni] -= delta;
-        }
-        for (int64_t j = nao[si]; j < nao[si + 1]; j++)
-            inr[naf[j]] -= total;
-    }
-    else {
-        for (int64_t k = 0; k < count; k++)
-            taken_amt[k] = rem[taken_pos[k]];
+    if (count > 0)
         total = serve_taken(rem, inr, res, caf, cao, si, taken_pos, taken_amt,
                             count);
-    }
     if (sink_taken(&sink, si, taken_pos, taken_amt, count) != 0)
         goto done;
     result = PyFloat_FromDouble(total);
 done:
-    free(scratch);
     free(taken_pos);
     free(taken_amt);
-    release_all(b, 11);
+    release_all(b, 8);
     return result;
 }
 

@@ -48,12 +48,6 @@ def _make_dict_state(problem: "ReplicaPlacementProblem") -> "RequestState":
     return RequestState(problem)
 
 
-def _make_fast_state(problem: "ReplicaPlacementProblem") -> "RequestState":
-    from repro.algorithms.fast_state import FastRequestState
-
-    return FastRequestState(problem)
-
-
 def _make_native_state(problem: "ReplicaPlacementProblem") -> "RequestState":
     from repro.algorithms.native_state import create_native_state
 
@@ -61,16 +55,14 @@ def _make_native_state(problem: "ReplicaPlacementProblem") -> "RequestState":
 
 
 #: The interchangeable state engines: the paper-faithful dict implementation
-#: below, the indexed array implementation of
-#: :mod:`repro.algorithms.fast_state`, and the compiled-kernel implementation
-#: of :mod:`repro.algorithms.native_state`, the default (which falls back to
-#: ``fast`` when no C compiler is available, so every name here is always
+#: below and the compiled-kernel implementation of
+#: :mod:`repro.algorithms.native_state`, the default (which falls back to
+#: ``dict`` when no C compiler is available, so every name here is always
 #: valid).
 #: ``_ENGINES`` and every engine-listing error message derive from this
 #: registry, so they cannot drift from the factory.
 _ENGINE_FACTORIES = {
     "dict": _make_dict_state,
-    "fast": _make_fast_state,
     "native": _make_native_state,
 }
 
@@ -105,8 +97,8 @@ def set_default_engine(engine: str) -> str:
 
     The initial default is the ``REPRO_ENGINE`` environment variable when
     set, and the compiled ``"native"`` engine otherwise (which runs as
-    ``"fast"`` where the kernels cannot be built; the equivalence test
-    suite pins all three engines to each other).  The selection is
+    ``"dict"`` where the kernels cannot be built; the equivalence test
+    suite pins the two engines to each other).  The selection is
     context-local: it applies to the current thread / async context and to
     worker processes forked from it.
     """
@@ -132,12 +124,10 @@ def use_engine(engine: str) -> Iterator[str]:
 def make_state(problem: ReplicaPlacementProblem, engine: Optional[str] = None) -> "RequestState":
     """Build the request-affectation state every heuristic runs on.
 
-    ``engine`` forces one of ``"dict"`` (the seed implementation below),
-    ``"fast"`` (the array-backed
-    :class:`~repro.algorithms.fast_state.FastRequestState`) or ``"native"``
-    (the compiled-kernel
+    ``engine`` forces one of ``"dict"`` (the seed implementation below) or
+    ``"native"`` (the compiled-kernel
     :class:`~repro.algorithms.native_state.NativeRequestState`, which falls
-    back to ``fast`` with a stderr note when the kernels cannot be built);
+    back to ``dict`` with a stderr note when the kernels cannot be built);
     by default the engine selected by :func:`set_default_engine` /
     :func:`use_engine` is used, ``"native"`` unless changed.
     """
@@ -249,27 +239,30 @@ class RequestState:
         """
         if budget <= _TOL:
             return 0.0
+        remaining = self.remaining
         clients = self.eligible_pending_clients(server_id)
-        clients.sort(key=lambda cid: (-self.remaining[cid], repr(cid)))
+        clients.sort(key=lambda cid: (-remaining[cid], repr(cid)))
         if not largest_first:
-            clients.sort(key=lambda cid: (self.remaining[cid], repr(cid)))
+            clients.sort(key=lambda cid: (remaining[cid], repr(cid)))
 
         drained = 0.0
+        taken = []
         for client_id in clients:
-            pending = self.remaining[client_id]
+            pending = remaining[client_id]
             if pending <= budget + _TOL:
-                self.assign(client_id, server_id, pending)
+                taken.append((client_id, pending))
                 budget -= pending
                 drained += pending
                 if budget <= _TOL:
                     break
             elif split_last:
-                self.assign(client_id, server_id, budget)
+                taken.append((client_id, budget))
                 drained += budget
                 budget = 0.0
                 break
             # Whole-client mode: a client larger than the remaining budget is
             # simply skipped (the paper tries the next, smaller, client).
+        self._serve(server_id, taken)
         return drained
 
     def cover(self, server_id: NodeId) -> float:
@@ -278,12 +271,36 @@ class RequestState:
         Used by the Closest heuristics once ``W_s >= inreq_s`` guarantees the
         whole subtree fits.  Returns the amount affected.
         """
-        covered = 0.0
-        for client_id in self.eligible_pending_clients(server_id):
-            pending = self.remaining[client_id]
-            self.assign(client_id, server_id, pending)
-            covered += pending
-        return covered
+        remaining = self.remaining
+        return self._serve(
+            server_id,
+            [(cid, remaining[cid]) for cid in self.eligible_pending_clients(server_id)],
+        )
+
+    def _serve(self, server_id: NodeId, taken: List[Tuple[NodeId, float]]) -> float:
+        """Affect each ``(client, amount)`` of ``taken`` to ``server_id``, in order.
+
+        The serve rule of every drain and cover, which the native engine's
+        ``serve_taken`` kernel repeats: per client, its remaining requests,
+        its affectation and the ``inreq`` of its ancestors; then the total
+        leaves the server's residual in one subtraction.  Returns the total.
+        """
+        if not taken:
+            return 0.0
+        remaining = self.remaining
+        amounts = self.amounts
+        inreq = self.inreq
+        ancestors = self.tree.ancestors
+        total = 0.0
+        for client_id, amount in taken:
+            remaining[client_id] -= amount
+            key = (client_id, server_id)
+            amounts[key] = amounts.get(key, 0.0) + amount
+            for ancestor in ancestors(client_id):
+                inreq[ancestor] -= amount
+            total += amount
+        self.residual[server_id] -= total
+        return total
 
     # ------------------------------------------------------------------ #
     # heuristic inner loops
@@ -292,8 +309,7 @@ class RequestState:
     # heuristics; hoisting them onto the state lets each engine supply its
     # own implementation (the native engine runs them as single C kernel
     # calls).  The bodies here are verbatim copies of the original
-    # heuristic code, so the dict and fast engines behave exactly as
-    # before.
+    # heuristic code, so the dict engine behaves exactly as before.
     # ------------------------------------------------------------------ #
     def can_cover(self, node_id: NodeId) -> bool:
         """Can ``node_id`` capture the whole remaining load of its subtree?

@@ -14,8 +14,8 @@ from optimal on heterogeneous platforms, since cheap low nodes are greedily
 used regardless of the cost structure.
 
 The post-order loop is an engine method,
-:meth:`RequestState.greedy_sweep`: the dict and fast engines run it in
-Python, the native engine as one ``sweep_greedy`` kernel call (per-pair QoS
+:meth:`RequestState.greedy_sweep`: the dict engine runs it in Python,
+the native engine as one ``sweep_greedy`` kernel call (per-pair QoS
 predicates of non-monotone constraint subclasses keep the Python loop).
 """
 

@@ -1,14 +1,14 @@
 """Compiled request-affectation state (the "native" engine).
 
-:class:`NativeRequestState` is the third engine behind
+:class:`NativeRequestState` is the default engine behind
 :func:`repro.algorithms.common.make_state`.  It keeps the exact public API
-of the dict and fast engines but stores the mutable state in flat
-``array('d')`` vectors laid out by :class:`~repro.core.index.TreeIndex` and
-runs every hot loop -- span scans, heap-ordered drains, prefix-sum covers,
-whole first/second heuristic passes, MG's bottom-up greedy fold
-(``sweep_greedy``), the UBCF best-fit walk -- inside the C kernels of
-:mod:`repro.algorithms._native` (compiled on first use with the system C
-compiler).  It is the default engine.
+of the dict engine (:class:`~repro.algorithms.common.RequestState`) but
+stores the mutable state in flat ``array('d')`` vectors laid out by
+:class:`~repro.core.index.TreeIndex` and runs every hot loop -- span
+scans, heap-ordered drains, covers, whole first/second heuristic passes,
+MG's bottom-up greedy fold (``sweep_greedy``), the UBCF best-fit walk --
+inside the C kernels of :mod:`repro.algorithms._native` (compiled on first
+use with the system C compiler).
 
 The ``remaining`` / ``inreq`` / ``residual`` mappings every heuristic and
 test reads are :class:`VecMap` views over those vectors: id-keyed like the
@@ -18,23 +18,24 @@ kernels mutate, so there is no dual bookkeeping to keep in sync.
 Equivalence contract
 --------------------
 
-Same as the fast engine's, one level down: every kernel repeats the fast
-implementation's float operations in the same order with the same ``1e-9``
-tolerances (drains pop a heap on ``(sign * remaining, repr-rank)``, a total
-order, so they take clients in the decorate-sort's order; covers batch
-``inreq`` with the same prefix sums past the same 32-client cutoff; the
+Every kernel repeats the dict engine's float operations in the same order
+with the same ``1e-9`` tolerances: drains pop a heap on
+``(sign * remaining, repr-rank)``, a total order, so they take clients in
+the dict engine's sort order; every drain and cover serves its clients
+with :meth:`RequestState._serve`'s rule (per client: remaining, then the
+ancestors' ``inreq``; then the total off the server's residual once); the
 greedy sweep pops on ``(-remaining, repr-rank)`` or, under QoS, on
-``(depth - threshold, repr-rank)``, the order of MG's key sort), so
-``native`` is bit-for-bit identical to ``fast`` and ``dict`` across the
-engine-matrix suite.  Paths the kernels cannot
-represent -- non-monotone :class:`ConstraintSet` subclasses, spans addressed
-by client id -- delegate to the inherited fast implementations, which run
-unmodified over the same arrays.
+``(depth - threshold, repr-rank)``, the order of MG's key sort.  So
+``native`` is bit-for-bit identical to ``dict`` on every state field
+(replicas, amounts, remaining, residual, ``inreq``) across the
+engine-matrix suite.  Paths the kernels cannot represent -- non-monotone
+:class:`ConstraintSet` subclasses, spans addressed by client id -- run the
+inherited dict methods, unmodified, over the same arrays.
 
 When the kernels cannot be built (no compiler, read-only filesystem,
-``REPRO_NATIVE_DISABLE=1``), :func:`create_native_state` falls back to
-:class:`~repro.algorithms.fast_state.FastRequestState` with a one-line
-stderr note, so ``engine="native"`` is always a valid selection.
+``REPRO_NATIVE_DISABLE=1``), :func:`create_native_state` falls back to the
+dict engine's :class:`~repro.algorithms.common.RequestState` with a
+one-line stderr note, so ``engine="native"`` is always a valid selection.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from repro.algorithms import _native
-from repro.algorithms.common import _TOL
-from repro.algorithms.fast_state import _BULK_COVER_MIN, FastRequestState
+from repro.algorithms.common import RequestState, _TOL
 from repro.core.index import TreeIndex
 from repro.core.problem import ReplicaPlacementProblem
 from repro.core.tree import NodeId, _floats, _ints, _view
@@ -69,7 +69,7 @@ _fallback_noted = False
 
 
 def create_native_state(problem: ReplicaPlacementProblem):
-    """Factory behind ``engine="native"``: kernels if possible, fast if not."""
+    """Factory behind ``engine="native"``: kernels if possible, dict if not."""
     global _fallback_noted
     if native_kernels_available():
         return NativeRequestState(problem)
@@ -77,11 +77,11 @@ def create_native_state(problem: ReplicaPlacementProblem):
         reason = _native.kernel_status().get("error") or "unavailable"
         print(
             f"repro: native kernels unavailable ({reason}); "
-            "falling back to the fast engine",
+            "falling back to the dict engine",
             file=sys.stderr,
         )
         _fallback_noted = True
-    return FastRequestState(problem)
+    return RequestState(problem)
 
 
 class VecMap:
@@ -163,8 +163,6 @@ class _NativeArrays:
         "cap",
         "caf",
         "cao",
-        "naf",
-        "nao",
         "rrk",
         "_post_order",
     )
@@ -183,9 +181,6 @@ class _NativeArrays:
         self.caf = array("q", bytes(8 * sum(index.client_depth)))
         self.cao = array("q", bytes(8 * (index.n_clients + 1)))
         kernels.build_chains(client_parent, node_parent, self.caf, self.cao)
-        self.naf = array("q", bytes(8 * sum(index.node_depth)))
-        self.nao = array("q", bytes(8 * (index.n_nodes + 1)))
-        kernels.build_chains(node_parent, node_parent, self.naf, self.nao)
         # Integer rank of every client under the (repr(id), position)
         # lexicographic order: comparing ranks in C reproduces the decorated
         # tuple sort's tie-breaking exactly (a stable sort on repr alone
@@ -226,8 +221,8 @@ def _qos_threshold_array(index: TreeIndex, problem, kernels, arrays) -> array:
 
     Stored in the index's threshold memo next to the list the pure-Python
     path computes (under a ``("native", mode)`` key), and mirrored into the
-    plain-mode slot as a list so the fast engine and the eligible-servers
-    cache never recompute it.  The kernel repeats the comparisons of
+    plain-mode slot as a list so the eligible-servers cache and the LP
+    assembly never recompute it.  The kernel repeats the comparisons of
     :meth:`TreeIndex.qos_depth_thresholds` operation for operation.
     """
     from repro.core.constraints import QoSMode
@@ -270,13 +265,13 @@ def _qos_threshold_array(index: TreeIndex, problem, kernels, arrays) -> array:
     return thresholds
 
 
-class NativeRequestState(FastRequestState):
+class NativeRequestState(RequestState):
     """``RequestState`` whose hot methods run in compiled kernels.
 
-    Subclasses the fast engine so every path the kernels do not cover
-    (per-pair QoS predicates of constraint subclasses, spans addressed by
-    client id) inherits the fast implementation, which operates on the same
-    arrays through the :class:`VecMap` views.
+    Every path the kernels do not cover (per-pair QoS predicates of
+    constraint subclasses, spans addressed by client id) inherits the dict
+    implementation, which operates on the same arrays through the
+    :class:`VecMap` views.
     """
 
     def __init__(self, problem: ReplicaPlacementProblem):
@@ -368,6 +363,20 @@ class NativeRequestState(FastRequestState):
     # ------------------------------------------------------------------ #
     # client queries
     # ------------------------------------------------------------------ #
+    def _span(self, element_id: NodeId) -> Tuple[int, int, int]:
+        """``(node_index, start, end)`` client span of ``subtree(element_id)``.
+
+        ``node_index`` is -1 when the element is itself a client (its span is
+        the singleton holding the client, mirroring the dict engine, which
+        accepts clients wherever ``tree.subtree_clients`` does).
+        """
+        index = self._index
+        node_index = index.node_pos.get(element_id)
+        if node_index is not None:
+            return node_index, index.client_span_start[node_index], index.client_span_end[node_index]
+        ci = index.client_index(element_id)  # raises on unknown ids
+        return -1, ci, ci + 1
+
     def pending_clients(self, node_id: NodeId):
         si, start, end = self._span(node_id)
         if si >= 0 and self._inreq_vec[si] <= _TOL:
@@ -435,7 +444,7 @@ class NativeRequestState(FastRequestState):
         if budget <= _TOL:
             return 0.0
         si, start, end = self._span(server_id)
-        if si < 0:  # spans addressed by client id keep the inherited quirks
+        if si < 0:  # spans addressed by client id run the dict engine's drain
             return super().drain(
                 server_id, budget, largest_first=largest_first, split_last=split_last
             )
@@ -479,13 +488,9 @@ class NativeRequestState(FastRequestState):
             arrays.cao,
             arrays.css,
             arrays.cse,
-            arrays.nse,
-            arrays.naf,
-            arrays.nao,
             thresholds,
             si,
             arrays.nd[si] if thresholds is not None else 0,
-            _BULK_COVER_MIN,
             *self._sink(),
         )
 

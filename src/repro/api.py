@@ -53,11 +53,10 @@ by default: the hot loops -- span scans, drain/cover, every heuristic
 sweep, MG's greedy fold included -- run in a small kernel library
 (:mod:`repro.algorithms.native_state`, built with the system C compiler on
 the first solve, cached under ``build/native/``).  It is pinned
-bit-identical to the array-backed ``fast`` engine
-(:mod:`repro.algorithms.fast_state`) and the paper-faithful ``dict``
-engine, which ``REPRO_ENGINE``, ``engine=`` or
+bit-identical to the paper-faithful ``dict`` engine, which
+``REPRO_ENGINE``, ``engine=`` or
 :func:`repro.algorithms.common.set_default_engine` select instead; without
-a compiler ``native`` degrades to ``fast`` with a one-line stderr note.
+a compiler ``native`` degrades to ``dict`` with a one-line stderr note.
 For campaign-scale workloads, :func:`solve_many` with ``workers=N`` forks a
 process pool and splits the instance list into per-worker chunks.  For
 long-lived serving, keep a :class:`~repro.session.PlacementSession` per
@@ -408,9 +407,9 @@ def solve_many(
         Any other exception always propagates.
     engine:
         Optional request-state engine override -- any name from
-        :func:`repro.algorithms.common.available_engines` (``"dict"``,
-        ``"fast"`` or the compiled ``"native"``) -- applied inside the
-        workers; defaults to the process-wide engine.
+        :func:`repro.algorithms.common.available_engines` (``"dict"`` or
+        the compiled ``"native"``) -- applied inside the workers; defaults
+        to the process-wide engine.
 
     Returns
     -------
@@ -596,8 +595,8 @@ def solve_sequence(
         in epoch order.
     engine:
         Optional request-state engine override -- any name from
-        :func:`repro.algorithms.common.available_engines` (``"dict"``,
-        ``"fast"`` or the compiled ``"native"``).
+        :func:`repro.algorithms.common.available_engines` (``"dict"`` or
+        the compiled ``"native"``).
     shards:
         Optional sharded-solve spec forwarded to the session: epochs are
         solved shard-by-shard and a rate change confined to one shard

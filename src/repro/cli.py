@@ -1175,8 +1175,9 @@ def _dispatch_doctor(args: argparse.Namespace) -> int:
 
     Builds a two-client probe tree and runs every registered engine on it,
     so the report reflects what :func:`repro.algorithms.common.make_state`
-    would actually return (including the native engine's silent fallback to
-    ``fast`` when no C compiler is around).
+    would actually return (including the native engine's fallback to
+    ``dict`` when no C compiler is around).  Exits 1 after the report when
+    the default engine (``REPRO_ENGINE``) names no registered engine.
     """
     from repro.algorithms._native import kernel_cache_dir, kernel_status
     from repro.algorithms.common import get_default_engine, make_state
@@ -1225,7 +1226,7 @@ def _dispatch_doctor(args: argparse.Namespace) -> int:
     }
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
+        return _default_engine_status(probe)
 
     print(f"default engine: {report['default_engine']}"
           + (f" (REPRO_ENGINE={report['env_engine']})" if report["env_engine"] else ""))
@@ -1253,6 +1254,19 @@ def _dispatch_doctor(args: argparse.Namespace) -> int:
     else:
         print("lp backend: unavailable (scipy is not installed; "
               "mixed/rational bounds and exact solves need it)")
+    return _default_engine_status(probe)
+
+
+def _default_engine_status(probe: ReplicaPlacementProblem) -> int:
+    """``doctor``'s exit code: 1, with the engine registry's error on
+    stderr, when the default engine cannot build a state."""
+    from repro.algorithms.common import make_state
+
+    try:
+        make_state(probe)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -17,8 +17,8 @@ this package operates on:
   bounds;
 * :mod:`repro.core.constraints` -- QoS and link-capacity constraint records;
 * :mod:`repro.core.index` -- the interned flat-tree index (dense integer
-  ids, contiguous subtree spans, ancestor chains) backing the fast solver
-  engine and the batch API;
+  ids, contiguous subtree spans, ancestor chains) backing the native solver
+  engine, the LP assembly and the batch API;
 * :mod:`repro.core.serialization` -- JSON round-tripping of trees and
   solutions.
 """

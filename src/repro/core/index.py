@@ -13,10 +13,7 @@ columns by position (the tree's store maps every id to a position; see
   form the contiguous span ``client_span_start[j] .. client_span_end[j]``
   *and* enumerate in the same order as the tree's own queries;
 * parent / depth vectors for both populations and per-client request
-  vectors;
-* ready-to-``copy()`` dict templates for the engine's mutable state
-  (``remaining`` / ``inreq`` / ``residual``), so building a solver state
-  costs three C-level dict copies instead of per-id dict comprehensions.
+  vectors.
 
 The layout is computed from the store's breadth-first levels and its
 children (CSR form) with numpy, one level at a time: subtree sizes
@@ -26,11 +23,11 @@ position -- request rates, capacities and subtree sums straight from the
 columns -- and the ancestor chains are the tree's memoised ones, so
 ``TreeNetwork.ancestors`` and the index hand out the same tuples.
 
-Scalar vectors are plain Python lists/tuples: the engine's span scans are
-dominated by element access from interpreted code, where list indexing
-beats both dict lookups (no hashing) and numpy arrays (no per-element C
-dispatch / unboxing).  Views only latency QoS needs (uplink times, root
-latencies) are built on first use, like the numpy mirrors.
+Scalar vectors are plain Python lists/tuples, indexed element by element
+from interpreted code (the QoS threshold walk, the structural queries);
+the native engine copies the ones its kernels read into ``array('q')``
+buffers once per topology.  Views only latency QoS needs (uplink times,
+root latencies) are built on first use, like the numpy mirrors.
 
 The index is immutable, built once per tree (``TreeIndex.for_tree`` caches
 it on the tree instance) and shared by every state object built on the same
@@ -98,9 +95,7 @@ class TreeIndex:
         "client_repr",
         "_node_perm",
         "_client_slots",
-        "remaining_template",
-        "inreq_template",
-        "residual_template",
+        "_subtree",
         "qos_threshold_cache",
         "_np_cache",
     )
@@ -156,14 +151,15 @@ class TreeIndex:
         #: matches the dict engine's ``repr`` sort keys.
         self.client_repr = tuple(map(repr, client_order))
 
-        # ---- workload vectors and the engine's dict templates ------------- #
+        # ---- workload vectors ------------------------------------------- #
         self._node_perm = node_perm
         self._client_slots = client_perm - n_nodes
         self._gather(tree)
 
         #: memoised per-client QoS depth thresholds, keyed by QoS mode
-        #: (filled lazily by the fast engine; bounds live on the tree, so a
-        #: mode fully determines the thresholds).
+        #: (filled lazily by the native engine, the eligible-servers cache
+        #: and the LP assembly; bounds live on the tree, so a mode fully
+        #: determines the thresholds).
         self.qos_threshold_cache: Dict[object, List[int]] = {}
 
         #: lazily-built *structural* views (no workload data), shared
@@ -217,9 +213,9 @@ class TreeIndex:
 
         Structural layouts (orders, spans, ancestor chains, depths, link
         latencies, repr keys, QoS threshold memo) are shared with this index;
-        only the request-dependent vectors and dict templates are recomputed
-        from ``tree``.  ``changed_clients`` are the ids whose rate differs
-        from this index's tree (an empty iterable shares everything).
+        only the request vector is recomputed from ``tree``.
+        ``changed_clients`` are the ids whose rate differs from this index's
+        tree (an empty iterable shares everything).
         """
         fork = TreeIndex.__new__(TreeIndex)
         fork.store = self.store
@@ -242,7 +238,7 @@ class TreeIndex:
         fork.client_repr = self.client_repr
         fork._node_perm = self._node_perm
         fork._client_slots = self._client_slots
-        fork.residual_template = self.residual_template
+        fork._subtree = tree._subtree
         #: thresholds depend on QoS bounds / depths / comm times only, all of
         #: which an epoch fork leaves untouched -- share the memo.
         fork.qos_threshold_cache = self.qos_threshold_cache
@@ -252,37 +248,21 @@ class TreeIndex:
         changed = tuple(changed_clients)
         if not changed:
             fork.client_requests = self.client_requests
-            fork.remaining_template = self.remaining_template
-            fork.inreq_template = self.inreq_template
             return fork
 
         client_pos = self.client_pos
         pos, offset, rates = self.store.pos, self.store.n_nodes, tree._requests
         requests_vec = list(self.client_requests)
-        remaining = dict(self.remaining_template)
         for client_id in changed:
-            value = rates[pos[client_id] - offset]
-            requests_vec[client_pos[client_id]] = value
-            remaining[client_id] = value
+            requests_vec[client_pos[client_id]] = rates[pos[client_id] - offset]
         fork.client_requests = requests_vec
-        fork.remaining_template = remaining
-        # The fork's subtree sums were re-accumulated in fresh-build order by
-        # with_requests, so reading them back gives the same floats a full
-        # rebuild would produce.
-        fork.inreq_template = self._node_values(tree._subtree)
         return fork
 
     def _gather(self, tree: TreeNetwork) -> None:
-        """The workload vectors and the engine's dict templates, gathered
-        from ``tree``'s columns by position."""
+        """The request vector, gathered from ``tree``'s column by position,
+        and the tree's subtree request sums (kept by reference)."""
         self.client_requests = _view(tree._requests)[self._client_slots].tolist()
-        self.remaining_template = dict(zip(self.client_order, self.client_requests))
-        self.inreq_template = self._node_values(tree._subtree)
-        self.residual_template = self._node_values(tree._store.capacity)
-
-    def _node_values(self, column) -> Dict[NodeId, float]:
-        """``{node id: column entry}`` in node layout order."""
-        return dict(zip(self.node_order, _view(column)[self._node_perm].tolist()))
+        self._subtree = tree._subtree
 
     @classmethod
     def sliced(cls, shard) -> "TreeIndex":
@@ -389,10 +369,10 @@ class TreeIndex:
 
         Containers by ``sys.getsizeof``, plus the objects they own: an int
         (32 bytes) per position and per node's parent and span entries, a
-        float (24 bytes) per request and template value, the ``repr``
-        strings and the nodes' ancestor chains.  Shared with forks or not,
-        every part is charged: a fork outlives the index it was patched
-        from.
+        float (24 bytes) per request, the ``repr`` strings and the nodes'
+        ancestor chains.  Shared with forks or not, every part is charged: a
+        fork outlives the index it was patched from.  The subtree request
+        sums are the tree's column, charged by :attr:`TreeNetwork.nbytes`.
         """
         n_nodes, n_clients = self.n_nodes, self.n_clients
         containers = (
@@ -400,15 +380,14 @@ class TreeIndex:
             self.node_parent, self.client_parent, self.node_depth, self.client_depth,
             self.node_span_end, self.client_span_start, self.client_span_end,
             self.node_ancestors, self.client_ancestors, self.client_requests,
-            self.client_repr, self.remaining_template, self.inreq_template,
-            self.residual_template,
+            self.client_repr,
         )
         chains = 56 * n_nodes + 8 * sum(self.node_depth)
         reprs = 49 * n_clients + sum(map(len, self.client_repr))
         return (
             sum(map(sys.getsizeof, containers))
             + 32 * (6 * n_nodes + n_clients)
-            + 24 * (n_clients + 2 * n_nodes)
+            + 24 * n_clients
             + chains
             + reprs
             + self._node_perm.nbytes
@@ -594,10 +573,9 @@ class TreeIndex:
         return self.node_order[index : self.node_span_end[index]]
 
     def subtree_requests_of(self, node_id: NodeId) -> float:
-        """Total requests issued inside ``subtree(node_id)``."""
-        if node_id not in self.inreq_template:
-            raise TreeStructureError(f"unknown internal node {node_id!r}")
-        return self.inreq_template[node_id]
+        """Total requests issued inside ``subtree(node_id)``, read from the
+        tree's subtree column."""
+        return self._subtree[self._node_perm[self.node_index(node_id)]]
 
     def root_latency_of(self, element_id: NodeId) -> float:
         """Sum of link communication times from an element up to the root."""

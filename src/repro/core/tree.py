@@ -1168,6 +1168,13 @@ def _subtree_sums(store: _Store, requests: array) -> array:
     return _floats(sums[:n_nodes])
 
 
+def _check_keys(mapping: Dict[int, Any], size: int, name: str, what: str) -> None:
+    """Every key of a sparse map is an ``int`` in ``range(size)``."""
+    for key in mapping:
+        if type(key) is not int or not 0 <= key < size:
+            raise TreeStructureError(f"{name} key {key!r} is not {what} in range({size})")
+
+
 def _assemble(
     node_ids: List[NodeId],
     capacity: array,
@@ -1263,6 +1270,8 @@ def _assemble(
             "elements unreachable from the root (cycle or disconnected): "
             f"{sorted(map(repr, unreachable))}"
         )
+    _check_keys(metrics, len(link_child), "metrics", "a link index")
+    _check_keys(metadata, n, "metadata", "an element position")
 
     comm_column = np.zeros(n)
     comm_column[child] = _view(comm)

@@ -481,9 +481,8 @@ class PlacementSession:
         the baseline the other modes are validated against).
     engine:
         Optional request-state engine override -- any name from
-        :func:`repro.algorithms.common.available_engines` (``"dict"``,
-        ``"fast"`` or the compiled ``"native"``) -- applied around every
-        internal solve.
+        :func:`repro.algorithms.common.available_engines` (``"dict"`` or
+        the compiled ``"native"``) -- applied around every internal solve.
     shards:
         Optional sharded-solve specification: a target shard count or an
         explicit cut node sequence (see

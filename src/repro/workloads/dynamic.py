@@ -28,8 +28,7 @@ Generators
 :func:`capacity_incident` server capacities drop for a window of epochs
 ========================  ====================================================
 
-All rates stay integral (the paper's request model, and the regime in which
-the fast engine is pinned bit-for-bit to the dict engine).
+All rates stay integral (the paper's request model).
 """
 
 from __future__ import annotations

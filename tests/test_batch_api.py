@@ -120,7 +120,7 @@ def test_solve_many_accepts_bare_trees():
     assert all(solution is not None for solution in results)
 
 
-@pytest.mark.parametrize("engine", ["dict", "fast"])
+@pytest.mark.parametrize("engine", ["dict", "native"])
 def test_solve_many_engine_override_is_equivalent(engine):
     problems = batch_problems(5)
     reference = sequential_reference(problems, policy="upwards")

@@ -55,7 +55,7 @@ from tests.conftest import assert_valid
 # --------------------------------------------------------------------------- #
 # epoch forks: with_requests and the patched TreeIndex
 # --------------------------------------------------------------------------- #
-INDEX_WORKLOAD_FIELDS = ("client_requests", "remaining_template", "inreq_template")
+INDEX_WORKLOAD_FIELDS = ("client_requests",)
 INDEX_STRUCTURAL_FIELDS = (
     "node_order",
     "client_order",
@@ -69,7 +69,6 @@ INDEX_STRUCTURAL_FIELDS = (
     "node_ancestors",
     "client_ancestors",
     "client_repr",
-    "residual_template",
 )
 
 
@@ -131,6 +130,8 @@ class TestPatchedIndex:
     def assert_index_equal(self, left: TreeIndex, right: TreeIndex):
         for field in INDEX_STRUCTURAL_FIELDS + INDEX_WORKLOAD_FIELDS:
             assert getattr(left, field) == getattr(right, field), field
+        subtree_requests = [left.subtree_requests_of(nid) for nid in left.node_order]
+        assert subtree_requests == [right.subtree_requests_of(nid) for nid in right.node_order]
 
     def test_patched_index_equals_fresh_build(self):
         tree = generate_tree(size=60, target_load=0.5, seed=5)

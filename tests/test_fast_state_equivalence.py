@@ -2,9 +2,8 @@
 
 Every heuristic of the paper runs once per registered engine on every
 instance -- the seed :class:`~repro.algorithms.common.RequestState`
-(``engine="dict"``), the indexed
-:class:`~repro.algorithms.fast_state.FastRequestState` (``engine="fast"``)
-and the compiled-kernel :class:`~repro.algorithms.native_state.NativeRequestState`
+(``engine="dict"``) and the compiled-kernel
+:class:`~repro.algorithms.native_state.NativeRequestState`
 (``engine="native"``) -- and must produce *identical* feasibility verdicts,
 replica placements, request assignments and costs.  The instance population
 covers homogeneous and heterogeneous platforms, all client-attachment
@@ -16,8 +15,7 @@ scripted operation sequences (place / assign / drain / cover) and compares
 the full mutable state after every step.
 
 When no C compiler is available the ``native`` engine falls back to the
-fast state; the matrix still runs (the fallback must be equivalent too),
-it just exercises the same code twice.
+dict state; the matrix still runs, it just exercises the same code twice.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from repro.algorithms.common import (
     make_state,
     use_engine,
 )
-from repro.algorithms.fast_state import FastRequestState
 from repro.core.constraints import ClassedConstraintSet, ConstraintSet
 from repro.core.index import supports_qos_thresholds
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem
@@ -47,7 +44,7 @@ from repro.workloads.generator import GeneratorConfig, TreeGenerator
 HEURISTICS = ("CTDA", "CTDLF", "CBU", "UTD", "UBCF", "MG", "MTD", "MBU")
 
 #: The full engine matrix, and the engines validated against the dict seed.
-ENGINES = ("dict", "fast", "native")
+ENGINES = ("dict", "native")
 ALT_ENGINES = tuple(engine for engine in ENGINES if engine != "dict")
 
 
@@ -107,7 +104,7 @@ def solve_with(name: str, problem: ReplicaPlacementProblem, engine: str):
         return heuristic.try_solve(problem)
 
 
-def solve_both(name: str, problem: ReplicaPlacementProblem, engine: str = "fast"):
+def solve_both(name: str, problem: ReplicaPlacementProblem, engine: str):
     """Seed solution and ``engine`` solution for one heuristic/instance."""
     return solve_with(name, problem, "dict"), solve_with(name, problem, engine)
 
@@ -138,16 +135,13 @@ def test_engine_selection_controls_state_type(small_problem):
 
     with use_engine("dict"):
         assert type(make_state(small_problem)) is RequestState
-    with use_engine("fast"):
-        assert isinstance(make_state(small_problem), FastRequestState)
-    assert isinstance(make_state(small_problem, engine="fast"), FastRequestState)
+    assert type(make_state(small_problem, engine="dict")) is RequestState
     native_state = make_state(small_problem, engine="native")
     if native_kernels_available():
         assert isinstance(native_state, NativeRequestState)
     else:
-        # No compiler: the name stays valid and degrades to the fast engine.
-        assert isinstance(native_state, FastRequestState)
-        assert not isinstance(native_state, NativeRequestState)
+        # No compiler: the name stays valid and degrades to the dict engine.
+        assert type(native_state) is RequestState
     with pytest.raises(ValueError) as excinfo:
         make_state(small_problem, engine="nope")
     # The error enumerates the registry, so it cannot drift from it.
@@ -238,9 +232,9 @@ def test_repeated_service_accumulates_like_seed_engine(small_problem, engine):
 class _EvenDepthQoS(ConstraintSet):
     """Deliberately non-monotone QoS metric: only even-depth servers allowed.
 
-    A single depth threshold cannot represent this eligible set, so both the
-    fast and the native engine must fall back to per-pair filtering (the
-    native kernels never see a ``_qos_check`` problem) to match the seed.
+    A single depth threshold cannot represent this eligible set, so the
+    native engine must run the dict engine's per-pair filtering (its kernels
+    never see a ``_qos_check`` problem) to match the seed.
     """
 
     def qos_metric(self, tree, client_id, server_id):
@@ -395,7 +389,7 @@ def test_greedy_sweep_matches_seed_engine(engine, seed, size, rates, zero_share,
 #: a node's budget as a share of its capacity: small shares stop a drain
 #: mid-span, the whole capacity lets the first passes saturate
 _BUDGET_SHARES = (0.3, 0.6, 1.0)
-_DRAIN_STEPS = ("drain", "first_pre", "first_post", "second", "greedy")
+_DRAIN_STEPS = ("drain", "cover", "first_pre", "first_post", "second", "greedy")
 
 
 def _run_drain_step(state: RequestState, step: str, share: float, **order) -> None:
@@ -403,6 +397,11 @@ def _run_drain_step(state: RequestState, step: str, share: float, **order) -> No
         for node_id in state.tree.post_order_nodes():
             state.place(node_id)
             state.drain(node_id, share * state.problem.capacity(node_id), **order)
+    elif step == "cover":
+        # Root first: each node covers what no ancestor could (QoS).
+        for node_id in reversed(list(state.tree.post_order_nodes())):
+            state.place(node_id)
+            state.cover(node_id)
     elif step in ("first_pre", "first_post"):
         state.first_pass_sweep(order=step[len("first_"):], **order)
     elif step == "second":
@@ -418,40 +417,35 @@ def _run_drain_step(state: RequestState, step: str, share: float, **order) -> No
     size=st.integers(min_value=6, max_value=60),
     rates=st.sampled_from(_RATE_SHAPES),
     zero_share=st.sampled_from((0.0, 0.2)),
-    qos=st.sampled_from(("none", "distance", "latency", "classed")),
+    qos=st.sampled_from(_QOS_SHAPES),
     step=st.sampled_from(_DRAIN_STEPS),
     share=st.sampled_from(_BUDGET_SHARES),
     largest_first=st.booleans(),
     split_last=st.booleans(),
 )
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_drains_match_seed_engine(
     engine, seed, size, rates, zero_share, qos, step, share, largest_first, split_last
 ):
-    """Every drain takes the same clients in the same order on every engine:
-    tied rates (repr tie-breaks), budgets that stop mid-span, whole-client
-    mode skipping clients larger than the budget, and QoS thresholds.
-
-    The fast engine subtracts a drain's total from the server's residual
-    at once where the dict engine subtracts per client, so residuals are
-    compared only between the fast and native engines, which share that
-    float order."""
+    """Every drain and cover takes the same clients in the same order on
+    every engine and serves them by the same rule: tied rates (repr
+    tie-breaks), budgets that stop mid-span, whole-client mode skipping
+    clients larger than the budget, QoS thresholds and the per-pair
+    fallback.  Every state field -- replicas, amounts in insertion order,
+    remaining, residual and ``inreq`` -- matches the dict engine's floats
+    bit for bit."""
     problem = _sweep_problem(seed, size, rates, zero_share, qos)
     order = dict(largest_first=largest_first, split_last=split_last)
     states = {}
-    for name in dict.fromkeys(("dict", "fast", engine)):
+    for name in ("dict", engine):
         states[name] = make_state(problem, engine=name)
         _run_drain_step(states[name], step, share, **order)
 
-    def served(state):
-        return (
-            set(state.replicas),
-            [(key, amount.hex()) for key, amount in state.amounts.items()],
-            _sweep_outcome(state)[2],
-        )
+    def amounts_in_order(state):
+        return [(key, amount.hex()) for key, amount in state.amounts.items()]
 
-    assert served(states[engine]) == served(states["dict"])
-    assert _sweep_outcome(states[engine]) == _sweep_outcome(states["fast"])
+    assert amounts_in_order(states[engine]) == amounts_in_order(states["dict"])
+    assert _sweep_outcome(states[engine]) == _sweep_outcome(states["dict"])
 
 
 @pytest.mark.parametrize("engine", ENGINES)

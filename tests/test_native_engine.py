@@ -3,8 +3,9 @@
 Bit-for-bit solution equivalence lives in the engine-matrix suite
 (``test_fast_state_equivalence.py``); this file covers what that matrix
 cannot see: the build-on-first-use kernel loader and its graceful
-degradation (``REPRO_NATIVE_DISABLE``, missing compilers), the one-line
-fallback note, the ``repro doctor`` report, the kernel-computed QoS
+degradation (``REPRO_NATIVE_DISABLE``, missing compilers) to the dict
+engine, the one-line fallback note, the ``repro doctor`` report (and its
+exit code when ``REPRO_ENGINE`` names no engine), the kernel-computed QoS
 threshold cache, and the :class:`~repro.algorithms.native_state.VecMap`
 mapping views the heuristics read.  Every test here passes with *or*
 without a C compiler -- the no-compiler CI job runs this file too.
@@ -22,8 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms import _native, native_state
-from repro.algorithms.common import make_state, use_engine
-from repro.algorithms.fast_state import FastRequestState
+from repro.algorithms.common import RequestState, make_state, use_engine
 from repro.algorithms.native_state import (
     NativeRequestState,
     VecMap,
@@ -58,17 +58,16 @@ def test_kernel_status_shape():
         assert status["error"]
 
 
-def test_disable_env_forces_fast_fallback(fresh_loader, monkeypatch, capsys, small_problem):
+def test_disable_env_forces_dict_fallback(fresh_loader, monkeypatch, capsys, small_problem):
     monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
     assert not native_kernels_available()
     state = make_state(small_problem, engine="native")
-    assert isinstance(state, FastRequestState)
-    assert not isinstance(state, NativeRequestState)
+    assert type(state) is RequestState
     # Exactly one stderr note, however many states the process builds.
     make_state(small_problem, engine="native")
     err = capsys.readouterr().err
     assert err.count("native kernels unavailable") == 1
-    assert "falling back to the fast engine" in err
+    assert "falling back to the dict engine" in err
 
 
 def test_disabled_native_engine_still_solves(fresh_loader, monkeypatch):
@@ -81,11 +80,11 @@ def test_disabled_native_engine_still_solves(fresh_loader, monkeypatch):
     problem = ReplicaPlacementProblem(tree=tree, constraints=ConstraintSet.none())
     with use_engine("native"):
         native_solution = get_heuristic("MBU").try_solve(problem)
-    with use_engine("fast"):
-        fast_solution = get_heuristic("MBU").try_solve(problem)
-    assert (native_solution is None) == (fast_solution is None)
+    with use_engine("dict"):
+        dict_solution = get_heuristic("MBU").try_solve(problem)
+    assert (native_solution is None) == (dict_solution is None)
     if native_solution is not None:
-        assert native_solution.placement.replicas == fast_solution.placement.replicas
+        assert native_solution.placement.replicas == dict_solution.placement.replicas
 
 
 def test_loader_memo_resets(fresh_loader, monkeypatch):
@@ -102,9 +101,9 @@ def test_loader_memo_resets(fresh_loader, monkeypatch):
 
 def test_native_engine_name_always_valid(small_problem):
     # Whatever the toolchain, engine="native" must return a working state
-    # (NativeRequestState subclasses FastRequestState, so this covers both).
+    # (NativeRequestState subclasses RequestState, so this covers both).
     state = make_state(small_problem, engine="native")
-    assert isinstance(state, FastRequestState)
+    assert isinstance(state, RequestState)
     state.place("root")
     assert state.cover("root") == pytest.approx(12.0)
 
@@ -169,10 +168,10 @@ def test_disabled_default_engine_falls_back_with_one_note(tmp_path):
     proc = _fresh_python(_SOLVE_TWICE, str(tmp_path / "tree.json"), REPRO_NATIVE_DISABLE="1")
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["state"] == "FastRequestState"
+    assert report["state"] == "RequestState"
     assert report["costs"] == [expected, expected]
     assert proc.stderr.count("native kernels unavailable") == 1
-    assert "falling back to the fast engine" in proc.stderr
+    assert "falling back to the dict engine" in proc.stderr
 
 
 # --------------------------------------------------------------------------- #
@@ -182,7 +181,7 @@ def test_doctor_reports_engines_and_kernels(capsys):
     assert main(["doctor"]) == 0
     out = capsys.readouterr().out
     assert "default engine:" in out
-    for engine in ("dict", "fast", "native"):
+    for engine in ("dict", "native"):
         assert f"engine {engine:>6}: ok" in out
     assert "native kernels:" in out
 
@@ -191,7 +190,7 @@ def test_doctor_json_payload(capsys):
     assert main(["doctor", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["type"] == "doctor"
-    assert set(report["engines"]) == {"dict", "fast", "native"}
+    assert set(report["engines"]) == {"dict", "native"}
     assert all(entry["ok"] for entry in report["engines"].values())
     assert report["native_kernels"]["available"] == native_kernels_available()
 
@@ -201,9 +200,32 @@ def test_doctor_reports_fallback_when_disabled(fresh_loader, monkeypatch, capsys
     assert main(["doctor", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["engines"]["native"]["ok"]
-    assert report["engines"]["native"]["state"] == "FastRequestState"
+    assert report["engines"]["native"]["state"] == "RequestState"
     assert not report["native_kernels"]["available"]
     assert "REPRO_NATIVE_DISABLE" in report["native_kernels"]["error"]
+
+
+_DOCTOR = "import sys\nfrom repro.cli import main\nsys.exit(main(sys.argv[1:]))"
+_UNKNOWN_ENGINE = "error: unknown engine 'bogus'; available: dict, native"
+
+
+def test_doctor_flags_an_unregistered_default_engine():
+    # The report still prints, then the registry's error and exit code 1,
+    # as `repro solve` would fail under the same REPRO_ENGINE.
+    proc = _fresh_python(_DOCTOR, "doctor", REPRO_ENGINE="bogus")
+    assert proc.returncode == 1, proc.stderr
+    assert "default engine: bogus (REPRO_ENGINE=bogus)" in proc.stdout
+    assert "engine native: ok" in proc.stdout
+    assert proc.stderr.strip().splitlines()[-1] == _UNKNOWN_ENGINE
+
+
+def test_doctor_json_flags_an_unregistered_default_engine():
+    proc = _fresh_python(_DOCTOR, "doctor", "--json", REPRO_ENGINE="bogus")
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["default_engine"] == "bogus"
+    assert sorted(report["engines"]) == ["dict", "native"]
+    assert proc.stderr.strip().splitlines()[-1] == _UNKNOWN_ENGINE
 
 
 def test_doctor_reports_lp_backend(monkeypatch, capsys):

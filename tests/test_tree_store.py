@@ -15,7 +15,8 @@ These tests pin that:
 * the memory estimate charges what the store and its index hold;
 * a malformed tree payload, in either layout, is named by section, index
   and key (or column) on every surface: ``problem_from_dict``, the serving
-  protocol and ``repro solve``.
+  protocol and ``repro solve``; ``TreeNetwork.from_columns`` names a
+  ``metrics`` or ``metadata`` key that addresses no link or element.
 """
 
 from __future__ import annotations
@@ -66,9 +67,6 @@ INDEX_FIELDS = (
     "client_ancestors",
     "client_requests",
     "client_repr",
-    "remaining_template",
-    "inreq_template",
-    "residual_template",
 )
 
 
@@ -138,6 +136,7 @@ def _observed(tree):
         "bytes": json.dumps(tree_to_dict(tree)),
         "fingerprints": [problem_fingerprint(problem) for problem in problems],
         "index": {name: getattr(index, name) for name in INDEX_FIELDS},
+        "subtree_requests": list(map(index.subtree_requests_of, index.node_order)),
         "orders": (tree.node_ids, tree.client_ids, tree.link_keys, tree.root),
     }
 
@@ -233,6 +232,9 @@ class TestThreeConstructions:
         patched = TreeIndex.for_tree(fork)
         for name in INDEX_FIELDS:
             assert getattr(patched, name) == getattr(TreeIndex(expected), name), name
+        assert list(map(patched.subtree_requests_of, patched.node_order)) == list(
+            map(expected.subtree_requests, patched.node_order)
+        )
 
 
 def _cold_tree():
@@ -285,6 +287,41 @@ class TestViews:
             Link("c", "n", comm_time=-1.0)
         with pytest.raises(TreeStructureError, match="bandwidth nan"):
             Link("c", "n", bandwidth=math.nan)
+
+
+class TestFromColumnsKeys:
+    """The sparse maps of ``from_columns`` are keyed by link index
+    (``metrics``) and element position (``metadata``); any other key is
+    rejected by name instead of annotating another element, raising a bare
+    ``IndexError``/``TypeError`` or being kept as stray data."""
+
+    @staticmethod
+    def _build(metrics=None, metadata=None):
+        inf = math.inf
+        return tree_module.TreeNetwork.from_columns(
+            ["r", "a"], [1, 1], [1, 1], ["c"], [1], [inf], ["a", "c"], ["r", "a"],
+            [1, 1], [inf, inf], metrics, metadata,
+        )
+
+    @pytest.mark.parametrize(
+        "metrics, metadata, message",
+        [
+            ({-1: QoSMetrics(latency=2.0)}, None, "metrics key -1 is not a link index in range(2)"),
+            ({5: QoSMetrics(latency=2.0)}, None, "metrics key 5 is not a link index in range(2)"),
+            ({"0": QoSMetrics(latency=2.0)}, None, "metrics key '0' is not a link index in range(2)"),
+            (None, {7: {"tag": 1}}, "metadata key 7 is not an element position in range(3)"),
+        ],
+    )
+    def test_a_key_outside_its_range_is_named(self, metrics, metadata, message):
+        with pytest.raises(TreeStructureError) as raised:
+            self._build(metrics, metadata)
+        assert str(raised.value) == message
+
+    def test_keys_in_range_annotate_their_elements(self):
+        tree = self._build({1: QoSMetrics(latency=2.0)}, {2: {"tag": 1}})
+        assert tree.link("c").metrics == QoSMetrics(latency=2.0)
+        assert tree.link("a").metrics is None
+        assert tree.client("c").metadata == {"tag": 1}
 
 
 class TestColdPath:
