@@ -2,7 +2,11 @@
  *
  * Every function operates on the flat TreeIndex layouts -- positional
  * double vectors for the mutable state (remaining / inreq / residual),
- * int64 span and ancestor-chain arrays for the structure.  The float
+ * int64 span, depth and parent arrays for the structure.  A client's
+ * ancestors are found by climbing the parent pointers, bottom-up:
+ *   for (a = cpar[c]; a >= 0; a = npar[a])
+ * (cpar: each client's parent node; npar: each node's parent, -1 at the
+ * root), the order of TreeNetwork.ancestors.  The float
  * arithmetic mirrors the dict engine (repro/algorithms/common.py,
  * RequestState) operation for operation: same additions, in the same
  * order, with the same 1e-9 tolerances.  That is what keeps the two
@@ -12,8 +16,8 @@
  * Buffer conventions (checked only by size where cheap; the Python wrapper
  * in repro/algorithms/native_state.py owns the layout):
  *   - double vectors: array('d') / writable buffers of n_clients or n_nodes;
- *   - int64 vectors:  array('q') (client/node spans, depths, ancestor
- *     chains flattened with CSR-style offsets, repr ranks, orders);
+ *   - int64 vectors:  array('q') (client/node spans, depths, parent
+ *     positions, repr ranks, orders);
  *   - replica flags:  a writable byte buffer of n_nodes;
  *   - the drain, cover and sweep kernels also write the state's replica
  *     set and amounts dict, keyed by the layout orders' ids (sink_t).
@@ -132,11 +136,11 @@ heap_pop(cand_t *heap, int64_t *n)
 
 /* Serve `taken` clients from server position `si` in the dict engine's
  * serve order (RequestState._serve): per client, subtract from remaining
- * and walk the client's ancestor chain subtracting from inreq; then
- * subtract the grand total from the server's residual, once. */
+ * and climb the client's ancestors subtracting from inreq; then subtract
+ * the grand total from the server's residual, once. */
 static double
 serve_taken(double *rem, double *inr, double *res,
-            const int64_t *caf, const int64_t *cao,
+            const int64_t *cpar, const int64_t *npar,
             int64_t si,
             const int64_t *taken_pos, const double *taken_amt, int64_t count)
 {
@@ -145,8 +149,8 @@ serve_taken(double *rem, double *inr, double *res,
         int64_t p = taken_pos[k];
         double amount = taken_amt[k];
         rem[p] = rem[p] - amount;
-        for (int64_t j = cao[p]; j < cao[p + 1]; j++)
-            inr[caf[j]] -= amount;
+        for (int64_t a = cpar[p]; a >= 0; a = npar[a])
+            inr[a] -= amount;
         total += amount;
     }
     res[si] -= total;
@@ -283,31 +287,31 @@ sink_taken(sink_t *sink, int64_t si, const int64_t *taken_pos,
 /* module functions                                                    */
 /* ------------------------------------------------------------------ */
 
-/* assign(rem, inr, res, caf, cao, ci, si, amount) */
+/* assign(rem, inr, res, cpar, npar, ci, si, amount) */
 static PyObject *
 k_assign(PyObject *self, PyObject *args)
 {
-    PyObject *o_rem, *o_inr, *o_res, *o_caf, *o_cao;
+    PyObject *o_rem, *o_inr, *o_res, *o_cpar, *o_npar;
     long long ci, si;
     double amount;
-    if (!PyArg_ParseTuple(args, "OOOOOLLd", &o_rem, &o_inr, &o_res, &o_caf,
-                          &o_cao, &ci, &si, &amount))
+    if (!PyArg_ParseTuple(args, "OOOOOLLd", &o_rem, &o_inr, &o_res, &o_cpar,
+                          &o_npar, &ci, &si, &amount))
         return NULL;
     buf_t b[5] = {0};
     if (get_buf(o_rem, &b[0], 1, "rem") || get_buf(o_inr, &b[1], 1, "inr") ||
-        get_buf(o_res, &b[2], 1, "res") || get_buf(o_caf, &b[3], 0, "caf") ||
-        get_buf(o_cao, &b[4], 0, "cao")) {
+        get_buf(o_res, &b[2], 1, "res") || get_buf(o_cpar, &b[3], 0, "cpar") ||
+        get_buf(o_npar, &b[4], 0, "npar")) {
         release_all(b, 5);
         return NULL;
     }
     double *rem = DBL(b[0]), *inr = DBL(b[1]), *res = DBL(b[2]);
-    const int64_t *caf = I64(b[3]), *cao = I64(b[4]);
+    const int64_t *cpar = I64(b[3]), *npar = I64(b[4]);
     /* same order as the dict engine's assign(): remaining, residual,
      * then the ancestor walk */
     rem[ci] = rem[ci] - amount;
     res[si] -= amount;
-    for (int64_t j = cao[ci]; j < cao[ci + 1]; j++)
-        inr[caf[j]] -= amount;
+    for (int64_t a = cpar[ci]; a >= 0; a = npar[a])
+        inr[a] -= amount;
     release_all(b, 5);
     Py_RETURN_NONE;
 }
@@ -425,26 +429,26 @@ k_all_within_qos(PyObject *self, PyObject *args)
     Py_RETURN_FALSE;
 }
 
-/* drain(rem, inr, res, caf, cao, rrk, thr_or_none, si, start, end, depth,
+/* drain(rem, inr, res, cpar, npar, rrk, thr_or_none, si, start, end, depth,
  *       budget, largest_first, split_last,
  *       replicas, amounts, client_order, node_order) -> drained */
 static PyObject *
 k_drain(PyObject *self, PyObject *args)
 {
-    PyObject *o_rem, *o_inr, *o_res, *o_caf, *o_cao, *o_rrk, *o_thr;
+    PyObject *o_rem, *o_inr, *o_res, *o_cpar, *o_npar, *o_rrk, *o_thr;
     long long si, start, end, depth;
     double budget;
     int largest_first, split_last;
     sink_t sink;
     if (!PyArg_ParseTuple(args, "OOOOOOOLLLLdii" SINK_FORMAT, &o_rem, &o_inr,
-                          &o_res, &o_caf, &o_cao, &o_rrk, &o_thr, &si, &start,
+                          &o_res, &o_cpar, &o_npar, &o_rrk, &o_thr, &si, &start,
                           &end, &depth, &budget, &largest_first, &split_last,
                           SINK_ARGS(sink)))
         return NULL;
     buf_t b[7] = {0};
     if (get_buf(o_rem, &b[0], 1, "rem") || get_buf(o_inr, &b[1], 1, "inr") ||
-        get_buf(o_res, &b[2], 1, "res") || get_buf(o_caf, &b[3], 0, "caf") ||
-        get_buf(o_cao, &b[4], 0, "cao") || get_buf(o_rrk, &b[5], 0, "rrk")) {
+        get_buf(o_res, &b[2], 1, "res") || get_buf(o_cpar, &b[3], 0, "cpar") ||
+        get_buf(o_npar, &b[4], 0, "npar") || get_buf(o_rrk, &b[5], 0, "rrk")) {
         release_all(b, 7);
         return NULL;
     }
@@ -457,7 +461,7 @@ k_drain(PyObject *self, PyObject *args)
         thr = I64(b[6]);
     }
     double *rem = DBL(b[0]), *inr = DBL(b[1]), *res = DBL(b[2]);
-    const int64_t *caf = I64(b[3]), *cao = I64(b[4]), *rrk = I64(b[5]);
+    const int64_t *cpar = I64(b[3]), *npar = I64(b[4]), *rrk = I64(b[5]);
 
     int64_t span = end - start;
     int64_t *taken_pos = NULL;
@@ -478,7 +482,7 @@ k_drain(PyObject *self, PyObject *args)
     if (count < 0)
         goto done;
     if (count > 0)
-        serve_taken(rem, inr, res, caf, cao, si, taken_pos, taken_amt, count);
+        serve_taken(rem, inr, res, cpar, npar, si, taken_pos, taken_amt, count);
     if (sink_taken(&sink, si, taken_pos, taken_amt, count) != 0)
         goto done;
     result = PyFloat_FromDouble(drained);
@@ -489,24 +493,24 @@ done:
     return result;
 }
 
-/* cover(rem, inr, res, caf, cao, css, cse, thr_or_none, si, depth,
+/* cover(rem, inr, res, cpar, npar, css, cse, thr_or_none, si, depth,
  *       replicas, amounts, client_order, node_order) -> covered
  * Serve every eligible pending client of subtree(si), in span order, with
  * serve_taken: the dict engine's cover(). */
 static PyObject *
 k_cover(PyObject *self, PyObject *args)
 {
-    PyObject *o_rem, *o_inr, *o_res, *o_caf, *o_cao, *o_css, *o_cse, *o_thr;
+    PyObject *o_rem, *o_inr, *o_res, *o_cpar, *o_npar, *o_css, *o_cse, *o_thr;
     long long si, depth;
     sink_t sink;
     if (!PyArg_ParseTuple(args, "OOOOOOOOLL" SINK_FORMAT, &o_rem, &o_inr,
-                          &o_res, &o_caf, &o_cao, &o_css, &o_cse, &o_thr, &si,
+                          &o_res, &o_cpar, &o_npar, &o_css, &o_cse, &o_thr, &si,
                           &depth, SINK_ARGS(sink)))
         return NULL;
     buf_t b[8] = {0};
     if (get_buf(o_rem, &b[0], 1, "rem") || get_buf(o_inr, &b[1], 1, "inr") ||
-        get_buf(o_res, &b[2], 1, "res") || get_buf(o_caf, &b[3], 0, "caf") ||
-        get_buf(o_cao, &b[4], 0, "cao") || get_buf(o_css, &b[5], 0, "css") ||
+        get_buf(o_res, &b[2], 1, "res") || get_buf(o_cpar, &b[3], 0, "cpar") ||
+        get_buf(o_npar, &b[4], 0, "npar") || get_buf(o_css, &b[5], 0, "css") ||
         get_buf(o_cse, &b[6], 0, "cse")) {
         release_all(b, 8);
         return NULL;
@@ -520,7 +524,7 @@ k_cover(PyObject *self, PyObject *args)
         thr = I64(b[7]);
     }
     double *rem = DBL(b[0]), *inr = DBL(b[1]), *res = DBL(b[2]);
-    const int64_t *caf = I64(b[3]), *cao = I64(b[4]);
+    const int64_t *cpar = I64(b[3]), *npar = I64(b[4]);
     const int64_t *css = I64(b[5]), *cse = I64(b[6]);
 
     int64_t start = css[si], end = cse[si];
@@ -546,7 +550,7 @@ k_cover(PyObject *self, PyObject *args)
     }
     double total = 0.0;
     if (count > 0)
-        total = serve_taken(rem, inr, res, caf, cao, si, taken_pos, taken_amt,
+        total = serve_taken(rem, inr, res, cpar, npar, si, taken_pos, taken_amt,
                             count);
     if (sink_taken(&sink, si, taken_pos, taken_amt, count) != 0)
         goto done;
@@ -563,7 +567,7 @@ done:
  * success, -1 on error. */
 static int
 sweep_drain(double *rem, double *inr, double *res,
-            const int64_t *caf, const int64_t *cao, const int64_t *rrk,
+            const int64_t *cpar, const int64_t *npar, const int64_t *rrk,
             const int64_t *thr, const int64_t *nd,
             const int64_t *css, const int64_t *cse,
             int64_t i, double budget, int largest_first, int split_last,
@@ -579,11 +583,11 @@ sweep_drain(double *rem, double *inr, double *res,
         return -1;
     if (count == 0)
         return 0;
-    serve_taken(rem, inr, res, caf, cao, i, taken_pos, taken_amt, count);
+    serve_taken(rem, inr, res, cpar, npar, i, taken_pos, taken_amt, count);
     return sink_taken(sink, i, taken_pos, taken_amt, count);
 }
 
-/* sweep_saturated(rem, inr, res, rep, cap, css, cse, caf, cao, rrk,
+/* sweep_saturated(rem, inr, res, rep, cap, css, cse, cpar, npar, rrk,
  *                 thr_or_none, nd, order_or_none, largest_first, split_last,
  *                 replicas, amounts, client_order, node_order)
  * The UTD/MTD/MBU first pass: walk the nodes (pre-order when order is
@@ -593,21 +597,21 @@ sweep_drain(double *rem, double *inr, double *res,
 static PyObject *
 k_sweep_saturated(PyObject *self, PyObject *args)
 {
-    PyObject *o_rem, *o_inr, *o_res, *o_rep, *o_cap, *o_css, *o_cse, *o_caf,
-        *o_cao, *o_rrk, *o_thr, *o_nd, *o_order;
+    PyObject *o_rem, *o_inr, *o_res, *o_rep, *o_cap, *o_css, *o_cse, *o_cpar,
+        *o_npar, *o_rrk, *o_thr, *o_nd, *o_order;
     int largest_first, split_last;
     sink_t sink;
     if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOii" SINK_FORMAT, &o_rem, &o_inr,
-                          &o_res, &o_rep, &o_cap, &o_css, &o_cse, &o_caf,
-                          &o_cao, &o_rrk, &o_thr, &o_nd, &o_order,
+                          &o_res, &o_rep, &o_cap, &o_css, &o_cse, &o_cpar,
+                          &o_npar, &o_rrk, &o_thr, &o_nd, &o_order,
                           &largest_first, &split_last, SINK_ARGS(sink)))
         return NULL;
     buf_t b[13] = {0};
     if (get_buf(o_rem, &b[0], 1, "rem") || get_buf(o_inr, &b[1], 1, "inr") ||
         get_buf(o_res, &b[2], 1, "res") || get_buf(o_rep, &b[3], 1, "rep") ||
         get_buf(o_cap, &b[4], 0, "cap") || get_buf(o_css, &b[5], 0, "css") ||
-        get_buf(o_cse, &b[6], 0, "cse") || get_buf(o_caf, &b[7], 0, "caf") ||
-        get_buf(o_cao, &b[8], 0, "cao") || get_buf(o_rrk, &b[9], 0, "rrk") ||
+        get_buf(o_cse, &b[6], 0, "cse") || get_buf(o_cpar, &b[7], 0, "cpar") ||
+        get_buf(o_npar, &b[8], 0, "npar") || get_buf(o_rrk, &b[9], 0, "rrk") ||
         get_buf(o_nd, &b[10], 0, "nd")) {
         release_all(b, 13);
         return NULL;
@@ -632,7 +636,7 @@ k_sweep_saturated(PyObject *self, PyObject *args)
     unsigned char *rep = U8(b[3]);
     const double *cap = DBL(b[4]);
     const int64_t *css = I64(b[5]), *cse = I64(b[6]);
-    const int64_t *caf = I64(b[7]), *cao = I64(b[8]), *rrk = I64(b[9]);
+    const int64_t *cpar = I64(b[7]), *npar = I64(b[8]), *rrk = I64(b[9]);
     const int64_t *nd = I64(b[10]);
     int64_t n_nodes = (int64_t)(b[4].view.len / (Py_ssize_t)sizeof(double));
     int64_t n_clients = (int64_t)(b[0].view.len / (Py_ssize_t)sizeof(double));
@@ -653,7 +657,7 @@ k_sweep_saturated(PyObject *self, PyObject *args)
         double capacity = cap[i];
         if (inr[i] >= capacity - TOL && inr[i] > TOL) {
             if (sink_place(&sink, rep, i) != 0 ||
-                sweep_drain(rem, inr, res, caf, cao, rrk, thr, nd, css, cse,
+                sweep_drain(rem, inr, res, cpar, npar, rrk, thr, nd, css, cse,
                             i, capacity, largest_first, split_last, taken_pos,
                             taken_amt, &sink) != 0)
                 goto done;
@@ -668,7 +672,7 @@ done:
     return result;
 }
 
-/* sweep_second(rem, inr, res, rep, css, cse, nse, caf, cao, rrk,
+/* sweep_second(rem, inr, res, rep, css, cse, nse, cpar, npar, rrk,
  *              thr_or_none, nd, largest_first, split_last,
  *              replicas, amounts, client_order, node_order)
  * The UTD/MTD/MBU second pass: top-down, place a replica on the highest
@@ -678,21 +682,21 @@ done:
 static PyObject *
 k_sweep_second(PyObject *self, PyObject *args)
 {
-    PyObject *o_rem, *o_inr, *o_res, *o_rep, *o_css, *o_cse, *o_nse, *o_caf,
-        *o_cao, *o_rrk, *o_thr, *o_nd;
+    PyObject *o_rem, *o_inr, *o_res, *o_rep, *o_css, *o_cse, *o_nse, *o_cpar,
+        *o_npar, *o_rrk, *o_thr, *o_nd;
     int largest_first, split_last;
     sink_t sink;
     if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOii" SINK_FORMAT, &o_rem, &o_inr,
-                          &o_res, &o_rep, &o_css, &o_cse, &o_nse, &o_caf,
-                          &o_cao, &o_rrk, &o_thr, &o_nd, &largest_first,
+                          &o_res, &o_rep, &o_css, &o_cse, &o_nse, &o_cpar,
+                          &o_npar, &o_rrk, &o_thr, &o_nd, &largest_first,
                           &split_last, SINK_ARGS(sink)))
         return NULL;
     buf_t b[12] = {0};
     if (get_buf(o_rem, &b[0], 1, "rem") || get_buf(o_inr, &b[1], 1, "inr") ||
         get_buf(o_res, &b[2], 1, "res") || get_buf(o_rep, &b[3], 1, "rep") ||
         get_buf(o_css, &b[4], 0, "css") || get_buf(o_cse, &b[5], 0, "cse") ||
-        get_buf(o_nse, &b[6], 0, "nse") || get_buf(o_caf, &b[7], 0, "caf") ||
-        get_buf(o_cao, &b[8], 0, "cao") || get_buf(o_rrk, &b[9], 0, "rrk") ||
+        get_buf(o_nse, &b[6], 0, "nse") || get_buf(o_cpar, &b[7], 0, "cpar") ||
+        get_buf(o_npar, &b[8], 0, "npar") || get_buf(o_rrk, &b[9], 0, "rrk") ||
         get_buf(o_nd, &b[10], 0, "nd")) {
         release_all(b, 12);
         return NULL;
@@ -708,7 +712,7 @@ k_sweep_second(PyObject *self, PyObject *args)
     double *rem = DBL(b[0]), *inr = DBL(b[1]), *res = DBL(b[2]);
     unsigned char *rep = U8(b[3]);
     const int64_t *css = I64(b[4]), *cse = I64(b[5]), *nse = I64(b[6]);
-    const int64_t *caf = I64(b[7]), *cao = I64(b[8]), *rrk = I64(b[9]);
+    const int64_t *cpar = I64(b[7]), *npar = I64(b[8]), *rrk = I64(b[9]);
     const int64_t *nd = I64(b[10]);
     int64_t n_nodes = (int64_t)(b[6].view.len / (Py_ssize_t)sizeof(int64_t));
     int64_t n_clients = (int64_t)(b[0].view.len / (Py_ssize_t)sizeof(double));
@@ -733,7 +737,7 @@ k_sweep_second(PyObject *self, PyObject *args)
     if (n_nodes > 0) {
         if (!rep[0] && inr[0] > TOL) {
             if (sink_place(&sink, rep, 0) != 0 ||
-                sweep_drain(rem, inr, res, caf, cao, rrk, thr, nd, css, cse,
+                sweep_drain(rem, inr, res, cpar, npar, rrk, thr, nd, css, cse,
                             0, inr[0], largest_first, split_last, taken_pos,
                             taken_amt, &sink) != 0)
                 goto done;
@@ -749,7 +753,7 @@ k_sweep_second(PyObject *self, PyObject *args)
         }
         if (!rep[i]) {
             if (sink_place(&sink, rep, i) != 0 ||
-                sweep_drain(rem, inr, res, caf, cao, rrk, thr, nd, css, cse,
+                sweep_drain(rem, inr, res, cpar, npar, rrk, thr, nd, css, cse,
                             i, inr[i], largest_first, split_last, taken_pos,
                             taken_amt, &sink) != 0)
                 goto done;
@@ -768,7 +772,7 @@ done:
     return result;
 }
 
-/* sweep_greedy(rem, inr, res, rep, cap, css, cse, caf, cao, rrk,
+/* sweep_greedy(rem, inr, res, rep, cap, css, cse, cpar, npar, rrk,
  *              thr_or_none, nd, order,
  *              replicas, amounts, client_order, node_order)
  * MG's bottom-up saturating fold (RequestState.greedy_sweep): walk the
@@ -782,20 +786,20 @@ done:
 static PyObject *
 k_sweep_greedy(PyObject *self, PyObject *args)
 {
-    PyObject *o_rem, *o_inr, *o_res, *o_rep, *o_cap, *o_css, *o_cse, *o_caf,
-        *o_cao, *o_rrk, *o_thr, *o_nd, *o_order;
+    PyObject *o_rem, *o_inr, *o_res, *o_rep, *o_cap, *o_css, *o_cse, *o_cpar,
+        *o_npar, *o_rrk, *o_thr, *o_nd, *o_order;
     sink_t sink;
     if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOO" SINK_FORMAT, &o_rem, &o_inr,
-                          &o_res, &o_rep, &o_cap, &o_css, &o_cse, &o_caf,
-                          &o_cao, &o_rrk, &o_thr, &o_nd, &o_order,
+                          &o_res, &o_rep, &o_cap, &o_css, &o_cse, &o_cpar,
+                          &o_npar, &o_rrk, &o_thr, &o_nd, &o_order,
                           SINK_ARGS(sink)))
         return NULL;
     buf_t b[13] = {0};
     if (get_buf(o_rem, &b[0], 1, "rem") || get_buf(o_inr, &b[1], 1, "inr") ||
         get_buf(o_res, &b[2], 1, "res") || get_buf(o_rep, &b[3], 1, "rep") ||
         get_buf(o_cap, &b[4], 0, "cap") || get_buf(o_css, &b[5], 0, "css") ||
-        get_buf(o_cse, &b[6], 0, "cse") || get_buf(o_caf, &b[7], 0, "caf") ||
-        get_buf(o_cao, &b[8], 0, "cao") || get_buf(o_rrk, &b[9], 0, "rrk") ||
+        get_buf(o_cse, &b[6], 0, "cse") || get_buf(o_cpar, &b[7], 0, "cpar") ||
+        get_buf(o_npar, &b[8], 0, "npar") || get_buf(o_rrk, &b[9], 0, "rrk") ||
         get_buf(o_nd, &b[10], 0, "nd") || get_buf(o_order, &b[12], 0, "order")) {
         release_all(b, 13);
         return NULL;
@@ -812,7 +816,7 @@ k_sweep_greedy(PyObject *self, PyObject *args)
     unsigned char *rep = U8(b[3]);
     const double *cap = DBL(b[4]);
     const int64_t *css = I64(b[5]), *cse = I64(b[6]);
-    const int64_t *caf = I64(b[7]), *cao = I64(b[8]), *rrk = I64(b[9]);
+    const int64_t *cpar = I64(b[7]), *npar = I64(b[8]), *rrk = I64(b[9]);
     const int64_t *nd = I64(b[10]), *order = I64(b[12]);
     int64_t n_order = (int64_t)(b[12].view.len / (Py_ssize_t)sizeof(int64_t));
     int64_t n_clients = (int64_t)(b[0].view.len / (Py_ssize_t)sizeof(double));
@@ -852,8 +856,8 @@ k_sweep_greedy(PyObject *self, PyObject *args)
                 continue;
             rem[p] = rem[p] - take;
             res[i] -= take;
-            for (int64_t j = cao[p]; j < cao[p + 1]; j++)
-                inr[caf[j]] -= take;
+            for (int64_t a = cpar[p]; a >= 0; a = npar[a])
+                inr[a] -= take;
             if (sink_amount(&sink, i, p, take) != 0)
                 goto done;
             budget -= take;
@@ -870,32 +874,31 @@ done:
     return result;
 }
 
-/* best_fit(res, nd, caf, cao, ci, threshold, requests) -> int
- * Best-fit server position for a whole client (UBCF): walk the client's
- * ancestor chain bottom-up, keep the first minimal-residual ancestor that
- * can host all requests; stop at the QoS threshold (-1: no QoS).
+/* best_fit(res, nd, cpar, npar, ci, threshold, requests) -> int
+ * Best-fit server position for a whole client (UBCF): climb the client's
+ * ancestors bottom-up, keep the first minimal-residual ancestor that can
+ * host all requests; stop at the QoS threshold (-1: no QoS).
  * Returns -1 when no ancestor qualifies. */
 static PyObject *
 k_best_fit(PyObject *self, PyObject *args)
 {
-    PyObject *o_res, *o_nd, *o_caf, *o_cao;
+    PyObject *o_res, *o_nd, *o_cpar, *o_npar;
     long long ci, threshold;
     double requests;
-    if (!PyArg_ParseTuple(args, "OOOOLLd", &o_res, &o_nd, &o_caf, &o_cao, &ci,
-                          &threshold, &requests))
+    if (!PyArg_ParseTuple(args, "OOOOLLd", &o_res, &o_nd, &o_cpar, &o_npar,
+                          &ci, &threshold, &requests))
         return NULL;
     buf_t b[4] = {0};
     if (get_buf(o_res, &b[0], 0, "res") || get_buf(o_nd, &b[1], 0, "nd") ||
-        get_buf(o_caf, &b[2], 0, "caf") || get_buf(o_cao, &b[3], 0, "cao")) {
+        get_buf(o_cpar, &b[2], 0, "cpar") || get_buf(o_npar, &b[3], 0, "npar")) {
         release_all(b, 4);
         return NULL;
     }
     const double *res = DBL(b[0]);
     const int64_t *nd = I64(b[1]);
-    const int64_t *caf = I64(b[2]), *cao = I64(b[3]);
+    const int64_t *cpar = I64(b[2]), *npar = I64(b[3]);
     int64_t best = -1;
-    for (int64_t j = cao[ci]; j < cao[ci + 1]; j++) {
-        int64_t a = caf[j];
+    for (int64_t a = cpar[ci]; a >= 0; a = npar[a]) {
         if (threshold >= 0 && nd[a] < threshold)
             break; /* monotone QoS: everything above is out of bound too */
         if (res[a] + TOL >= requests) {
@@ -907,79 +910,36 @@ k_best_fit(PyObject *self, PyObject *args)
     return PyLong_FromLongLong((long long)best);
 }
 
-/* build_chains(first_parent, node_parent, flat_out, off_out)
- * Flatten bottom-up ancestor chains (as dense node positions) in CSR
- * form.  For element e the chain starts at first_parent[e] and climbs
- * node_parent until the root (parent -1).  off_out must hold n+1 slots;
- * flat_out must hold the total chain length (sum of depths). */
-static PyObject *
-k_build_chains(PyObject *self, PyObject *args)
-{
-    PyObject *o_fp, *o_np, *o_flat, *o_off;
-    if (!PyArg_ParseTuple(args, "OOOO", &o_fp, &o_np, &o_flat, &o_off))
-        return NULL;
-    buf_t b[4] = {0};
-    if (get_buf(o_fp, &b[0], 0, "first_parent") ||
-        get_buf(o_np, &b[1], 0, "node_parent") ||
-        get_buf(o_flat, &b[2], 1, "flat_out") ||
-        get_buf(o_off, &b[3], 1, "off_out")) {
-        release_all(b, 4);
-        return NULL;
-    }
-    const int64_t *fp = I64(b[0]);
-    const int64_t *np = I64(b[1]);
-    int64_t *flat = I64(b[2]);
-    int64_t *off = I64(b[3]);
-    int64_t n = (int64_t)(b[0].view.len / (Py_ssize_t)sizeof(int64_t));
-    int64_t flat_cap = (int64_t)(b[2].view.len / (Py_ssize_t)sizeof(int64_t));
-    int64_t k = 0;
-    off[0] = 0;
-    for (int64_t e = 0; e < n; e++) {
-        int64_t a = fp[e];
-        while (a >= 0 && k < flat_cap) {
-            flat[k++] = a;
-            a = np[a];
-        }
-        if (a >= 0) {
-            release_all(b, 4);
-            PyErr_SetString(PyExc_ValueError, "ancestor chain overflow");
-            return NULL;
-        }
-        off[e + 1] = k;
-    }
-    release_all(b, 4);
-    return PyLong_FromLongLong((long long)k);
-}
-
-/* thresholds_distance(client_depth, bounds, caf, cao, nd, out)
- * Per-client minimal eligible server depth under hop-count QoS; mirrors
+/* thresholds_distance(client_depth, bounds, cpar, npar, nd, out)
+ * Per-client minimal eligible server depth under hop-count QoS, climbing
+ * each client's ancestors bottom-up; mirrors
  * TreeIndex.qos_depth_thresholds comparison for comparison. */
 static PyObject *
 k_thresholds_distance(PyObject *self, PyObject *args)
 {
-    PyObject *o_cd, *o_bounds, *o_caf, *o_cao, *o_nd, *o_out;
-    if (!PyArg_ParseTuple(args, "OOOOOO", &o_cd, &o_bounds, &o_caf, &o_cao,
+    PyObject *o_cd, *o_bounds, *o_cpar, *o_npar, *o_nd, *o_out;
+    if (!PyArg_ParseTuple(args, "OOOOOO", &o_cd, &o_bounds, &o_cpar, &o_npar,
                           &o_nd, &o_out))
         return NULL;
     buf_t b[6] = {0};
     if (get_buf(o_cd, &b[0], 0, "client_depth") ||
         get_buf(o_bounds, &b[1], 0, "bounds") ||
-        get_buf(o_caf, &b[2], 0, "caf") || get_buf(o_cao, &b[3], 0, "cao") ||
+        get_buf(o_cpar, &b[2], 0, "cpar") || get_buf(o_npar, &b[3], 0, "npar") ||
         get_buf(o_nd, &b[4], 0, "nd") || get_buf(o_out, &b[5], 1, "out")) {
         release_all(b, 6);
         return NULL;
     }
     const int64_t *cd = I64(b[0]);
     const double *bounds = DBL(b[1]);
-    const int64_t *caf = I64(b[2]), *cao = I64(b[3]), *nd = I64(b[4]);
+    const int64_t *cpar = I64(b[2]), *npar = I64(b[3]), *nd = I64(b[4]);
     int64_t *out = I64(b[5]);
     int64_t n = (int64_t)(b[0].view.len / (Py_ssize_t)sizeof(int64_t));
     for (int64_t ci = 0; ci < n; ci++) {
         int64_t client_depth = cd[ci];
         double bound = bounds[ci];
         int64_t best = client_depth; /* sentinel: nothing eligible */
-        for (int64_t j = cao[ci]; j < cao[ci + 1]; j++) {
-            int64_t depth = nd[caf[j]];
+        for (int64_t a = cpar[ci]; a >= 0; a = npar[a]) {
+            int64_t depth = nd[a];
             if ((double)(client_depth - depth) <= bound)
                 best = depth;
             else
@@ -992,22 +952,23 @@ k_thresholds_distance(PyObject *self, PyObject *args)
 }
 
 /* thresholds_latency(client_depth, bounds, client_uplink, node_uplink,
- *                    caf, cao, nd, out)
- * Same, accumulating link communication times path-order like the
- * indexed Python implementation. */
+ *                    cpar, npar, nd, out)
+ * Same, accumulating link communication times in path order (the
+ * client's uplink, then each reached ancestor's) like the indexed Python
+ * implementation. */
 static PyObject *
 k_thresholds_latency(PyObject *self, PyObject *args)
 {
-    PyObject *o_cd, *o_bounds, *o_cup, *o_nup, *o_caf, *o_cao, *o_nd, *o_out;
+    PyObject *o_cd, *o_bounds, *o_cup, *o_nup, *o_cpar, *o_npar, *o_nd, *o_out;
     if (!PyArg_ParseTuple(args, "OOOOOOOO", &o_cd, &o_bounds, &o_cup, &o_nup,
-                          &o_caf, &o_cao, &o_nd, &o_out))
+                          &o_cpar, &o_npar, &o_nd, &o_out))
         return NULL;
     buf_t b[8] = {0};
     if (get_buf(o_cd, &b[0], 0, "client_depth") ||
         get_buf(o_bounds, &b[1], 0, "bounds") ||
         get_buf(o_cup, &b[2], 0, "client_uplink") ||
         get_buf(o_nup, &b[3], 0, "node_uplink") ||
-        get_buf(o_caf, &b[4], 0, "caf") || get_buf(o_cao, &b[5], 0, "cao") ||
+        get_buf(o_cpar, &b[4], 0, "cpar") || get_buf(o_npar, &b[5], 0, "npar") ||
         get_buf(o_nd, &b[6], 0, "nd") || get_buf(o_out, &b[7], 1, "out")) {
         release_all(b, 8);
         return NULL;
@@ -1015,7 +976,7 @@ k_thresholds_latency(PyObject *self, PyObject *args)
     const int64_t *cd = I64(b[0]);
     const double *bounds = DBL(b[1]);
     const double *cup = DBL(b[2]), *nup = DBL(b[3]);
-    const int64_t *caf = I64(b[4]), *cao = I64(b[5]), *nd = I64(b[6]);
+    const int64_t *cpar = I64(b[4]), *npar = I64(b[5]), *nd = I64(b[6]);
     int64_t *out = I64(b[7]);
     int64_t n = (int64_t)(b[0].view.len / (Py_ssize_t)sizeof(int64_t));
     for (int64_t ci = 0; ci < n; ci++) {
@@ -1023,8 +984,7 @@ k_thresholds_latency(PyObject *self, PyObject *args)
         int64_t best = cd[ci];
         double latency = 0.0;
         double comm = cup[ci];
-        for (int64_t j = cao[ci]; j < cao[ci + 1]; j++) {
-            int64_t a = caf[j];
+        for (int64_t a = cpar[ci]; a >= 0; a = npar[a]) {
             latency += comm;
             if (latency <= bound)
                 best = nd[a];
@@ -1052,7 +1012,6 @@ static PyMethodDef kernel_methods[] = {
     {"sweep_second", k_sweep_second, METH_VARARGS, "Top-down completion pass (second pass)."},
     {"sweep_greedy", k_sweep_greedy, METH_VARARGS, "MG's bottom-up saturating fold."},
     {"best_fit", k_best_fit, METH_VARARGS, "Best-fit ancestor for a whole client."},
-    {"build_chains", k_build_chains, METH_VARARGS, "Flatten bottom-up ancestor chains in CSR form."},
     {"thresholds_distance", k_thresholds_distance, METH_VARARGS, "Per-client QoS depth thresholds (hop metric)."},
     {"thresholds_latency", k_thresholds_latency, METH_VARARGS, "Per-client QoS depth thresholds (latency metric)."},
     {NULL, NULL, 0, NULL},

@@ -148,10 +148,12 @@ class _NativeArrays:
     """Structural buffers of one topology, shaped for the C kernels.
 
     Everything here derives from the index's immutable layout (spans,
-    depths, parent pointers, capacities, ``repr`` tie-break keys), so one
-    instance is built per topology, cached in the index's ``_np_cache`` and
-    shared verbatim by epoch forks -- exactly like the numpy mirrors the LP
-    assembly keeps there.
+    depths, parent positions, capacities, the ranks of the clients'
+    ``repr`` tie-break keys), so one instance is built per topology, cached
+    in the index's ``_np_cache`` and shared verbatim by epoch forks --
+    exactly like the numpy mirrors the LP assembly keeps there.  The
+    kernels find a client's ancestors by climbing the parent positions
+    (``cpar``, then ``npar`` up to -1 at the root), so no chain is copied.
     """
 
     __slots__ = (
@@ -161,34 +163,29 @@ class _NativeArrays:
         "nd",
         "cd",
         "cap",
-        "caf",
-        "cao",
+        "cpar",
+        "npar",
         "rrk",
         "_post_order",
     )
 
-    def __init__(self, index: TreeIndex, kernels):
+    def __init__(self, index: TreeIndex):
         self.css = array("q", index.client_span_start)
         self.cse = array("q", index.client_span_end)
         self.nse = array("q", index.node_span_end)
         self.nd = array("q", index.node_depth)
         self.cd = array("q", index.client_depth)
         self.cap = _floats(_view(index.store.capacity)[index._node_perm])
-        # Bottom-up ancestor chains as dense node positions, flattened in
-        # CSR form (client c's chain is caf[cao[c] : cao[c + 1]]).
-        client_parent = array("q", index.client_parent)
-        node_parent = array("q", index.node_parent)
-        self.caf = array("q", bytes(8 * sum(index.client_depth)))
-        self.cao = array("q", bytes(8 * (index.n_clients + 1)))
-        kernels.build_chains(client_parent, node_parent, self.caf, self.cao)
+        self.cpar = array("q", index.client_parent)
+        self.npar = array("q", index.node_parent)
         # Integer rank of every client under the (repr(id), position)
         # lexicographic order: comparing ranks in C reproduces the decorated
         # tuple sort's tie-breaking exactly (a stable sort on repr alone
         # keeps equal reprs in position order, the trailing tuple key).
         # numpy compares unicode strings by code point, as Python does, but
         # ignores trailing NULs; the rare repr holding one is sorted by
-        # Python.
-        reprs = index.client_repr
+        # Python.  Only the ranks are kept.
+        reprs = list(map(repr, index.client_order))
         if "\x00" in "".join(reprs):
             by_repr = sorted(range(index.n_clients), key=reprs.__getitem__)
         else:
@@ -208,10 +205,10 @@ class _NativeArrays:
         return self._post_order
 
 
-def _native_arrays(index: TreeIndex, kernels) -> _NativeArrays:
+def _native_arrays(index: TreeIndex) -> _NativeArrays:
     arrays = index._np_cache.get("native_arrays")
     if arrays is None:
-        arrays = _NativeArrays(index, kernels)
+        arrays = _NativeArrays(index)
         index._np_cache["native_arrays"] = arrays
     return arrays
 
@@ -242,7 +239,7 @@ def _qos_threshold_array(index: TreeIndex, problem, kernels, arrays) -> array:
         thresholds = array("q", bytes(8 * index.n_clients))
         if mode is QoSMode.DISTANCE:
             kernels.thresholds_distance(
-                arrays.cd, bounds, arrays.caf, arrays.cao, arrays.nd, thresholds
+                arrays.cd, bounds, arrays.cpar, arrays.npar, arrays.nd, thresholds
             )
         else:
             uplink = index.uplink_comm
@@ -255,8 +252,8 @@ def _qos_threshold_array(index: TreeIndex, problem, kernels, arrays) -> array:
                 bounds,
                 client_uplink,
                 node_uplink,
-                arrays.caf,
-                arrays.cao,
+                arrays.cpar,
+                arrays.npar,
                 arrays.nd,
                 thresholds,
             )
@@ -286,7 +283,7 @@ class NativeRequestState(RequestState):
         self.tree = problem.tree
         index = TreeIndex.for_tree(self.tree)
         self._index = index
-        arrays = _native_arrays(index, kernels)
+        arrays = _native_arrays(index)
         self._arrays = arrays
         # Gathered from the tree's columns by layout position.
         tree = self.tree
@@ -351,8 +348,8 @@ class NativeRequestState(RequestState):
             self._remaining_vec,
             self._inreq_vec,
             self._residual_vec,
-            arrays.caf,
-            arrays.cao,
+            arrays.cpar,
+            arrays.npar,
             ci,
             si,
             amount,
@@ -456,8 +453,8 @@ class NativeRequestState(RequestState):
             self._remaining_vec,
             self._inreq_vec,
             self._residual_vec,
-            arrays.caf,
-            arrays.cao,
+            arrays.cpar,
+            arrays.npar,
             arrays.rrk,
             thresholds,
             si,
@@ -484,8 +481,8 @@ class NativeRequestState(RequestState):
             self._remaining_vec,
             self._inreq_vec,
             self._residual_vec,
-            arrays.caf,
-            arrays.cao,
+            arrays.cpar,
+            arrays.npar,
             arrays.css,
             arrays.cse,
             thresholds,
@@ -522,8 +519,8 @@ class NativeRequestState(RequestState):
             arrays.cap,
             arrays.css,
             arrays.cse,
-            arrays.caf,
-            arrays.cao,
+            arrays.cpar,
+            arrays.npar,
             arrays.rrk,
             self._qos_thresholds,
             arrays.nd,
@@ -550,8 +547,8 @@ class NativeRequestState(RequestState):
             arrays.css,
             arrays.cse,
             arrays.nse,
-            arrays.caf,
-            arrays.cao,
+            arrays.cpar,
+            arrays.npar,
             arrays.rrk,
             self._qos_thresholds,
             arrays.nd,
@@ -573,8 +570,8 @@ class NativeRequestState(RequestState):
             arrays.cap,
             arrays.css,
             arrays.cse,
-            arrays.caf,
-            arrays.cao,
+            arrays.cpar,
+            arrays.npar,
             arrays.rrk,
             self._qos_thresholds,
             arrays.nd,
@@ -596,8 +593,8 @@ class NativeRequestState(RequestState):
         position = self._k.best_fit(
             self._residual_vec,
             arrays.nd,
-            arrays.caf,
-            arrays.cao,
+            arrays.cpar,
+            arrays.npar,
             ci,
             threshold,
             float(requests),

@@ -20,14 +20,17 @@ children (CSR form) with numpy, one level at a time: subtree sizes
 bottom-up, then each element's pre-order rank top-down (its parent's rank,
 plus one, plus the sizes of its earlier siblings).  Values are gathered by
 position -- request rates, capacities and subtree sums straight from the
-columns -- and the ancestor chains are the tree's memoised ones, so
-``TreeNetwork.ancestors`` and the index hand out the same tuples.
+columns.
 
 Scalar vectors are plain Python lists/tuples, indexed element by element
 from interpreted code (the QoS threshold walk, the structural queries);
 the native engine copies the ones its kernels read into ``array('q')``
-buffers once per topology.  Views only latency QoS needs (uplink times,
-root latencies) are built on first use, like the numpy mirrors.
+buffers once per topology, and its kernels climb the parent vectors
+instead of a copy of every chain.  Views only some paths read are built
+on first use, like the numpy mirrors: uplink times and root latencies
+(latency QoS), and the clients' ancestor chains (the pure-Python QoS
+walk, the LP eligibility check), which are the tree's memoised tuples,
+so ``TreeNetwork.ancestors`` and the index hand out the same ones.
 
 The index is immutable, built once per tree (``TreeIndex.for_tree`` caches
 it on the tree instance) and shared by every state object built on the same
@@ -89,10 +92,7 @@ class TreeIndex:
         "node_span_end",
         "client_span_start",
         "client_span_end",
-        "node_ancestors",
-        "client_ancestors",
         "client_requests",
-        "client_repr",
         "_node_perm",
         "_client_slots",
         "_subtree",
@@ -114,9 +114,8 @@ class TreeIndex:
         # (children in link order), gathered from the store by position.
         node_perm, client_perm, nodes_in, size, pre = _dfs_layout(store)
         ids = store.ids
-        node_list, client_list = node_perm.tolist(), client_perm.tolist()
-        self.node_order = node_order = tuple(map(ids.__getitem__, node_list))
-        self.client_order = client_order = tuple(map(ids.__getitem__, client_list))
+        self.node_order = node_order = tuple(map(ids.__getitem__, node_perm.tolist()))
+        self.client_order = client_order = tuple(map(ids.__getitem__, client_perm.tolist()))
         self.node_pos = dict(zip(node_order, range(n_nodes)))
         self.client_pos = dict(zip(client_order, range(n_clients)))
         ranks = np.arange(n_nodes)
@@ -126,7 +125,7 @@ class TreeIndex:
         self.client_span_start = starts.tolist()
         self.client_span_end = (starts + size[node_perm] - nodes_below).tolist()
 
-        # ---- parents, ancestor chains and depths -------------------------- #
+        # ---- parents and depths ------------------------------------------ #
         rank = np.empty(len(ids), dtype=np.int64)
         rank[node_perm] = ranks
         rank[client_perm] = np.arange(n_clients)
@@ -139,17 +138,8 @@ class TreeIndex:
         self.client_parent = list(
             map(node_ranks.__getitem__, rank[parent[client_perm]].tolist())
         )
-        # The tree's memoised chains by position (built here if absent), so
-        # tree.ancestors() and the index hand out the same tuples.
-        chains = tree._ancestors
-        self.node_ancestors = tuple(map(chains.__getitem__, node_list))
-        self.client_ancestors = tuple(map(chains.__getitem__, client_list))
         self.node_depth = depth[node_perm].tolist()
         self.client_depth = depth[client_perm].tolist()
-
-        #: repr() of every client id, for deterministic tie-breaking that
-        #: matches the dict engine's ``repr`` sort keys.
-        self.client_repr = tuple(map(repr, client_order))
 
         # ---- workload vectors ------------------------------------------- #
         self._node_perm = node_perm
@@ -163,8 +153,9 @@ class TreeIndex:
         self.qos_threshold_cache: Dict[object, List[int]] = {}
 
         #: lazily-built *structural* views (no workload data), shared
-        #: verbatim by epoch forks: uplink times, root latencies and the
-        #: numpy mirrors of the vectorised LP assembly and native engine.
+        #: verbatim by epoch forks: uplink times, root latencies, the
+        #: clients' ancestor chains and the numpy mirrors of the vectorised
+        #: LP assembly and native engine.
         self._np_cache: Dict[str, object] = {}
 
     # ------------------------------------------------------------------ #
@@ -211,9 +202,10 @@ class TreeIndex:
     def patched(self, tree: TreeNetwork, changed_clients: Iterable[NodeId]) -> "TreeIndex":
         """Index of an epoch fork of this index's tree (same topology).
 
-        Structural layouts (orders, spans, ancestor chains, depths, link
-        latencies, repr keys, QoS threshold memo) are shared with this index;
-        only the request vector is recomputed from ``tree``.
+        Structural layouts (orders, spans, depths, the lazily built views
+        such as ancestor chains and link latencies, QoS threshold memo) are
+        shared with this index; only the request vector is recomputed from
+        ``tree``.
         ``changed_clients`` are the ids whose rate differs from this index's
         tree (an empty iterable shares everything).
         """
@@ -233,9 +225,6 @@ class TreeIndex:
         fork.node_span_end = self.node_span_end
         fork.client_span_start = self.client_span_start
         fork.client_span_end = self.client_span_end
-        fork.node_ancestors = self.node_ancestors
-        fork.client_ancestors = self.client_ancestors
-        fork.client_repr = self.client_repr
         fork._node_perm = self._node_perm
         fork._client_slots = self._client_slots
         fork._subtree = tree._subtree
@@ -325,16 +314,12 @@ class TreeIndex:
         sliced.node_span_end = [e - i0 for e in self.node_span_end[i0:i1]]
         sliced.client_span_start = [s - c0 for s in self.client_span_start[i0:i1]]
         sliced.client_span_end = [e - c0 for e in self.client_span_end[i0:i1]]
-        # Ancestor chains are shard-local (they stop at the shard root), so
-        # they come from the shard tree's own (memoised) chains, and every
-        # value from the shard tree's columns.
+        # Every value comes from the shard tree's columns by its positions
+        # (and ancestor chains, read on first use, from its memo: they stop
+        # at the shard root).
         pos = tree._store.pos
         node_perm = list(map(pos.__getitem__, node_order))
         client_perm = list(map(pos.__getitem__, client_order))
-        chains = tree._ancestors
-        sliced.node_ancestors = tuple(map(chains.__getitem__, node_perm))
-        sliced.client_ancestors = tuple(map(chains.__getitem__, client_perm))
-        sliced.client_repr = tuple(map(repr, client_order))
         sliced._node_perm = np.array(node_perm, dtype=np.int64)
         sliced._client_slots = np.array(client_perm, dtype=np.int64) - tree._store.n_nodes
         sliced._gather(tree)
@@ -359,6 +344,26 @@ class TreeIndex:
             )
         return uplink
 
+    @property
+    def client_ancestors(self) -> Tuple[Tuple[NodeId, ...], ...]:
+        """Every client's bottom-up ancestor chain, in client layout order.
+
+        The tree's memoised tuples (``tree.ancestors(c) is
+        client_ancestors[k]``), gathered on first read -- which builds the
+        memo if absent -- and shared with epoch forks.  The native engine
+        never reads them: its kernels climb the parent vectors.
+        """
+        chains = self._np_cache.get("client_ancestors")
+        if chains is None:
+            store = self.store
+            chains = self._np_cache["client_ancestors"] = tuple(
+                map(
+                    store.ancestor_chains().__getitem__,
+                    (self._client_slots + store.n_nodes).tolist(),
+                )
+            )
+        return chains
+
     def client_qos(self) -> List[float]:
         """QoS bound of every client, in client layout order."""
         return _view(self.store.qos)[self._client_slots].tolist()
@@ -368,28 +373,28 @@ class TreeIndex:
         """Resident bytes of this index, for memory budgets.
 
         Containers by ``sys.getsizeof``, plus the objects they own: an int
-        (32 bytes) per position and per node's parent and span entries, a
-        float (24 bytes) per request, the ``repr`` strings and the nodes'
-        ancestor chains.  Shared with forks or not, every part is charged: a
-        fork outlives the index it was patched from.  The subtree request
-        sums are the tree's column, charged by :attr:`TreeNetwork.nbytes`.
+        (32 bytes) per position and per node's parent and span entries and a
+        float (24 bytes) per request; once read, the clients' ancestor
+        chains and the nodes' chain tuples they share.  Shared with forks or
+        not, every part is charged: a fork outlives the index it was patched
+        from.  The subtree request sums are the tree's column, charged by
+        :attr:`TreeNetwork.nbytes`.
         """
         n_nodes, n_clients = self.n_nodes, self.n_clients
         containers = (
             self.node_order, self.client_order, self.node_pos, self.client_pos,
             self.node_parent, self.client_parent, self.node_depth, self.client_depth,
             self.node_span_end, self.client_span_start, self.client_span_end,
-            self.node_ancestors, self.client_ancestors, self.client_requests,
-            self.client_repr,
+            self.client_requests,
         )
-        chains = 56 * n_nodes + 8 * sum(self.node_depth)
-        reprs = 49 * n_clients + sum(map(len, self.client_repr))
+        chains = 0
+        if "client_ancestors" in self._np_cache:
+            chains = sys.getsizeof(self.client_ancestors) + 56 * n_nodes + 8 * sum(self.node_depth)
         return (
             sum(map(sys.getsizeof, containers))
             + 32 * (6 * n_nodes + n_clients)
             + 24 * n_clients
             + chains
-            + reprs
             + self._node_perm.nbytes
             + self._client_slots.nbytes
         )
@@ -466,6 +471,7 @@ class TreeIndex:
 
         by_distance = constraints.qos_mode is QoSMode.DISTANCE
         uplink = self.uplink_comm
+        chains = () if by_distance else self.client_ancestors
         for ci, client_id in enumerate(self.client_order):
             bound = bounds[ci]
             client_depth = self.client_depth[ci]
@@ -480,7 +486,7 @@ class TreeIndex:
             else:
                 latency = 0.0
                 comm = uplink[client_id]
-                for hops, ancestor in enumerate(self.client_ancestors[ci], 1):
+                for hops, ancestor in enumerate(chains[ci], 1):
                     latency += comm
                     if latency <= bound:
                         best = client_depth - hops
@@ -557,10 +563,10 @@ class TreeIndex:
         return self.client_depth[self.client_index(element_id)]
 
     def ancestors_of(self, element_id: NodeId) -> Tuple[NodeId, ...]:
-        """Bottom-up ancestor identifiers, mirroring ``TreeNetwork.ancestors``."""
-        if element_id in self.node_pos:
-            return self.node_ancestors[self.node_pos[element_id]]
-        return self.client_ancestors[self.client_index(element_id)]
+        """Bottom-up ancestor identifiers: the tree's memoised chain."""
+        if element_id not in self.node_pos:
+            self.client_index(element_id)  # raises on unknown ids
+        return self.store.ancestor_chains()[self.store.pos[element_id]]
 
     def subtree_clients_of(self, node_id: NodeId) -> Tuple[NodeId, ...]:
         """Clients of ``subtree(node_id)`` via the contiguous span."""

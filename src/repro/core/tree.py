@@ -306,6 +306,22 @@ class _Store:
             setattr(copy, name, columns.get(name, getattr(self, name)))
         return copy
 
+    def ancestor_chains(self) -> Tuple[Tuple[NodeId, ...], ...]:
+        """Bottom-up ancestor chains by position, excluding the element,
+        built into the memo on first use."""
+        memo = self.memo
+        if memo.ancestors is None:
+            # Siblings share their parent's chain-through-itself, so the
+            # tuples cost O(|N| * depth) and the clients add one reference
+            # each.  The extra last entry is the root's (empty) chain,
+            # which parent -1 reads.
+            ids, parent = self.ids, self.parent
+            through: List[Tuple[NodeId, ...]] = [()] * (self.n_nodes + 1)
+            for p in self.bfs(clients=False).tolist():  # parents first
+                through[p] = (ids[p],) + through[parent[p]]
+            memo.ancestors = tuple(map(through.__getitem__, parent))
+        return memo.ancestors
+
     def bfs(self, clients: bool) -> np.ndarray:
         """Positions of the nodes (or clients) in breadth-first order."""
         order = _view(self.order)
@@ -506,19 +522,7 @@ class TreeNetwork:
     @property
     def _ancestors(self) -> Tuple[Tuple[NodeId, ...], ...]:
         """Bottom-up ancestor chains by position, excluding the element."""
-        memo = self._store.memo
-        if memo.ancestors is None:
-            # Siblings share their parent's chain-through-itself, so the
-            # tuples cost O(|N| * depth) and the clients add one reference
-            # each.  The extra last entry is the root's (empty) chain,
-            # which parent -1 reads.
-            store = self._store
-            ids, parent = store.ids, store.parent
-            through: List[Tuple[NodeId, ...]] = [()] * (store.n_nodes + 1)
-            for p in store.bfs(clients=False).tolist():  # parents first
-                through[p] = (ids[p],) + through[parent[p]]
-            memo.ancestors = tuple(map(through.__getitem__, parent))
-        return memo.ancestors
+        return self._store.ancestor_chains()
 
     @property
     def _subtree_clients(self) -> Tuple[Tuple[NodeId, ...], ...]:

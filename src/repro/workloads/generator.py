@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -160,13 +160,16 @@ class TreeGenerator:
         # child slot, in draw order", an ascending list: a draw indexes it,
         # a full node leaves it at the drawn index, and the new node joins
         # at the end.  It never drains (a new node has a free slot with
-        # max_children >= 1).
+        # max_children >= 1), and once it holds two nodes it never shrinks
+        # back to one, so every later draw takes at least one word: a
+        # refill of one word per node still to attach never over-draws.
         node_names = [f"n{i}" for i in range(n_nodes)]
         parent_index_of = [-1] * n_nodes
         child_count = [0] * n_nodes
         open_nodes = [0]
+        words: List[int] = []
         for index in range(1, n_nodes):
-            choice = int(rng.integers(len(open_nodes)))
+            choice = _draw_below(rng, words, len(open_nodes), n_nodes - index)
             parent_index = open_nodes[choice]
             parent_index_of[index] = parent_index
             child_count[parent_index] += 1
@@ -235,7 +238,7 @@ class TreeGenerator:
             # One bulk draw, same stream as a scalar draw per client.
             qos_bounds = list(map(float, rng.integers(low, high + 1, size=n_clients).tolist()))
         else:
-            qos_bounds = [math.inf] * n_clients
+            qos_bounds = array("d", [math.inf]) * n_clients
 
         # --- assemble ------------------------------------------------------ #
         # Straight into the tree's columns: node links first (in draw
@@ -255,8 +258,8 @@ class TreeGenerator:
             qos_bounds,
             link_child,
             link_parent,
-            repeat(config.link_comm_time, n_links),
-            repeat(bandwidth, n_links),
+            array("d", [config.link_comm_time]) * n_links,
+            array("d", [bandwidth]) * n_links,
         )
         if config.link_metrics:
             from repro.qos.metrics import annotate_tree
@@ -272,6 +275,34 @@ class TreeGenerator:
     ) -> List[TreeNetwork]:
         """Draw ``count`` independent trees with the same configuration."""
         return [self.generate(config, **kwargs) for _ in range(count)]
+
+
+_WORD = 1 << 32
+
+
+def _draw_below(rng: np.random.Generator, words: List[int], n: int, refill: int) -> int:
+    """``int(rng.integers(n))`` for ``1 <= n < 2**32``, from bulk-drawn words.
+
+    numpy answers ``integers(n)`` with Lemire's multiply-shift rejection
+    over the bit generator's 32-bit words: ``(w * n) >> 32``, redrawing
+    while the low 32 bits fall below ``(2**32 - n) % n``; ``integers(1)``
+    draws nothing.  ``integers(0, 2**32, size=k, dtype=uint32)`` yields the
+    same words, the generator's buffered half-word included, so reducing
+    them here consumes the stream exactly as scalar draws would.
+    ``words`` holds the drawn words not yet used, next one last; when it
+    runs dry, ``refill`` more are drawn, which must not exceed the words
+    the remaining calls consume (each call with ``n > 1`` takes at least
+    one), or the stream moves past where scalar draws would leave it.
+    """
+    if n == 1:
+        return 0
+    while True:
+        if not words:
+            words.extend(rng.integers(0, _WORD, size=refill, dtype=np.uint32)[::-1].tolist())
+        scaled = words.pop() * n
+        low = scaled & (_WORD - 1)
+        if low >= n or low >= (_WORD - n) % n:
+            return scaled >> 32
 
 
 def _scale_to_total(raw: np.ndarray, target_total: float) -> np.ndarray:

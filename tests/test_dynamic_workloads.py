@@ -66,9 +66,7 @@ INDEX_STRUCTURAL_FIELDS = (
     "client_parent",
     "node_depth",
     "client_depth",
-    "node_ancestors",
     "client_ancestors",
-    "client_repr",
 )
 
 
@@ -130,6 +128,8 @@ class TestPatchedIndex:
     def assert_index_equal(self, left: TreeIndex, right: TreeIndex):
         for field in INDEX_STRUCTURAL_FIELDS + INDEX_WORKLOAD_FIELDS:
             assert getattr(left, field) == getattr(right, field), field
+        for element_id in right.node_order + right.client_order:
+            assert left.ancestors_of(element_id) == right.ancestors_of(element_id)
         subtree_requests = [left.subtree_requests_of(nid) for nid in left.node_order]
         assert subtree_requests == [right.subtree_requests_of(nid) for nid in right.node_order]
 

@@ -26,6 +26,7 @@ from repro.workloads.distributions import (
 from repro.workloads.generator import (
     GeneratorConfig,
     TreeGenerator,
+    _draw_below,
     generate_campaign,
     generate_tree,
     large_tree,
@@ -264,6 +265,47 @@ class TestPinnedDraws:
             _digest(payload)
             == "e79129e88fc540a93d00e16df8bf1b526a17dfc9421faafb58c60e745332b9cf"
         )
+
+
+class TestRecursiveTreeDraws:
+    """The random recursive tree reduces bulk-drawn 32-bit words the way
+    numpy reduces them for one ``rng.integers(n)`` call per node."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reducer_matches_scalar_draws(self, seed):
+        # Above 2**31, (2**32 - n) % n is 2**32 - n: up to half the words
+        # are rejected and redrawn.  integers(1) draws nothing.
+        bounds = np.random.default_rng(100 + seed).integers(2**31 + 1, 2**32, size=300)
+        bounds = bounds.tolist() + [2**31 + 1, 2**32 - 1, 1, 2, 7, 1, 3 * 2**30]
+        refills = [sum(n > 1 for n in bounds[k:]) for k in range(len(bounds))]
+        reference = np.random.default_rng(seed)
+        expected = [int(reference.integers(n)) for n in bounds]
+        rng, words = np.random.default_rng(seed), []
+        drawn = [_draw_below(rng, words, n, refill) for n, refill in zip(bounds, refills)]
+        assert drawn == expected
+        assert not words
+        assert rng.bit_generator.state == reference.bit_generator.state
+        # Rejections happened: one word per draw would have read differently.
+        first_words = np.random.default_rng(seed).integers(
+            0, 2**32, size=len(bounds), dtype=np.uint32
+        )
+        assert [(w * n) >> 32 for w, n in zip(first_words.tolist(), bounds)] != expected
+
+    def test_single_child_topology_draws_nothing(self):
+        # With max_children=1 one node is open at every step, so the
+        # internal nodes form a chain and the clients' draw is the
+        # generator's first.
+        tree = TreeGenerator(21).generate(
+            GeneratorConfig(size=60, max_children=1, client_attachment="uniform")
+        )
+        n_nodes, n_clients = len(tree.node_ids), len(tree.client_ids)
+        assert [tree.parent(f"n{i}") for i in range(1, n_nodes)] == [
+            f"n{i}" for i in range(n_nodes - 1)
+        ]
+        draws = np.random.default_rng(21).integers(n_nodes, size=n_clients)
+        assert [tree.parent(f"c{i}") for i in range(n_clients)] == [
+            f"n{k}" for k in draws.tolist()
+        ]
 
 
 class TestCampaignGeneration:

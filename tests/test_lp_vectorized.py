@@ -24,6 +24,7 @@ import pytest
 
 from repro.api import bound_sequence, lower_bound
 from repro.core.constraints import ConstraintSet, QoSMode
+from repro.core.index import TreeIndex
 from repro.core.policies import Policy
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem
 from repro.core.tree import Link, TreeNetwork
@@ -131,6 +132,15 @@ class _EvenDepthQoS(ConstraintSet):
         return 0.0 if tree.depth(server_id) % 2 == 0 else math.inf
 
 
+class _HopsQoS(ConstraintSet):
+    """Hop-count QoS that does not declare itself monotone, so the assembly
+    asks the problem pair by pair and checks the answers against the
+    ancestor chains (they do form bottom-up prefixes)."""
+
+    def qos_metric(self, tree, client_id, server_id):
+        return float(tree.depth(client_id) - tree.depth(server_id))
+
+
 # --------------------------------------------------------------------------- #
 # variable-space layout
 # --------------------------------------------------------------------------- #
@@ -173,6 +183,44 @@ class TestVectorisedSpace:
         for cid in problem.tree.client_ids:
             expected = [(cid, sid) for sid in problem.eligible_servers(cid)]
             assert space.pairs_for_client(cid) == expected
+
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pair_columns_follow_the_tree_ancestors(self, seed):
+        """The flat chains the assembly gathers from are the tree's ancestor
+        chains by position, and every constraint set's pair columns are the
+        ancestors ``qos_satisfied`` accepts, in chain order."""
+        tree = TreeGenerator(seed).generate(
+            GeneratorConfig(
+                size=80,
+                target_load=0.4,
+                homogeneous=False,
+                max_children=1 + seed,
+                qos_hops=(2, 6),
+                link_comm_time=0.9,
+            )
+        )
+        index = TreeIndex.for_tree(tree)
+        flat, offsets = index.client_ancestor_positions()
+        for ci, client_id in enumerate(index.client_order):
+            assert flat[offsets[ci] : offsets[ci + 1]].tolist() == [
+                index.node_pos[a] for a in tree.ancestors(client_id)
+            ]
+        for constraints, prefix in (
+            (ConstraintSet.none(), True),
+            (ConstraintSet.qos_distance(), True),
+            (ConstraintSet.qos_latency(), True),
+            (_HopsQoS(qos_mode=QoSMode.DISTANCE), True),
+            (_EvenDepthQoS(qos_mode=QoSMode.DISTANCE), False),
+        ):
+            problem = ReplicaPlacementProblem(tree=tree, constraints=constraints)
+            space = VariableSpace(problem)
+            assert space.prefix_chains is prefix, constraints
+            for ci, client_id in enumerate(space.client_ids):
+                lo, hi = space.client_pair_start[ci], space.client_pair_end[ci]
+                assert [space.node_ids[s] for s in space.pair_server_pos[lo:hi]] == [
+                    a for a in tree.ancestors(client_id) if problem.qos_satisfied(client_id, a)
+                ], (constraints, client_id)
 
 
 # --------------------------------------------------------------------------- #

@@ -287,6 +287,66 @@ def test_threshold_array_matches_python_thresholds():
 
 
 @needs_kernels
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mode", ["distance", "latency"])
+def test_kernel_thresholds_match_the_ancestor_walk(seed, mode):
+    """The threshold kernels climb parent positions; each client's threshold
+    is the depth of the last ancestor of the longest bottom-up prefix of
+    ``tree.ancestors`` that ``qos_satisfied`` accepts pair by pair."""
+    tree = TreeGenerator(seed).generate(
+        GeneratorConfig(
+            size=120,
+            target_load=0.4,
+            homogeneous=False,
+            max_children=1 + seed % 3,
+            client_attachment=("uniform", "leaves")[seed % 2],
+            qos_hops=(2, 9),
+            link_comm_time=0.7 + 0.2 * seed,
+        )
+    )
+    constraints = getattr(ConstraintSet, f"qos_{mode}")()
+    problem = ReplicaPlacementProblem(tree=tree, constraints=constraints)
+    state = make_state(problem, engine="native")
+    assert isinstance(state, NativeRequestState)
+    for ci, client_id in enumerate(state._index.client_order):
+        expected = tree.depth(client_id)
+        for ancestor in tree.ancestors(client_id):
+            if not problem.qos_satisfied(client_id, ancestor):
+                break
+            expected = tree.depth(ancestor)
+        assert state._qos_thresholds[ci] == expected, client_id
+
+
+@needs_kernels
+def test_native_multiple_solve_builds_no_ancestor_chains():
+    """Without QoS, a native Multiple solve reads no ancestor chain: the
+    kernels climb parent positions, so neither the tree's ancestor memo nor
+    any per-client chain array (as long as the sum of client depths) is
+    built."""
+    from repro.api import solve
+    from repro.core.index import TreeIndex
+
+    tree = TreeGenerator(3).generate(
+        GeneratorConfig(size=400, target_load=0.5, homogeneous=False, max_children=1)
+    )
+    problem = ReplicaPlacementProblem(tree=tree)
+    with use_engine("native"):
+        solution = solve(problem, policy="multiple")
+    assert solution is not None and solution.cost(problem) > 0
+    assert tree._store.memo.ancestors is None
+    index = TreeIndex.for_tree(tree)
+    assert sum(index.client_depth) > 10 * len(tree)  # a chain copy would show
+    assert not {"client_ancestors", "client_ancestor_positions"} & set(index._np_cache)
+    arrays = index._np_cache["native_arrays"]
+    lengths = {
+        name: len(getattr(arrays, name))
+        for name in type(arrays).__slots__
+        if getattr(arrays, name) is not None
+    }
+    assert set(lengths.values()) <= {index.n_nodes, index.n_clients}, lengths
+
+
+@needs_kernels
 def test_native_state_type_and_solution_round_trip(small_problem):
     from repro.core.policies import Policy
 

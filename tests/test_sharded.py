@@ -214,7 +214,9 @@ def assert_index_equal(sliced: TreeIndex, fresh: TreeIndex):
             assert a == b, name
     # views built on first use rather than stored in slots
     assert sliced.uplink_comm == fresh.uplink_comm
+    assert sliced.client_ancestors == fresh.client_ancestors
     for element_id in fresh.node_order + fresh.client_order:
+        assert sliced.ancestors_of(element_id) == fresh.ancestors_of(element_id)
         assert sliced.root_latency_of(element_id) == fresh.root_latency_of(element_id)
 
 

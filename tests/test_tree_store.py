@@ -63,10 +63,8 @@ INDEX_FIELDS = (
     "node_span_end",
     "client_span_start",
     "client_span_end",
-    "node_ancestors",
     "client_ancestors",
     "client_requests",
-    "client_repr",
 )
 
 
