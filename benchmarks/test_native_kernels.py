@@ -16,9 +16,10 @@ repository root so future PRs have a performance trajectory.  The
 acceptance floors of the native engine are **5x over the dict engine** on
 the 500-node solve path and **2.3x** on the 20k-client instance (measured
 8.3-9.0x and 11.5-13.5x on a 2-vCPU host).  When the kernels cannot be
-compiled the native engine *is* the dict engine, so the floors would
-measure noise; the entry records the fallback instead and the assertions
-are skipped.
+compiled the platform builds the dict engine for both, so the floors
+would measure noise; the entry records the fallback instead and the
+assertions are skipped.  The dict samples run with the kernels disabled
+(``REPRO_NATIVE_DISABLE=1``), as on a host without a C compiler.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ import pytest
 
 from benchmarks.conftest import record_bench
 from repro.api import solve, solve_many
-from repro.algorithms.common import use_engine
 from repro.algorithms.native_state import native_kernels_available
 from repro.core.constraints import ConstraintSet
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
-
-ENGINES = ("dict", "native")
+from tests.conftest import ENGINES, on_engine
 
 CAMPAIGN_TREE_SIZE = 500
 CAMPAIGN_INSTANCES = 16
@@ -105,31 +104,33 @@ def costs(problems, solutions):
     ]
 
 
-def best_passes(runs, reps, loops):
+def best_passes(run, reps, loops):
     """Best per-pass wall time of each engine's workload pass, and its last
     result.
 
-    ``runs`` maps an engine to one pass of the workload.  A first, untimed
-    pass of each builds the per-tree indexes and, for the native engine,
-    the flat kernel arrays, so the samples measure the solve path alone,
-    the regime a resident session or server lives in.  Each of the
-    ``reps`` rounds then takes one sample of ``loops`` back-to-back passes
-    per engine in turn, so a drift in host speed reaches both engines.
+    ``run`` is one pass of the workload, run on each engine under
+    :func:`~tests.conftest.on_engine`.  A first, untimed pass on each
+    builds the per-tree indexes and, for the native engine, the flat kernel
+    arrays, so the samples measure the solve path alone, the regime a
+    resident session or server lives in.  Each of the ``reps`` rounds then
+    takes one sample of ``loops`` back-to-back passes per engine in turn,
+    so a drift in host speed reaches both engines; the kernels load before
+    a sample's clock starts.
     """
-    results = {engine: run() for engine, run in runs.items()}
-    best = dict.fromkeys(runs, float("inf"))
+    results = {}
+    for engine in ENGINES:
+        with on_engine(engine):
+            results[engine] = run()
+    best = dict.fromkeys(ENGINES, float("inf"))
     for _ in range(reps):
-        for engine, run in runs.items():
-            start = time.perf_counter()
-            for _ in range(loops):
-                results[engine] = run()
-            best[engine] = min(best[engine], (time.perf_counter() - start) / loops)
+        for engine in ENGINES:
+            with on_engine(engine):
+                native_kernels_available()
+                start = time.perf_counter()
+                for _ in range(loops):
+                    results[engine] = run()
+                best[engine] = min(best[engine], (time.perf_counter() - start) / loops)
     return best, results
-
-
-def solve_with_engine(problem, engine):
-    with use_engine(engine):
-        return solve(problem, policy=BIG_POLICY)
 
 
 @pytest.mark.bench
@@ -138,10 +139,7 @@ def test_native_kernel_speed():
 
     problems = campaign_problems()
     campaign_times, solutions = best_passes(
-        {
-            engine: partial(solve_many, problems, policy=CAMPAIGN_POLICY, engine=engine)
-            for engine in ENGINES
-        },
+        partial(solve_many, problems, policy=CAMPAIGN_POLICY),
         CAMPAIGN_REPS,
         CAMPAIGN_LOOPS,
     )
@@ -150,9 +148,7 @@ def test_native_kernel_speed():
 
     big = big_problem()
     big_times, solutions = best_passes(
-        {engine: partial(solve_with_engine, big, engine) for engine in ENGINES},
-        BIG_REPS,
-        BIG_LOOPS,
+        partial(solve, big, policy=BIG_POLICY), BIG_REPS, BIG_LOOPS
     )
     big_costs = {engine: solutions[engine].cost(big) for engine in ENGINES}
     assert big_costs["dict"] == big_costs["native"]

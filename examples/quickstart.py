@@ -165,31 +165,28 @@ def scaling_up() -> None:
 def engines() -> None:
     """Engines: two interchangeable state implementations, one factory.
 
-    Every solve mutates a request-affectation state behind
-    ``make_state``: the paper-faithful ``dict`` engine or the compiled
-    ``native`` engine (the default), whose hot loops run in a small C
-    kernel library built on first use with the system compiler (~8x over
-    ``dict`` on 500-node trees).  Pick one per process with
-    ``REPRO_ENGINE=dict``, per call with ``engine="dict"``, or per block
-    with ``use_engine("dict")``; the two engines are cross-validated
-    bit-for-bit, and ``native`` degrades to ``dict`` with a one-line
-    note on hosts without a C compiler, so the default is always safe.
-    ``repro doctor`` prints this report from the command line.
+    Every solve mutates a request-affectation state built by
+    ``make_state``, and the platform decides which: the compiled
+    ``native`` engine, whose hot loops run in a small C kernel library
+    built on first use with the system compiler (~8x over ``dict`` on
+    500-node trees), wherever the kernels load, and the paper-faithful
+    ``dict`` engine elsewhere, with a one-line note.  No option picks one;
+    ``REPRO_NATIVE_DISABLE=1`` forces the fallback, as on a host without a
+    C compiler.  The two engines are cross-validated bit-for-bit, so the
+    choice never moves a result.  ``repro doctor`` prints this report from
+    the command line.
     """
-    from repro.algorithms.common import available_engines, make_state, use_engine
+    from repro.algorithms.common import make_state
     from repro.algorithms.native_state import native_kernels_available
 
     print("Engines: dict (paper-faithful), native (compiled)")
-    print(f"  available_engines() -> {available_engines()}")
     problem = replica_counting_problem(build_tree())
-    for engine in available_engines():
-        with use_engine(engine):
-            state = make_state(problem)
-        print(f"  engine={engine!r}: state is a {type(state).__name__}")
+    state = make_state(problem)
+    print(f"  make_state(problem) -> a {type(state).__name__}")
     if native_kernels_available():
-        print("  native kernels: compiled (the default engine runs the C path)")
+        print("  native kernels: compiled (every solve runs the C path)")
     else:
-        print("  native kernels: unavailable here; engine='native' runs as dict")
+        print("  native kernels: unavailable here; every solve runs on dict")
 
 
 def sharded_solving() -> None:

@@ -6,14 +6,13 @@ Contents
 * :mod:`repro.algorithms.base` -- the :class:`PlacementHeuristic` interface,
   the shared :class:`repro.algorithms.common.RequestState` bookkeeping and
   the heuristic registry;
-* :mod:`repro.algorithms.common` -- the request-state engine factory
-  (:func:`~repro.algorithms.common.make_state` /
-  :func:`~repro.algorithms.common.use_engine`): every heuristic runs on the
-  compiled :class:`repro.algorithms.native_state.NativeRequestState` (the
-  default) or the paper-faithful dict engine
-  :class:`~repro.algorithms.common.RequestState` (``REPRO_ENGINE=dict``
-  selects it; it is also native's fallback without a C compiler), the two
-  pinned to each other by the cross-validation suite;
+* :mod:`repro.algorithms.common` -- the request-state factory
+  :func:`~repro.algorithms.common.make_state`: every heuristic runs on the
+  compiled :class:`repro.algorithms.native_state.NativeRequestState` where
+  the kernels load, and on the paper-faithful dict engine
+  :class:`~repro.algorithms.common.RequestState` where they do not (no C
+  compiler, or ``REPRO_NATIVE_DISABLE=1``), the two pinned to each other
+  by the cross-validation suite;
 * :mod:`repro.algorithms.multiple_homogeneous` -- the paper's optimal
   polynomial algorithm for the Multiple policy on homogeneous platforms
   (Section 4.1, Theorem 1);
@@ -36,14 +35,7 @@ from repro.algorithms.base import (
     heuristics_for_policy,
     solve_with,
 )
-from repro.algorithms.common import (
-    RequestState,
-    make_state,
-    available_engines,
-    get_default_engine,
-    set_default_engine,
-    use_engine,
-)
+from repro.algorithms.common import RequestState, make_state
 from repro.algorithms.multiple_homogeneous import MultipleHomogeneousOptimal
 from repro.algorithms.closest import (
     ClosestTopDownAll,
@@ -71,10 +63,6 @@ __all__ = [
     "solve_with",
     "RequestState",
     "make_state",
-    "available_engines",
-    "get_default_engine",
-    "set_default_engine",
-    "use_engine",
     "MultipleHomogeneousOptimal",
     "ClosestTopDownAll",
     "ClosestTopDownLargestFirst",

@@ -2,20 +2,21 @@
 
 The kernels live in ``kernels.c`` next to this file and are compiled into a
 CPython extension module (``_repro_native``) with the system C compiler the
-first time the native engine is requested.  The shared object is cached --
-keyed by a checksum of the source and the interpreter's ABI tag -- under the
-first writable of:
+first time :func:`repro.algorithms.common.make_state` builds a state.  The
+shared object is cached -- keyed by a checksum of the source and the
+interpreter's ABI tag -- under the first writable of:
 
 * ``$REPRO_NATIVE_CACHE`` (explicit override);
 * ``<repo>/build/native`` (a checkout run);
 * ``~/.cache/repro-native`` (installed / read-only checkouts).
 
 so later processes (pytest workers, forked solvers, servers) just ``dlopen``
-it.  Everything degrades gracefully: when no compiler is available, when the
-cache directories cannot be written, or when ``REPRO_NATIVE_DISABLE=1`` is
-set, :func:`load_kernels` returns ``None`` and the ``native`` engine falls
-back to the ``dict`` implementation (``make_state`` prints a one-line
-stderr note so silent slowdowns are visible).
+it.  Whether the kernels load is the one fact that picks the engine:
+``make_state``, the one state factory, builds a ``NativeRequestState`` when
+they do and the dict ``RequestState`` when :func:`load_kernels` returns
+``None`` -- no compiler, no writable cache directory, or
+``REPRO_NATIVE_DISABLE=1``, which forces the fallback -- printing a
+one-line stderr note once per process so a silent slowdown is visible.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def load_kernels():
             _compile(so_path, cc)
         _kernels = _load_so(so_path)
         _error = None
-    except Exception as exc:  # degrade, never break the engine factory
+    except Exception as exc:  # degrade, never break the state factory
         _error = str(exc)
         _kernels = None
     return _kernels

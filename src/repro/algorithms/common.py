@@ -22,120 +22,46 @@ the paper exactly.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-import os
+import sys
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.algorithms import _native
 from repro.core.policies import Policy
 from repro.core.problem import ReplicaPlacementProblem
 from repro.core.solution import Assignment, Placement, Solution
 from repro.core.tree import NodeId
 
-__all__ = [
-    "RequestState",
-    "make_state",
-    "available_engines",
-    "get_default_engine",
-    "set_default_engine",
-    "use_engine",
-]
+__all__ = ["RequestState", "make_state"]
 
 _TOL = 1e-9
 
 
-def _make_dict_state(problem: "ReplicaPlacementProblem") -> "RequestState":
-    return RequestState(problem)
+_fallback_noted = False
 
 
-def _make_native_state(problem: "ReplicaPlacementProblem") -> "RequestState":
-    from repro.algorithms.native_state import create_native_state
-
-    return create_native_state(problem)
-
-
-#: The interchangeable state engines: the paper-faithful dict implementation
-#: below and the compiled-kernel implementation of
-#: :mod:`repro.algorithms.native_state`, the default (which falls back to
-#: ``dict`` when no C compiler is available, so every name here is always
-#: valid).
-#: ``_ENGINES`` and every engine-listing error message derive from this
-#: registry, so they cannot drift from the factory.
-_ENGINE_FACTORIES = {
-    "dict": _make_dict_state,
-    "native": _make_native_state,
-}
-
-_ENGINES = tuple(_ENGINE_FACTORIES)
-
-
-def _engine_names() -> str:
-    return ", ".join(_ENGINES)
-
-#: The selected engine lives in a :class:`~contextvars.ContextVar` so that
-#: concurrent batch calls (threads, async tasks) switching engines never
-#: clobber each other; forked worker processes inherit the parent's value.
-#: Every new thread starts from the ``REPRO_ENGINE`` environment default,
-#: and without it from the compiled ``native`` engine.
-_engine_var: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_engine", default=os.environ.get("REPRO_ENGINE", "native")
-)
-
-
-def available_engines() -> Tuple[str, ...]:
-    """Names of the available request-state engines."""
-    return _ENGINES
-
-
-def get_default_engine() -> str:
-    """Engine used when :func:`make_state` is called without an override."""
-    return _engine_var.get()
-
-
-def set_default_engine(engine: str) -> str:
-    """Select the default engine; returns the previous default.
-
-    The initial default is the ``REPRO_ENGINE`` environment variable when
-    set, and the compiled ``"native"`` engine otherwise (which runs as
-    ``"dict"`` where the kernels cannot be built; the equivalence test
-    suite pins the two engines to each other).  The selection is
-    context-local: it applies to the current thread / async context and to
-    worker processes forked from it.
-    """
-    if engine not in _ENGINE_FACTORIES:
-        raise ValueError(f"unknown engine {engine!r}; available: {_engine_names()}")
-    previous = _engine_var.get()
-    _engine_var.set(engine)
-    return previous
-
-
-@contextlib.contextmanager
-def use_engine(engine: str) -> Iterator[str]:
-    """Context manager temporarily switching the default engine."""
-    if engine not in _ENGINE_FACTORIES:
-        raise ValueError(f"unknown engine {engine!r}; available: {_engine_names()}")
-    token = _engine_var.set(engine)
-    try:
-        yield engine
-    finally:
-        _engine_var.reset(token)
-
-
-def make_state(problem: ReplicaPlacementProblem, engine: Optional[str] = None) -> "RequestState":
+def make_state(problem: ReplicaPlacementProblem) -> "RequestState":
     """Build the request-affectation state every heuristic runs on.
 
-    ``engine`` forces one of ``"dict"`` (the seed implementation below) or
-    ``"native"`` (the compiled-kernel
-    :class:`~repro.algorithms.native_state.NativeRequestState`, which falls
-    back to ``dict`` with a stderr note when the kernels cannot be built);
-    by default the engine selected by :func:`set_default_engine` /
-    :func:`use_engine` is used, ``"native"`` unless changed.
+    The platform decides: a compiled-kernel
+    :class:`~repro.algorithms.native_state.NativeRequestState` when the
+    kernels load, the :class:`RequestState` below otherwise (no C compiler,
+    or ``REPRO_NATIVE_DISABLE=1``), with one stderr note per process.  The
+    two are bit-identical on every state field.
     """
-    engine = engine or _engine_var.get()
-    factory = _ENGINE_FACTORIES.get(engine)
-    if factory is None:
-        raise ValueError(f"unknown engine {engine!r}; available: {_engine_names()}")
-    return factory(problem)
+    global _fallback_noted
+    from repro.algorithms.native_state import NativeRequestState
+
+    if _native.load_kernels() is not None:
+        return NativeRequestState(problem)
+    if not _fallback_noted:
+        reason = _native.kernel_status().get("error") or "unavailable"
+        print(
+            f"repro: native kernels unavailable ({reason}); "
+            "falling back to the dict engine",
+            file=sys.stderr,
+        )
+        _fallback_noted = True
+    return RequestState(problem)
 
 
 class RequestState:

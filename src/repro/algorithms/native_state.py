@@ -1,9 +1,10 @@
 """Compiled request-affectation state (the "native" engine).
 
-:class:`NativeRequestState` is the default engine behind
-:func:`repro.algorithms.common.make_state`.  It keeps the exact public API
-of the dict engine (:class:`~repro.algorithms.common.RequestState`) but
-stores the mutable state in flat ``array('d')`` vectors laid out by
+:class:`NativeRequestState` is what the one state factory,
+:func:`repro.algorithms.common.make_state`, builds wherever the kernels
+load.  It keeps the exact public API of the dict engine
+(:class:`~repro.algorithms.common.RequestState`) but stores the mutable
+state in flat ``array('d')`` vectors laid out by
 :class:`~repro.core.index.TreeIndex` and runs every hot loop -- span
 scans, heap-ordered drains, covers, whole first/second heuristic passes,
 MG's bottom-up greedy fold (``sweep_greedy``), the UBCF best-fit walk --
@@ -32,10 +33,11 @@ engine-matrix suite.  Paths the kernels cannot represent -- non-monotone
 :class:`ConstraintSet` subclasses, spans addressed by client id -- run the
 inherited dict methods, unmodified, over the same arrays.
 
-When the kernels cannot be built (no compiler, read-only filesystem,
-``REPRO_NATIVE_DISABLE=1``), :func:`create_native_state` falls back to the
-dict engine's :class:`~repro.algorithms.common.RequestState` with a
-one-line stderr note, so ``engine="native"`` is always a valid selection.
+No setting picks the engine: the platform decides.  Where the kernels
+cannot be built (no compiler, read-only filesystem) ``make_state`` builds
+the dict engine's :class:`~repro.algorithms.common.RequestState` instead,
+with a one-line stderr note per process; ``REPRO_NATIVE_DISABLE=1`` forces
+that fallback.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from repro.core.tree import NodeId, _floats, _ints, _view
 __all__ = [
     "NativeRequestState",
     "VecMap",
-    "create_native_state",
     "native_kernels_available",
 ]
 
@@ -63,25 +64,6 @@ __all__ = [
 def native_kernels_available() -> bool:
     """``True`` when the compiled kernels loaded (or compiled) successfully."""
     return _native.load_kernels() is not None
-
-
-_fallback_noted = False
-
-
-def create_native_state(problem: ReplicaPlacementProblem):
-    """Factory behind ``engine="native"``: kernels if possible, dict if not."""
-    global _fallback_noted
-    if native_kernels_available():
-        return NativeRequestState(problem)
-    if not _fallback_noted:
-        reason = _native.kernel_status().get("error") or "unavailable"
-        print(
-            f"repro: native kernels unavailable ({reason}); "
-            "falling back to the dict engine",
-            file=sys.stderr,
-        )
-        _fallback_noted = True
-    return RequestState(problem)
 
 
 class VecMap:
@@ -195,6 +177,13 @@ class _NativeArrays:
         self.rrk = _ints(rrk)
         self._post_order = None
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the buffers (``post_order`` once built), for
+        :attr:`TreeIndex.nbytes`."""
+        buffers = (getattr(self, name) for name in self.__slots__)
+        return sum(sys.getsizeof(buffer) for buffer in buffers if buffer is not None)
+
     def post_order(self, index: TreeIndex) -> array:
         """Node positions in the tree's post-order (children before parent)."""
         if self._post_order is None:
@@ -273,9 +262,9 @@ class NativeRequestState(RequestState):
 
     def __init__(self, problem: ReplicaPlacementProblem):
         kernels = _native.load_kernels()
-        if kernels is None:  # create_native_state guards; direct users may not
+        if kernels is None:  # make_state guards; direct users may not
             raise RuntimeError(
-                "native kernels unavailable; use make_state(problem, 'native') "
+                "native kernels unavailable; use make_state(problem) "
                 "for the graceful fallback"
             )
         self._k = kernels

@@ -48,15 +48,14 @@ Scaling up
 ----------
 
 Every solve runs on the indexed flat-tree layout
-(:class:`repro.core.index.TreeIndex`) with the compiled ``native`` engine
-by default: the hot loops -- span scans, drain/cover, every heuristic
-sweep, MG's greedy fold included -- run in a small kernel library
-(:mod:`repro.algorithms.native_state`, built with the system C compiler on
-the first solve, cached under ``build/native/``).  It is pinned
-bit-identical to the paper-faithful ``dict`` engine, which
-``REPRO_ENGINE``, ``engine=`` or
-:func:`repro.algorithms.common.set_default_engine` select instead; without
-a compiler ``native`` degrades to ``dict`` with a one-line stderr note.
+(:class:`repro.core.index.TreeIndex`) and on the state that one factory,
+:func:`repro.algorithms.common.make_state`, builds.  The platform decides
+which: where the system C compiler builds the kernel library (on the
+first solve, cached under ``build/native/``) the hot loops -- span scans,
+drain/cover, every heuristic sweep, MG's greedy fold included -- run in it
+(:mod:`repro.algorithms.native_state`); elsewhere they run on the
+paper-faithful dict engine, with a one-line stderr note.  The two are
+pinned bit-identical, and ``REPRO_NATIVE_DISABLE=1`` forces the fallback.
 For campaign-scale workloads, :func:`solve_many` with ``workers=N`` forks a
 process pool and splits the instance list into per-worker chunks.  For
 long-lived serving, keep a :class:`~repro.session.PlacementSession` per
@@ -161,7 +160,6 @@ test suite pins estimate/export round-trips within Poisson tolerance
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from functools import partial
 from typing import (
@@ -270,35 +268,31 @@ def _solve_chunk(
     constraints: Optional[ConstraintSet],
     kind: Optional[ProblemKind],
     on_error: str,
-    engine: Optional[str],
 ) -> List[Tuple[Optional[Solution], Optional[Exception]]]:
     """Solve a contiguous chunk of instances (runs inside a worker process).
 
     Returns one ``(solution, error)`` pair per instance so the parent can
     re-raise in input order under ``on_error="raise"``.
     """
-    from repro.algorithms.common import use_engine
-
     results: List[Tuple[Optional[Solution], Optional[Exception]]] = []
-    with use_engine(engine) if engine else contextlib.nullcontext():
-        for problem in problems:
-            try:
-                solution = solve(
-                    problem,
-                    policy=policy,
-                    algorithm=algorithm,
-                    constraints=constraints,
-                    kind=kind,
-                )
-                results.append((solution, None))
-            except InfeasibleError as error:
-                if on_error == "none":
-                    results.append((None, None))
-                else:
-                    # The caller raises the first in-order error and discards
-                    # everything after it: stop solving this chunk now.
-                    results.append((None, error))
-                    break
+    for problem in problems:
+        try:
+            solution = solve(
+                problem,
+                policy=policy,
+                algorithm=algorithm,
+                constraints=constraints,
+                kind=kind,
+            )
+            results.append((solution, None))
+        except InfeasibleError as error:
+            if on_error == "none":
+                results.append((None, None))
+            else:
+                # The caller raises the first in-order error and discards
+                # everything after it: stop solving this chunk now.
+                results.append((None, error))
+                break
     return results
 
 
@@ -379,7 +373,6 @@ def solve_many(
     kind: Optional[ProblemKind] = None,
     workers: Optional[int] = None,
     on_error: str = "none",
-    engine: Optional[str] = None,
 ) -> List[Optional[Solution]]:
     """Solve a batch of instances, optionally over a process pool.
 
@@ -405,11 +398,6 @@ def solve_many(
         campaigns; ``"raise"`` re-raises the first
         :class:`~repro.core.exceptions.InfeasibleError` in input order.
         Any other exception always propagates.
-    engine:
-        Optional request-state engine override -- any name from
-        :func:`repro.algorithms.common.available_engines` (``"dict"`` or
-        the compiled ``"native"``) -- applied inside the workers; defaults
-        to the process-wide engine.
 
     Returns
     -------
@@ -424,7 +412,7 @@ def solve_many(
         return []
 
     if workers is None or workers <= 1:
-        pairs = _solve_chunk(batch, policy, algorithm, constraints, kind, on_error, engine)
+        pairs = _solve_chunk(batch, policy, algorithm, constraints, kind, on_error)
     else:
         pairs = chunked_pool_map(
             partial(
@@ -434,7 +422,6 @@ def solve_many(
                 constraints=constraints,
                 kind=kind,
                 on_error=on_error,
-                engine=engine,
             ),
             batch,
             workers,
@@ -556,7 +543,6 @@ def solve_sequence(
     mode: str = "incremental",
     resolve: Union[bool, str] = "always",
     on_error: str = "none",
-    engine: Optional[str] = None,
     shards: Optional[Union[int, Sequence]] = None,
 ) -> SequenceResult:
     """Solve a dynamic-workload epoch sequence with warm starts.
@@ -593,10 +579,6 @@ def solve_sequence(
         ``"none"`` records infeasible epochs as ``None``; ``"raise"``
         re-raises the first :class:`~repro.core.exceptions.InfeasibleError`
         in epoch order.
-    engine:
-        Optional request-state engine override -- any name from
-        :func:`repro.algorithms.common.available_engines` (``"dict"`` or
-        the compiled ``"native"``).
     shards:
         Optional sharded-solve spec forwarded to the session: epochs are
         solved shard-by-shard and a rate change confined to one shard
@@ -632,7 +614,6 @@ def solve_sequence(
                 policy=policy,
                 algorithm=algorithm,
                 mode=mode,
-                engine=engine,
                 shards=shards,
             )
             result = session.solve(on_error="none")
@@ -838,7 +819,6 @@ def compare_policies(
     policies: Iterable[Union[Policy, str]] = Policy.ordered(),
     constraints: Optional[ConstraintSet] = None,
     kind: Optional[ProblemKind] = None,
-    engine: Optional[str] = None,
     bounds: bool = False,
     bound_method: str = "mixed",
 ) -> CompareResult:
@@ -854,15 +834,9 @@ def compare_policies(
 
     Parameters
     ----------
-    engine:
-        Optional request-state engine override (any name from
-        :func:`repro.algorithms.common.available_engines`), matching the
-        :func:`solve_many` / :func:`solve_sequence` convention.
     bounds:
         Also compute the LP lower bound (method ``bound_method``) and
         report per-policy gaps via :meth:`CompareResult.gaps`.
     """
-    session = PlacementSession(
-        instance, constraints=constraints, kind=kind, engine=engine
-    )
+    session = PlacementSession(instance, constraints=constraints, kind=kind)
     return session.compare(policies=policies, bounds=bounds, bound_method=bound_method)

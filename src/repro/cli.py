@@ -33,10 +33,11 @@ Sub-commands
     ``--snapshot-dir`` persists sessions across restarts and restores them
     warm on boot.
 ``doctor``
-    Report the health of the request-state engines: which engines import,
-    whether the native C kernels compile (and from which cache), the
-    process-wide default engine, the IPFP bound, and whether the LP backend
-    (scipy) is installed -- found without importing it.
+    Report which request state the platform builds
+    (``NativeRequestState`` where the native C kernels compile, the dict
+    ``RequestState`` otherwise), the kernels' compile status and cache, the
+    IPFP bound, and whether the LP backend (scipy) is installed -- found
+    without importing it.
 ``table1``
     Print the computational evidence backing paper Table 1.
 
@@ -49,14 +50,14 @@ result protocol (:mod:`repro.core.results`).  The ``solve``, ``compare``
 and ``dynamic`` payloads are registered result types, round-trippable
 through :func:`repro.core.results.result_from_dict`; ``batch`` emits a
 ``{"type": "batch"}`` aggregate whose per-file ``solution`` entries decode
-with :func:`repro.core.serialization.solution_from_dict`.  ``solve``,
-``batch``, ``dynamic`` and ``serve`` also accept ``--engine`` to pick the
-request-state engine per invocation; the choices come straight from
-:func:`repro.algorithms.common.available_engines`, so new engines (such as
-the compiled ``native`` one) appear here without CLI changes.
+with :func:`repro.core.serialization.solution_from_dict`.  No option
+picks the request-state engine: the one factory,
+:func:`repro.algorithms.common.make_state`, builds on the compiled kernels
+where they load and on the dict engine elsewhere, and
+``REPRO_NATIVE_DISABLE=1`` forces that fallback.
 
-An option that several sub-commands share (``--json``, ``--engine``,
-``--policy``, ``--bounds`` ...) is declared once, as a parent parser that
+An option that several sub-commands share (``--json``, ``--policy``,
+``--bounds`` ...) is declared once, as a parent parser that
 each of them lists in ``parents=``, and every sub-parser binds its handler
 as ``run``.  Each sub-command imports the subsystems it runs when it runs,
 so a process pays only for its own layers: ``serve`` never loads the batch
@@ -72,7 +73,6 @@ import os
 import sys
 from typing import Iterable, Optional, Sequence, Tuple
 
-from repro.algorithms.common import available_engines
 from repro.core.exceptions import InfeasibleError, ReproError
 from repro.core.policies import Policy
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem
@@ -110,7 +110,7 @@ _TRAJECTORY_KNOBS = (
 #: warning order: it fixes its own churn sweep, cost mode and family.
 _CAMPAIGN_IGNORES = (
     "simulate", "trajectory", "mode", "resolve", "churn", "counting", "factor",
-    "at", "amplitude", "period", "join_rate", "leave_rate", "engine", "shards",
+    "at", "amplitude", "period", "join_rate", "leave_rate", "shards",
     "region_depth", "trace",
 )
 
@@ -152,12 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the JSON payload (the result protocol's to_dict()) "
         "instead of prose",
-    )
-    engine = _option(
-        "--engine",
-        choices=available_engines(),
-        default=None,
-        help="request-state engine (default: REPRO_ENGINE when set, else native)",
     )
     policy = _option("--policy", default="multiple", help="closest | upwards | multiple")
     algorithm = _option("--algorithm", default=None, help="force a specific heuristic")
@@ -227,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     slv = sub.add_parser(
         "solve",
-        parents=[policy, algorithm, counting, json_out, engine, shards, bounds],
+        parents=[policy, algorithm, counting, json_out, shards, bounds],
         help="solve a tree JSON file under one policy",
     )
     slv.add_argument("tree", help="tree JSON file (see the generate sub-command)")
@@ -235,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch = sub.add_parser(
         "batch",
-        parents=[policy, algorithm, counting, workers, json_out, engine],
+        parents=[policy, algorithm, counting, workers, json_out],
         help="solve many tree JSON files (optionally in parallel)",
     )
     batch.add_argument("trees", nargs="+", help="tree JSON files")
@@ -270,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dynamic",
         parents=[
             policy, mode, counting, epoch_bounds, heterogeneous, workers,
-            json_out, engine, shards,
+            json_out, shards,
         ],
         help="solve a dynamic-workload trajectory incrementally",
     )
@@ -386,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     srv = sub.add_parser(
         "serve",
-        parents=[mode, engine],
+        parents=[mode],
         help="serve placement queries over resident sessions "
         "(stdio, HTTP or TCP)",
     )
@@ -534,8 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     doc = sub.add_parser(
         "doctor",
         parents=[json_out],
-        help="report engine availability, native-kernel compile status, "
-        "the active default engine and the LP backend",
+        help="report the request state the platform builds, native-kernel "
+        "compile status and the LP backend",
     )
     doc.set_defaults(run=_dispatch_doctor)
 
@@ -618,7 +612,6 @@ def _dispatch_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         problem,
         policy=args.policy,
         algorithm=args.algorithm,
-        engine=args.engine,
         shards=args.shards,
     )
     try:
@@ -670,7 +663,6 @@ def _dispatch_batch(args: argparse.Namespace) -> int:
         algorithm=args.algorithm,
         workers=args.workers,
         on_error=args.on_error,
-        engine=args.engine,
     )
     failed = sum(solution is None for solution in solutions)
     if args.json:
@@ -884,7 +876,6 @@ def _run_dynamic_sequence(
         policy=args.policy,
         mode=args.mode,
         resolve=args.resolve.replace("-", "_"),
-        engine=args.engine,
         shards=args.shards,
     )
     bounds = None
@@ -982,7 +973,6 @@ def _dispatch_serve(args: argparse.Namespace) -> int:
         args.pool_capacity,
         max_bytes=args.max_bytes,
         mode=args.mode,
-        engine=args.engine,
     )
     server = ReproServer(
         pool,
@@ -1171,16 +1161,16 @@ def _dispatch_bench(args: argparse.Namespace) -> int:
 
 
 def _dispatch_doctor(args: argparse.Namespace) -> int:
-    """The ``doctor`` sub-command: engine and native-kernel health report.
+    """The ``doctor`` sub-command: request-state and native-kernel report.
 
-    Builds a two-client probe tree and runs every registered engine on it,
-    so the report reflects what :func:`repro.algorithms.common.make_state`
-    would actually return (including the native engine's fallback to
-    ``dict`` when no C compiler is around).  Exits 1 after the report when
-    the default engine (``REPRO_ENGINE``) names no registered engine.
+    Builds a two-client probe tree and a state on it with
+    :func:`repro.algorithms.common.make_state`, so ``state`` names what
+    every solve on this host runs on: ``NativeRequestState`` where the
+    kernels load, ``RequestState`` otherwise.  Exits 1, with the error on
+    stderr after the report, when that probe fails.
     """
     from repro.algorithms._native import kernel_cache_dir, kernel_status
-    from repro.algorithms.common import get_default_engine, make_state
+    from repro.algorithms.common import make_state
     from repro.core.builder import TreeBuilder
 
     tree = (
@@ -1192,14 +1182,11 @@ def _dispatch_doctor(args: argparse.Namespace) -> int:
     )
     probe = ReplicaPlacementProblem(tree=tree)
 
-    engines = {}
-    for engine in available_engines():
-        try:
-            state = make_state(probe, engine=engine)
-        except Exception as error:  # report, never crash the doctor
-            engines[engine] = {"ok": False, "error": f"{type(error).__name__}: {error}"}
-        else:
-            engines[engine] = {"ok": True, "state": type(state).__name__}
+    failure = None
+    try:
+        state = type(make_state(probe)).__name__
+    except Exception as error:  # report, then fail the exit code
+        state, failure = None, f"{type(error).__name__}: {error}"
 
     status = kernel_status()
     try:
@@ -1216,9 +1203,7 @@ def _dispatch_doctor(args: argparse.Namespace) -> int:
     lp_backend = _lp_backend()
     report = {
         "type": "doctor",
-        "default_engine": get_default_engine(),
-        "env_engine": os.environ.get("REPRO_ENGINE"),
-        "engines": engines,
+        "state": state,
         "native_kernels": status,
         "native_cache_dir": str(kernel_cache_dir()),
         "ipfp": ipfp,
@@ -1226,46 +1211,29 @@ def _dispatch_doctor(args: argparse.Namespace) -> int:
     }
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
-        return _default_engine_status(probe)
-
-    print(f"default engine: {report['default_engine']}"
-          + (f" (REPRO_ENGINE={report['env_engine']})" if report["env_engine"] else ""))
-    for engine, entry in engines.items():
-        if entry["ok"]:
-            print(f"engine {engine:>6}: ok ({entry['state']})")
+    else:
+        print(f"request state: {state or 'FAILED'}")
+        if status.get("available"):
+            print(f"native kernels: compiled ({status.get('so_path')})")
         else:
-            print(f"engine {engine:>6}: FAILED ({entry['error']})")
-    if status.get("available"):
-        print(f"native kernels: compiled ({status.get('so_path')})")
-    else:
-        print(f"native kernels: unavailable ({status.get('error')})")
-    print(f"native cache dir: {report['native_cache_dir']}")
-    if ipfp.get("available"):
-        defaults = ipfp["defaults"]
-        print(
-            "ipfp bound: available ("
-            + ", ".join(f"{key}={value}" for key, value in sorted(defaults.items()))
-            + ")"
-        )
-    else:
-        print(f"ipfp bound: unavailable ({ipfp.get('error')})")
-    if lp_backend["available"]:
-        print(f"lp backend: scipy {lp_backend['version']} (loaded on first LP bound)")
-    else:
-        print("lp backend: unavailable (scipy is not installed; "
-              "mixed/rational bounds and exact solves need it)")
-    return _default_engine_status(probe)
-
-
-def _default_engine_status(probe: ReplicaPlacementProblem) -> int:
-    """``doctor``'s exit code: 1, with the engine registry's error on
-    stderr, when the default engine cannot build a state."""
-    from repro.algorithms.common import make_state
-
-    try:
-        make_state(probe)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
+            print(f"native kernels: unavailable ({status.get('error')})")
+        print(f"native cache dir: {report['native_cache_dir']}")
+        if ipfp.get("available"):
+            defaults = ipfp["defaults"]
+            print(
+                "ipfp bound: available ("
+                + ", ".join(f"{key}={value}" for key, value in sorted(defaults.items()))
+                + ")"
+            )
+        else:
+            print(f"ipfp bound: unavailable ({ipfp.get('error')})")
+        if lp_backend["available"]:
+            print(f"lp backend: scipy {lp_backend['version']} (loaded on first LP bound)")
+        else:
+            print("lp backend: unavailable (scipy is not installed; "
+                  "mixed/rational bounds and exact solves need it)")
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
         return 1
     return 0
 

@@ -21,7 +21,7 @@ client's QoS bound applies to its class's weighted multi-metric **path
 score** (:mod:`repro.qos.metrics`) instead of a single hop/latency count.
 With non-negative class weights the score is monotone along root paths, so
 the classed set rides the same memoised depth-threshold machinery as the
-built-in modes (all three engines keep their shared ``can_cover``/sweep
+built-in modes (both engines keep their shared ``can_cover``/sweep
 path); non-monotone weights fall back to the documented per-pair
 eligibility check.
 """
@@ -165,7 +165,7 @@ class ClassedConstraintSet(ConstraintSet):
     the score is non-decreasing toward the root, so eligibility is a
     depth threshold per client and the instance runs on the memoised
     threshold machinery of :class:`repro.core.index.TreeIndex` -- the
-    same shared ``can_cover``/sweep code path of all three engines.
+    same shared ``can_cover``/sweep code path of both engines.
     Negative weights (a class that *prefers* longer paths on some axis)
     are legal but non-monotone: those instances use the documented
     per-pair fallback (``qos_satisfied`` per candidate pair).

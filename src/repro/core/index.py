@@ -53,6 +53,13 @@ from repro.core.tree import NodeId, TreeNetwork, _Store, _view
 __all__ = ["TreeIndex", "supports_qos_thresholds"]
 
 
+def _buffer_nbytes(value) -> int:
+    """Bytes of one cached buffer: its ``nbytes`` when it has one (numpy
+    arrays, the native engine's kernel arrays), else ``sys.getsizeof``."""
+    nbytes = getattr(value, "nbytes", None)
+    return sys.getsizeof(value) if nbytes is None else nbytes
+
+
 def supports_qos_thresholds(constraints) -> bool:
     """Can ``constraints``' eligibility be captured by per-client depth
     thresholds?
@@ -374,11 +381,13 @@ class TreeIndex:
 
         Containers by ``sys.getsizeof``, plus the objects they own: an int
         (32 bytes) per position and per node's parent and span entries and a
-        float (24 bytes) per request; once read, the clients' ancestor
-        chains and the nodes' chain tuples they share.  Shared with forks or
-        not, every part is charged: a fork outlives the index it was patched
-        from.  The subtree request sums are the tree's column, charged by
-        :attr:`TreeNetwork.nbytes`.
+        float (24 bytes) per request; and every view built on first use, by
+        its buffers: the QoS thresholds and each ``_np_cache`` entry (the
+        native engine's kernel arrays, the LP's flat chain positions, the
+        clients' ancestor chains and the nodes' chain tuples they share,
+        ...).  Shared with forks or not, every part is charged: a fork
+        outlives the index it was patched from.  The subtree request sums
+        are the tree's column, charged by :attr:`TreeNetwork.nbytes`.
         """
         n_nodes, n_clients = self.n_nodes, self.n_clients
         containers = (
@@ -387,14 +396,20 @@ class TreeIndex:
             self.node_span_end, self.client_span_start, self.client_span_end,
             self.client_requests,
         )
-        chains = 0
-        if "client_ancestors" in self._np_cache:
-            chains = sys.getsizeof(self.client_ancestors) + 56 * n_nodes + 8 * sum(self.node_depth)
+        cached = sum(map(sys.getsizeof, self.qos_threshold_cache.values()))
+        for key, value in self._np_cache.items():
+            if key == "client_ancestors":
+                cached += sys.getsizeof(value) + 56 * n_nodes + 8 * sum(self.node_depth)
+            elif isinstance(value, dict):  # uplink times, root latencies
+                cached += sys.getsizeof(value) + 24 * len(value)
+            else:  # a buffer, or a tuple of them (ids in a tuple are the store's)
+                parts = value if isinstance(value, tuple) else (value,)
+                cached += sum(_buffer_nbytes(part) for part in parts)
         return (
             sum(map(sys.getsizeof, containers))
             + 32 * (6 * n_nodes + n_clients)
             + 24 * n_clients
-            + chains
+            + cached
             + self._node_perm.nbytes
             + self._client_slots.nbytes
         )

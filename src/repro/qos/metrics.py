@@ -348,7 +348,7 @@ def iter_ancestor_scores(
     per-pair metric of
     :meth:`~repro.core.constraints.ClassedConstraintSet.qos_metric` and
     the generic ``allowed_servers`` fallback all iterate this exact
-    float sequence, which is what keeps the three engines bit-identical
+    float sequence, which is what keeps the two engines bit-identical
     on classed instances.
     """
     total = QoSMetrics.identity()

@@ -197,7 +197,7 @@ class SessionPool:
         :meth:`~repro.session.PlacementSession.memory_estimate` of the
         resident sessions; the LRU tail is evicted until the estimate fits
         (the most recent session always stays, whatever its size).
-    mode, engine, shards:
+    mode, shards:
         Session construction defaults forwarded to every
         :class:`~repro.session.PlacementSession` the pool creates.  With
         ``shards`` set, tenant sessions solve shard-by-shard and their
@@ -215,7 +215,6 @@ class SessionPool:
         *,
         max_bytes: Optional[int] = None,
         mode: str = "incremental",
-        engine: Optional[str] = None,
         shards: Optional[Any] = None,
         on_evict: Tuple[Callable[[PooledSession], None], ...] = (),
     ) -> None:
@@ -226,7 +225,6 @@ class SessionPool:
         self.capacity = capacity
         self.max_bytes = max_bytes
         self.mode = mode
-        self.engine = engine
         self.shards = shards
         self._entries: "OrderedDict[str, PooledSession]" = OrderedDict()
         self._lock = threading.RLock()
@@ -368,13 +366,7 @@ class SessionPool:
                 self._hits += 1
                 return entry, []
             entry = PooledSession(
-                key,
-                PlacementSession(
-                    problem,
-                    mode=self.mode,
-                    engine=self.engine,
-                    shards=self.shards,
-                ),
+                key, PlacementSession(problem, mode=self.mode, shards=self.shards)
             )
             self._entries[key] = entry
             self._misses += 1

@@ -41,7 +41,6 @@ Usage
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -479,10 +478,6 @@ class PlacementSession:
         to from-scratch), ``"patch"`` (placement stability first) or
         ``"scratch"`` (no warm starts; also disables bound patching --
         the baseline the other modes are validated against).
-    engine:
-        Optional request-state engine override -- any name from
-        :func:`repro.algorithms.common.available_engines` (``"dict"`` or
-        the compiled ``"native"``) -- applied around every internal solve.
     shards:
         Optional sharded-solve specification: a target shard count or an
         explicit cut node sequence (see
@@ -504,7 +499,6 @@ class PlacementSession:
         policy: Union[Policy, str] = Policy.MULTIPLE,
         algorithm: Optional[str] = None,
         mode: str = "incremental",
-        engine: Optional[str] = None,
         shards: Optional[Union[int, Iterable[NodeId]]] = None,
     ) -> None:
         if mode not in SESSION_MODES:
@@ -521,7 +515,6 @@ class PlacementSession:
         self.policy = Policy.parse(policy)
         self.algorithm = algorithm
         self.mode = mode
-        self.engine = engine
         self.shards = shards
         self.epoch = 0
         self.stats = SessionStats()
@@ -572,13 +565,6 @@ class PlacementSession:
         bounder = self._bounders.get((Policy.parse(policy), method, time_limit))
         return None if bounder is None else bounder._program
 
-    def _engine_context(self):
-        if not self.engine:
-            return contextlib.nullcontext()
-        from repro.algorithms.common import use_engine
-
-        return use_engine(self.engine)
-
     # ------------------------------------------------------------------ #
     # solving
     # ------------------------------------------------------------------ #
@@ -621,31 +607,19 @@ class PlacementSession:
         result = self._solve_cache.get(key)
         if result is not None:
             self.stats.solve_cache_hits += 1
-        elif use_sharded:
-            with self._engine_context():
-                solution, stats = self._sharded_resolve(policy, algorithm)
-            result = SolveResult(
-                epoch=self.epoch,
-                policy=policy,
-                solution=solution,
-                cost=stats.cost,
-                stats=stats,
-                problem=self.problem,
-            )
-            self._solve_cache[key] = result
-            self.stats.solves += 1
-            self.stats._tally(self.stats.solve_strategies, stats.strategy)
         else:
-            from repro.algorithms.incremental import IncrementalResolver
+            if use_sharded:
+                solution, stats = self._sharded_resolve(policy, algorithm)
+            else:
+                from repro.algorithms.incremental import IncrementalResolver
 
-            resolver = self._resolvers.get(key)
-            if resolver is None:
-                resolver = self._resolvers[key] = IncrementalResolver(
-                    policy=policy, algorithm=algorithm, mode=SESSION_MODES[self.mode]
-                )
-            with self._engine_context():
+                resolver = self._resolvers.get(key)
+                if resolver is None:
+                    resolver = self._resolvers[key] = IncrementalResolver(
+                        policy=policy, algorithm=algorithm, mode=SESSION_MODES[self.mode]
+                    )
                 solution, stats = resolver.resolve(self.problem)
-            result = SolveResult(
+            result = self._solve_cache[key] = SolveResult(
                 epoch=self.epoch,
                 policy=policy,
                 solution=solution,
@@ -653,7 +627,6 @@ class PlacementSession:
                 stats=stats,
                 problem=self.problem,
             )
-            self._solve_cache[key] = result
             self.stats.solves += 1
             self.stats._tally(self.stats.solve_strategies, stats.strategy)
 
@@ -1238,7 +1211,6 @@ class PlacementSession:
             "policy": self.policy.value,
             "algorithm": self.algorithm,
             "mode": self.mode,
-            "engine": self.engine,
             "shards": list(self.shards)
             if isinstance(self.shards, tuple)
             else self.shards,
@@ -1279,7 +1251,8 @@ class PlacementSession:
         default) -- each persisted bound's LP program is re-assembled
         eagerly so a rate-only epoch step *patches* it
         (:meth:`~repro.lp.formulation.LinearProgramData.with_requests`)
-        instead of rebuilding from scratch.
+        instead of rebuilding from scratch.  The ``engine`` key that older
+        snapshots carry is ignored: the platform picks the state engine.
         """
         from repro.algorithms.incremental import (
             IncrementalBounder,
@@ -1295,7 +1268,6 @@ class PlacementSession:
             policy=Policy.parse(payload.get("policy", Policy.MULTIPLE)),
             algorithm=None if algorithm is None else str(algorithm),
             mode=str(payload.get("mode", "incremental")),
-            engine=payload.get("engine"),
             shards=tuple(shards) if isinstance(shards, list) else shards,
         )
         session.epoch = int(payload.get("epoch", 0))

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 
 import pytest
 
+from repro.algorithms import _native, common
 from repro.core.builder import TreeBuilder
 from repro.core.constraints import ConstraintSet
 from repro.core.problem import (
@@ -16,6 +19,54 @@ from repro.core.problem import (
 )
 from repro.core.validation import validate_solution
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
+
+
+# --------------------------------------------------------------------------- #
+# the two engines
+# --------------------------------------------------------------------------- #
+#: The engine matrix: the dict oracle and the compiled kernels.  Nothing in
+#: the library picks between them; ``make_state`` builds on the kernels
+#: where they load, and a test gets the dict engine the way a host without
+#: a C compiler does (:func:`kernels_disabled`).
+ENGINES = ("dict", "native")
+
+
+@contextlib.contextmanager
+def kernels_disabled():
+    """Run the block on the dict engine, as a host without a C compiler does.
+
+    ``REPRO_NATIVE_DISABLE=1`` reaches worker processes however they start;
+    resetting the loader memo on entry and on exit makes ``make_state`` read
+    the switch again.
+    """
+    previous = os.environ.get("REPRO_NATIVE_DISABLE")
+    os.environ["REPRO_NATIVE_DISABLE"] = "1"
+    _native._reset_for_tests()
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ["REPRO_NATIVE_DISABLE"]
+        else:
+            os.environ["REPRO_NATIVE_DISABLE"] = previous
+        _native._reset_for_tests()
+
+
+def on_engine(engine: str):
+    """Context running the block on ``engine``: ``"dict"`` with the kernels
+    disabled, ``"native"`` on whatever the platform builds (the dict engine
+    too where the kernels do not load)."""
+    return kernels_disabled() if engine == "dict" else contextlib.nullcontext()
+
+
+@pytest.fixture
+def fresh_loader():
+    """Reset the loader memo and the fallback-note latch around a test."""
+    _native._reset_for_tests()
+    common._fallback_noted = False
+    yield
+    _native._reset_for_tests()
+    common._fallback_noted = False
 
 
 # --------------------------------------------------------------------------- #

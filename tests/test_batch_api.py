@@ -15,6 +15,7 @@ from repro.core.constraints import ConstraintSet
 from repro.core.exceptions import InfeasibleError
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem, replica_cost_problem
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
+from tests.conftest import ENGINES, on_engine
 
 
 def batch_problems(count=8, *, qos=None):
@@ -120,9 +121,11 @@ def test_solve_many_accepts_bare_trees():
     assert all(solution is not None for solution in results)
 
 
-@pytest.mark.parametrize("engine", ["dict", "native"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_solve_many_engine_override_is_equivalent(engine):
+    # The kernels switch reaches the pool's workers through the environment.
     problems = batch_problems(5)
     reference = sequential_reference(problems, policy="upwards")
-    batch = solve_many(problems, policy="upwards", workers=2, engine=engine)
+    with on_engine(engine):
+        batch = solve_many(problems, policy="upwards", workers=2)
     assert_same_solutions(batch, reference)

@@ -2,7 +2,8 @@
 
 argparse formats help text only when asked for it, so a broken help string
 surfaces only under ``--help``; every sub-command renders its own here.
-``--engine`` must select each available engine without moving a cost, and
+No option picks the engine (``--engine`` is a usage error everywhere); the
+one switch left, ``REPRO_NATIVE_DISABLE=1``, must not move a cost; and
 ``dynamic`` must warn about the flags a run drops instead of dropping them
 silently.
 """
@@ -19,10 +20,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.algorithms.common import available_engines
 from repro.cli import build_parser, main
 from repro.core.serialization import save_tree
 from repro.workloads.generator import generate_tree
+from tests.conftest import ENGINES, kernels_disabled, on_engine
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -41,7 +42,7 @@ SUBCOMMANDS = list(_subcommands(build_parser()))
 @pytest.fixture(scope="module")
 def tree_file(tmp_path_factory):
     # Heterogeneous: the homogeneous solve path never builds a request state,
-    # so only a heterogeneous tree puts --engine to work.
+    # so only a heterogeneous tree puts the engine to work.
     path = tmp_path_factory.mktemp("cli-options") / "tree.json"
     save_tree(generate_tree(size=40, target_load=0.4, homogeneous=False, seed=23), path)
     return str(path)
@@ -79,7 +80,7 @@ def test_every_subcommand_renders_its_help(argv, capsys):
     assert capsys.readouterr().out.startswith("usage: ")
 
 
-@pytest.mark.parametrize("engine", available_engines())
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize(
     "command, flags, costs",
     [
@@ -92,14 +93,21 @@ def test_every_subcommand_renders_its_help(argv, capsys):
 def test_engine_flag_keeps_the_default_engines_costs(
     engine, command, flags, costs, tree_file, capsys
 ):
+    """Each command answers on ``engine`` -- the dict one under
+    ``REPRO_NATIVE_DISABLE=1``, else whatever the platform builds -- with
+    the dict engine's costs."""
     argv = [command, tree_file, *flags, "--json"]
-    default, _ = run_json(argv, capsys)
-    chosen, _ = run_json([*argv, "--engine", engine], capsys)
-    assert costs(chosen) == costs(default)
+    with kernels_disabled():
+        reference, _ = run_json(argv, capsys)
+    with on_engine(engine):
+        chosen, _ = run_json(argv, capsys)
+    assert costs(chosen) == costs(reference)
 
 
-@pytest.mark.parametrize("engine", available_engines())
+@pytest.mark.parametrize("engine", ENGINES)
 def test_serve_engine_flag_answers_with_the_default_cost(engine, tree_file, capsys):
+    """A ``serve`` process on ``engine`` (``REPRO_NATIVE_DISABLE=1`` in its
+    environment for the dict one) answers with this process's cost."""
     from repro.core.problem import ReplicaPlacementProblem
     from repro.core.serialization import load_tree, problem_to_dict
 
@@ -109,8 +117,10 @@ def test_serve_engine_flag_answers_with_the_default_cost(engine, tree_file, caps
     env["PYTHONPATH"] = f"{SRC}{os.pathsep}{env.get('PYTHONPATH', '')}".rstrip(
         os.pathsep
     )
+    if engine == "dict":
+        env["REPRO_NATIVE_DISABLE"] = "1"
     result = subprocess.run(
-        [sys.executable, "-m", "repro", "serve", "--stdio", "--engine", engine],
+        [sys.executable, "-m", "repro", "serve", "--stdio"],
         input=json.dumps({"op": "solve", "problem": problem}) + "\n",
         capture_output=True,
         text=True,
@@ -125,11 +135,13 @@ def test_serve_engine_flag_answers_with_the_default_cost(engine, tree_file, caps
 
 @pytest.mark.parametrize("command", ["solve", "batch", "dynamic", "serve"])
 def test_unknown_engine_is_a_usage_error(command, tree_file, capsys):
+    # No option names an engine any more, a valid one or not.
     argv = [command] + ([] if command == "serve" else [tree_file])
-    with pytest.raises(SystemExit) as exit_info:
-        main([*argv, "--engine", "bogus"])
-    assert exit_info.value.code == 2
-    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    for name in ("bogus", "dict", "native"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--engine", name])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: --engine {name}" in capsys.readouterr().err
 
 
 def test_batch_json_names_the_policy_by_its_value(tree_file, capsys):

@@ -1,10 +1,11 @@
 """Cross-validation: every engine is bit-for-bit the seed dict engine.
 
-Every heuristic of the paper runs once per registered engine on every
-instance -- the seed :class:`~repro.algorithms.common.RequestState`
-(``engine="dict"``) and the compiled-kernel
-:class:`~repro.algorithms.native_state.NativeRequestState`
-(``engine="native"``) -- and must produce *identical* feasibility verdicts,
+Every heuristic of the paper runs once per engine on every instance -- the
+seed :class:`~repro.algorithms.common.RequestState` (``"dict"``, run with
+the kernels disabled as on a host without a C compiler) and the
+compiled-kernel :class:`~repro.algorithms.native_state.NativeRequestState`
+(``"native"``, what ``make_state`` builds where the kernels load) -- and
+must produce *identical* feasibility verdicts,
 replica placements, request assignments and costs.  The instance population
 covers homogeneous and heterogeneous platforms, all client-attachment
 shapes, hop-count and latency QoS, and bandwidth-constrained links, across
@@ -14,8 +15,8 @@ A second battery drives the state implementations through the same
 scripted operation sequences (place / assign / drain / cover) and compares
 the full mutable state after every step.
 
-When no C compiler is available the ``native`` engine falls back to the
-dict state; the matrix still runs, it just exercises the same code twice.
+When no C compiler is available ``make_state`` builds the dict state; the
+matrix still runs, it just exercises the same code twice.
 """
 
 from __future__ import annotations
@@ -27,29 +28,25 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.algorithms.base import available_heuristics, get_heuristic
-from repro.algorithms.common import (
-    RequestState,
-    available_engines,
-    make_state,
-    use_engine,
-)
+from repro.algorithms.common import RequestState, make_state
 from repro.core.constraints import ClassedConstraintSet, ConstraintSet
 from repro.core.index import supports_qos_thresholds
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem
 from repro.core.tree import Link, TreeNetwork
 from repro.qos.metrics import MetricWeights, ServiceClass, annotate_tree
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
+from tests.conftest import ENGINES, kernels_disabled, on_engine
 
 #: The eight polynomial heuristics of paper Section 6.
 HEURISTICS = ("CTDA", "CTDLF", "CBU", "UTD", "UBCF", "MG", "MTD", "MBU")
 
-#: The full engine matrix, and the engines validated against the dict seed.
-ENGINES = ("dict", "native")
+#: The engines validated against the dict seed.
 ALT_ENGINES = tuple(engine for engine in ENGINES if engine != "dict")
 
 
-def test_engine_matrix_covers_the_registry():
-    assert set(ENGINES) == set(available_engines())
+def build_state(problem: ReplicaPlacementProblem, engine: str) -> RequestState:
+    """The dict oracle for ``"dict"``, else what the platform builds."""
+    return RequestState(problem) if engine == "dict" else make_state(problem)
 
 
 def with_bandwidth(tree: TreeNetwork, limit: float) -> TreeNetwork:
@@ -98,24 +95,23 @@ def instance(seed: int) -> ReplicaPlacementProblem:
 INSTANCE_SEEDS = list(range(56))
 
 
-def solve_with(name: str, problem: ReplicaPlacementProblem, engine: str):
+def solve_all(name: str, problems, engine: str):
+    """Heuristic ``name``'s solutions of ``problems``, in order, on ``engine``."""
     heuristic = get_heuristic(name)
-    with use_engine(engine):
-        return heuristic.try_solve(problem)
-
-
-def solve_both(name: str, problem: ReplicaPlacementProblem, engine: str):
-    """Seed solution and ``engine`` solution for one heuristic/instance."""
-    return solve_with(name, problem, "dict"), solve_with(name, problem, engine)
+    with on_engine(engine):
+        return [heuristic.try_solve(problem) for problem in problems]
 
 
 @pytest.mark.parametrize("engine", ALT_ENGINES)
 @pytest.mark.parametrize("name", HEURISTICS)
 def test_every_heuristic_matches_seed_engine(name, engine):
+    problems = [instance(seed) for seed in INSTANCE_SEEDS]
+    seed_solutions = solve_all(name, problems, "dict")
+    other_solutions = solve_all(name, problems, engine)
     mismatches = []
-    for seed in INSTANCE_SEEDS:
-        problem = instance(seed)
-        seed_solution, other_solution = solve_both(name, problem, engine)
+    for seed, problem, seed_solution, other_solution in zip(
+        INSTANCE_SEEDS, problems, seed_solutions, other_solutions
+    ):
         if (seed_solution is None) != (other_solution is None):
             mismatches.append((seed, "feasibility", seed_solution, other_solution))
             continue
@@ -131,22 +127,17 @@ def test_every_heuristic_matches_seed_engine(name, engine):
 
 
 def test_engine_selection_controls_state_type(small_problem):
+    """The platform selects: the kernels when they load, the dict state when
+    they do not; no argument selects."""
     from repro.algorithms.native_state import NativeRequestState, native_kernels_available
 
-    with use_engine("dict"):
+    expected = NativeRequestState if native_kernels_available() else RequestState
+    assert type(make_state(small_problem)) is expected
+    with kernels_disabled():
         assert type(make_state(small_problem)) is RequestState
-    assert type(make_state(small_problem, engine="dict")) is RequestState
-    native_state = make_state(small_problem, engine="native")
-    if native_kernels_available():
-        assert isinstance(native_state, NativeRequestState)
-    else:
-        # No compiler: the name stays valid and degrades to the dict engine.
-        assert type(native_state) is RequestState
-    with pytest.raises(ValueError) as excinfo:
-        make_state(small_problem, engine="nope")
-    # The error enumerates the registry, so it cannot drift from it.
-    for engine in available_engines():
-        assert engine in str(excinfo.value)
+    assert type(make_state(small_problem)) is expected
+    with pytest.raises(TypeError):
+        make_state(small_problem, engine="dict")
 
 
 def test_all_eight_heuristics_are_registered():
@@ -186,8 +177,8 @@ def test_scripted_operations_match(seed, qos, engine):
     )
     constraints = ConstraintSet.qos_distance() if qos else ConstraintSet.none()
     problem = ReplicaPlacementProblem(tree=tree, constraints=constraints)
-    dict_state = make_state(problem, engine="dict")
-    other_state = make_state(problem, engine=engine)
+    dict_state = build_state(problem, "dict")
+    other_state = build_state(problem, engine)
     assert_states_agree(dict_state, other_state)
 
     nodes = list(tree.post_order_nodes())
@@ -221,7 +212,7 @@ def test_scripted_operations_match(seed, qos, engine):
 @pytest.mark.parametrize("engine", ALT_ENGINES)
 def test_repeated_service_accumulates_like_seed_engine(small_problem, engine):
     # A split drain, then a cover of the same server: c1 is served twice.
-    states = [make_state(small_problem, engine="dict"), make_state(small_problem, engine=engine)]
+    states = [build_state(small_problem, "dict"), build_state(small_problem, engine)]
     for state in states:
         state.drain("n1", 5.0, largest_first=True, split_last=True)
         state.cover("n1")
@@ -251,13 +242,14 @@ def test_non_monotone_constraint_subclass_matches_seed_engine(engine):
             GeneratorConfig(size=30, target_load=0.4, homogeneous=False, qos_hops=(2, 5))
         )
         problem = ReplicaPlacementProblem(tree=tree, constraints=constraints)
-        dict_state = make_state(problem, engine="dict")
-        other_state = make_state(problem, engine=engine)
+        dict_state = build_state(problem, "dict")
+        other_state = build_state(problem, engine)
         for nid in tree.node_ids:
             assert dict_state.eligible_pending_clients(nid) == other_state.eligible_pending_clients(nid)
             assert dict_state.eligible_inreq(nid) == pytest.approx(other_state.eligible_inreq(nid))
         for name in HEURISTICS:
-            seed_solution, other_solution = solve_both(name, problem, engine)
+            (seed_solution,) = solve_all(name, [problem], "dict")
+            (other_solution,) = solve_all(name, [problem], engine)
             assert (seed_solution is None) == (other_solution is None), (name, engine)
             if seed_solution is not None:
                 assert seed_solution.placement.replicas == other_solution.placement.replicas
@@ -268,8 +260,8 @@ def test_non_monotone_constraint_subclass_matches_seed_engine(engine):
 
 @pytest.mark.parametrize("engine", ALT_ENGINES)
 def test_unserved_summary_matches(small_problem, engine):
-    dict_state = make_state(small_problem, engine="dict")
-    other_state = make_state(small_problem, engine=engine)
+    dict_state = build_state(small_problem, "dict")
+    other_state = build_state(small_problem, engine)
     assert dict_state.unserved_summary() == other_state.unserved_summary()
     for state in (dict_state, other_state):
         state.place("n1")
@@ -281,7 +273,7 @@ def test_unserved_summary_matches(small_problem, engine):
 def test_state_to_solution_round_trip(small_problem, engine):
     from repro.core.policies import Policy
 
-    state = make_state(small_problem, engine=engine)
+    state = build_state(small_problem, engine)
     state.place("root")
     covered = state.cover("root")
     assert covered == pytest.approx(12.0)
@@ -376,8 +368,8 @@ def test_greedy_sweep_matches_seed_engine(engine, seed, size, rates, zero_share,
         assert not supports_qos_thresholds(problem.constraints)
     elif qos != "none":
         assert supports_qos_thresholds(problem.constraints)
-    seed_state = make_state(problem, engine="dict")
-    other_state = make_state(problem, engine=engine)
+    seed_state = build_state(problem, "dict")
+    other_state = build_state(problem, engine)
     seed_state.greedy_sweep()
     other_state.greedy_sweep()
     assert _sweep_outcome(other_state) == _sweep_outcome(seed_state)
@@ -438,7 +430,7 @@ def test_drains_match_seed_engine(
     order = dict(largest_first=largest_first, split_last=split_last)
     states = {}
     for name in ("dict", engine):
-        states[name] = make_state(problem, engine=name)
+        states[name] = build_state(problem, name)
         _run_drain_step(states[name], step, share, **order)
 
     def amounts_in_order(state):
@@ -457,7 +449,7 @@ def test_to_solution_keeps_every_positive_amount(engine, seed):
     from repro.core.solution import Assignment
 
     problem = instance(seed)
-    state = make_state(problem, engine=engine)
+    state = build_state(problem, engine)
     state.first_pass_sweep(largest_first=False, split_last=True)
     state.greedy_sweep()
     assert state.amounts

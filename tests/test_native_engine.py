@@ -4,10 +4,11 @@ Bit-for-bit solution equivalence lives in the engine-matrix suite
 (``test_fast_state_equivalence.py``); this file covers what that matrix
 cannot see: the build-on-first-use kernel loader and its graceful
 degradation (``REPRO_NATIVE_DISABLE``, missing compilers) to the dict
-engine, the one-line fallback note, the ``repro doctor`` report (and its
-exit code when ``REPRO_ENGINE`` names no engine), the kernel-computed QoS
-threshold cache, and the :class:`~repro.algorithms.native_state.VecMap`
-mapping views the heuristics read.  Every test here passes with *or*
+engine, the one-line fallback note, the platform -- never a setting --
+picking the engine, the ``repro doctor`` report (and its exit code when
+the state probe fails), the kernel-computed QoS threshold cache, and the
+:class:`~repro.algorithms.native_state.VecMap` mapping views the
+heuristics read.  Every test here passes with *or*
 without a C compiler -- the no-compiler CI job runs this file too.
 """
 
@@ -22,8 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.algorithms import _native, native_state
-from repro.algorithms.common import RequestState, make_state, use_engine
+from repro.algorithms import _native, common
+from repro.algorithms.common import RequestState, make_state
 from repro.algorithms.native_state import (
     NativeRequestState,
     VecMap,
@@ -33,16 +34,7 @@ from repro.cli import main
 from repro.core.constraints import ConstraintSet
 from repro.core.problem import ReplicaPlacementProblem
 from repro.workloads.generator import GeneratorConfig, TreeGenerator
-
-
-@pytest.fixture
-def fresh_loader():
-    """Reset the loader memo and the fallback-note latch around a test."""
-    _native._reset_for_tests()
-    native_state._fallback_noted = False
-    yield
-    _native._reset_for_tests()
-    native_state._fallback_noted = False
+from tests.conftest import kernels_disabled
 
 
 # --------------------------------------------------------------------------- #
@@ -61,26 +53,24 @@ def test_kernel_status_shape():
 def test_disable_env_forces_dict_fallback(fresh_loader, monkeypatch, capsys, small_problem):
     monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
     assert not native_kernels_available()
-    state = make_state(small_problem, engine="native")
+    state = make_state(small_problem)
     assert type(state) is RequestState
     # Exactly one stderr note, however many states the process builds.
-    make_state(small_problem, engine="native")
+    make_state(small_problem)
     err = capsys.readouterr().err
     assert err.count("native kernels unavailable") == 1
     assert "falling back to the dict engine" in err
 
 
-def test_disabled_native_engine_still_solves(fresh_loader, monkeypatch):
+def test_disabled_native_engine_still_solves(fresh_loader):
     from repro.algorithms.base import get_heuristic
 
-    monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
     tree = TreeGenerator(5).generate(
         GeneratorConfig(size=30, target_load=0.4, homogeneous=True)
     )
     problem = ReplicaPlacementProblem(tree=tree, constraints=ConstraintSet.none())
-    with use_engine("native"):
-        native_solution = get_heuristic("MBU").try_solve(problem)
-    with use_engine("dict"):
+    native_solution = get_heuristic("MBU").try_solve(problem)
+    with kernels_disabled():
         dict_solution = get_heuristic("MBU").try_solve(problem)
     assert (native_solution is None) == (dict_solution is None)
     if native_solution is not None:
@@ -100,26 +90,25 @@ def test_loader_memo_resets(fresh_loader, monkeypatch):
 
 
 def test_native_engine_name_always_valid(small_problem):
-    # Whatever the toolchain, engine="native" must return a working state
+    # Whatever the toolchain, make_state must return a working state
     # (NativeRequestState subclasses RequestState, so this covers both).
-    state = make_state(small_problem, engine="native")
+    state = make_state(small_problem)
     assert isinstance(state, RequestState)
     state.place("root")
     assert state.cover("root") == pytest.approx(12.0)
 
 
 # --------------------------------------------------------------------------- #
-# the default engine, in fresh interpreters
+# the platform picks the engine, in fresh interpreters
 # --------------------------------------------------------------------------- #
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _fresh_python(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a new interpreter with no engine settings inherited."""
+    """Run ``code`` in a new interpreter that does not inherit
+    ``REPRO_NATIVE_DISABLE``, with ``env`` set on top."""
     clean = {
-        key: value
-        for key, value in os.environ.items()
-        if key not in ("REPRO_ENGINE", "REPRO_NATIVE_DISABLE")
+        key: value for key, value in os.environ.items() if key != "REPRO_NATIVE_DISABLE"
     }
     clean.update(env, PYTHONPATH=str(SRC))
     return subprocess.run(
@@ -131,13 +120,44 @@ def _fresh_python(code: str, *args: str, **env: str) -> subprocess.CompletedProc
     )
 
 
-def test_fresh_interpreter_defaults_to_native():
-    proc = _fresh_python(
-        "from repro.algorithms.common import get_default_engine\n"
-        "print(get_default_engine())"
-    )
+#: Prints whether the kernels loaded and the types of two states.
+_STATE_TYPES = """
+from repro.algorithms.common import make_state
+from repro.algorithms.native_state import native_kernels_available
+from repro.core.builder import TreeBuilder
+from repro.core.problem import ReplicaPlacementProblem
+
+tree = TreeBuilder().add_node("root", capacity=4).add_client("c", requests=3, parent="root").build()
+problem = ReplicaPlacementProblem(tree=tree)
+states = [type(make_state(problem)).__name__ for _ in range(2)]
+print(native_kernels_available(), *states)
+"""
+
+
+def _state_types(**env: str):
+    proc = _fresh_python(_STATE_TYPES, **env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "native"
+    available, *states = proc.stdout.split()
+    return available == "True", states, proc.stderr
+
+
+def test_fresh_interpreter_defaults_to_native():
+    available, states, _ = _state_types()
+    assert available or not native_kernels_available()  # as this process has
+    assert states == ["NativeRequestState" if available else "RequestState"] * 2
+
+
+def test_the_environment_cannot_pick_the_engine():
+    """``REPRO_ENGINE`` names nothing any more: only whether the kernels load
+    decides, and ``REPRO_NATIVE_DISABLE=1`` forces the fallback."""
+    available, states, _ = _state_types(REPRO_ENGINE="dict")
+    assert available or not native_kernels_available()
+    assert states == ["NativeRequestState" if available else "RequestState"] * 2
+
+    available, states, err = _state_types(REPRO_ENGINE="native", REPRO_NATIVE_DISABLE="1")
+    assert not available
+    assert states == ["RequestState"] * 2
+    assert err.count("native kernels unavailable") == 1
 
 
 _SOLVE_TWICE = """
@@ -177,12 +197,14 @@ def test_disabled_default_engine_falls_back_with_one_note(tmp_path):
 # --------------------------------------------------------------------------- #
 # repro doctor
 # --------------------------------------------------------------------------- #
+def _platform_state() -> str:
+    return "NativeRequestState" if native_kernels_available() else "RequestState"
+
+
 def test_doctor_reports_engines_and_kernels(capsys):
     assert main(["doctor"]) == 0
     out = capsys.readouterr().out
-    assert "default engine:" in out
-    for engine in ("dict", "native"):
-        assert f"engine {engine:>6}: ok" in out
+    assert f"request state: {_platform_state()}\n" in out
     assert "native kernels:" in out
 
 
@@ -190,8 +212,8 @@ def test_doctor_json_payload(capsys):
     assert main(["doctor", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["type"] == "doctor"
-    assert set(report["engines"]) == {"dict", "native"}
-    assert all(entry["ok"] for entry in report["engines"].values())
+    assert report["state"] == _platform_state()
+    assert not {"default_engine", "env_engine", "engines"} & set(report)
     assert report["native_kernels"]["available"] == native_kernels_available()
 
 
@@ -199,33 +221,24 @@ def test_doctor_reports_fallback_when_disabled(fresh_loader, monkeypatch, capsys
     monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
     assert main(["doctor", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["engines"]["native"]["ok"]
-    assert report["engines"]["native"]["state"] == "RequestState"
+    assert report["state"] == "RequestState"
     assert not report["native_kernels"]["available"]
     assert "REPRO_NATIVE_DISABLE" in report["native_kernels"]["error"]
 
 
-_DOCTOR = "import sys\nfrom repro.cli import main\nsys.exit(main(sys.argv[1:]))"
-_UNKNOWN_ENGINE = "error: unknown engine 'bogus'; available: dict, native"
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_doctor_fails_when_the_state_probe_fails(json_flag, monkeypatch, capsys):
+    def broken(problem):
+        raise RuntimeError("probe broke")
 
-
-def test_doctor_flags_an_unregistered_default_engine():
-    # The report still prints, then the registry's error and exit code 1,
-    # as `repro solve` would fail under the same REPRO_ENGINE.
-    proc = _fresh_python(_DOCTOR, "doctor", REPRO_ENGINE="bogus")
-    assert proc.returncode == 1, proc.stderr
-    assert "default engine: bogus (REPRO_ENGINE=bogus)" in proc.stdout
-    assert "engine native: ok" in proc.stdout
-    assert proc.stderr.strip().splitlines()[-1] == _UNKNOWN_ENGINE
-
-
-def test_doctor_json_flags_an_unregistered_default_engine():
-    proc = _fresh_python(_DOCTOR, "doctor", "--json", REPRO_ENGINE="bogus")
-    assert proc.returncode == 1, proc.stderr
-    report = json.loads(proc.stdout)
-    assert report["default_engine"] == "bogus"
-    assert sorted(report["engines"]) == ["dict", "native"]
-    assert proc.stderr.strip().splitlines()[-1] == _UNKNOWN_ENGINE
+    monkeypatch.setattr(common, "make_state", broken)
+    assert main(["doctor", *json_flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines()[-1] == "error: RuntimeError: probe broke"
+    if json_flag:
+        assert json.loads(captured.out)["state"] is None
+    else:
+        assert "request state: FAILED\n" in captured.out
 
 
 def test_doctor_reports_lp_backend(monkeypatch, capsys):
@@ -271,7 +284,7 @@ def test_threshold_array_matches_python_thresholds():
             GeneratorConfig(size=40, target_load=0.4, homogeneous=False, qos_hops=qos)
         )
         problem = ReplicaPlacementProblem(tree=tree, constraints=constraints)
-        state = make_state(problem, engine="native")
+        state = make_state(problem)
         assert isinstance(state, NativeRequestState)
         # The kernel-computed array must equal the thresholds a fresh index
         # computes in pure Python (the state's own index caches the kernel
@@ -306,7 +319,7 @@ def test_kernel_thresholds_match_the_ancestor_walk(seed, mode):
     )
     constraints = getattr(ConstraintSet, f"qos_{mode}")()
     problem = ReplicaPlacementProblem(tree=tree, constraints=constraints)
-    state = make_state(problem, engine="native")
+    state = make_state(problem)
     assert isinstance(state, NativeRequestState)
     for ci, client_id in enumerate(state._index.client_order):
         expected = tree.depth(client_id)
@@ -330,8 +343,7 @@ def test_native_multiple_solve_builds_no_ancestor_chains():
         GeneratorConfig(size=400, target_load=0.5, homogeneous=False, max_children=1)
     )
     problem = ReplicaPlacementProblem(tree=tree)
-    with use_engine("native"):
-        solution = solve(problem, policy="multiple")
+    solution = solve(problem, policy="multiple")
     assert solution is not None and solution.cost(problem) > 0
     assert tree._store.memo.ancestors is None
     index = TreeIndex.for_tree(tree)
@@ -350,7 +362,7 @@ def test_native_multiple_solve_builds_no_ancestor_chains():
 def test_native_state_type_and_solution_round_trip(small_problem):
     from repro.core.policies import Policy
 
-    state = make_state(small_problem, engine="native")
+    state = make_state(small_problem)
     assert isinstance(state, NativeRequestState)
     state.place("root")
     assert state.cover("root") == pytest.approx(12.0)
@@ -390,7 +402,7 @@ def test_vecmap_mapping_protocol():
 
 
 def test_vecmap_views_track_kernel_state(small_problem):
-    state = make_state(small_problem, engine="native")
+    state = make_state(small_problem)
     before = dict(state.residual.copy())
     state.place("root")
     state.cover("root")

@@ -13,7 +13,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.algorithms.common import available_engines
 from repro.core.builder import TreeBuilder
 from repro.core.constraints import ClassedConstraintSet, QoSMode
 from repro.core.index import supports_qos_thresholds
@@ -38,6 +37,7 @@ from repro.qos.metrics import (
 )
 from repro.serving.fingerprint import problem_fingerprint
 from repro.workloads.generator import GeneratorConfig, TreeGenerator, generate_tree
+from tests.conftest import ENGINES, on_engine
 
 
 def _classed_problem(seed=11, *, size=40, classes=None, budget=0.9):
@@ -180,8 +180,9 @@ class TestEngineMatrix:
 
         problem = _classed_problem()
         reference = None
-        for engine in available_engines():
-            results = compare_policies(problem, engine=engine)
+        for engine in ENGINES:
+            with on_engine(engine):
+                results = compare_policies(problem)
             snapshot = {}
             for policy, solution in results.solutions.items():
                 if solution is None:

@@ -627,6 +627,37 @@ class TestSnapshots:
         stats = client.stats()
         assert stats.solve_cache_hits >= 1 and stats.bound_cache_hits >= 1
 
+    def test_snapshot_naming_an_engine_still_serves(self, tmp_path):
+        """A snapshot whose state names an engine (``serve --engine`` once
+        wrote one) warm-boots and answers its tenant's next update as a
+        fresh session of the same problem does: the key is ignored."""
+        problem = make_problem(61, "cost")
+        server = ReproServer(capacity=4, snapshot_dir=tmp_path)
+        tenant = connect(server).open(problem)
+        tenant.solve()
+        fingerprint = tenant.fingerprint
+        server.snapshot_all()
+        path = snapshot_path(tmp_path, fingerprint)
+        snapshot = json.loads(path.read_text())
+        snapshot["state"]["engine"] = "fast"
+        path.write_text(json.dumps(snapshot))
+
+        reborn = ReproServer(capacity=4, snapshot_dir=tmp_path)
+        assert reborn.restored == 1
+        cid = problem.tree.client_ids[0]
+        rate = problem.tree.client(cid).requests * 0.5
+        update = {
+            "op": "update",
+            "fingerprint": fingerprint,
+            "params": {"requests": [{"client": cid, "rate": rate}]},
+        }
+        reply = reborn.handle(update)
+        fresh = ReproServer(capacity=4)
+        connect(fresh).open(problem).solve()
+        expected = fresh.handle(update)
+        assert expected["type"] == "solve_result" and expected["feasible"], expected
+        assert canonical(reply) == canonical(expected)
+
     def test_restored_bound_patches_instead_of_rebuilding(self, tmp_path):
         """Acceptance criterion: next rate-only bound is 'patched' not 'built'."""
         problem = make_problem(51, "counting")

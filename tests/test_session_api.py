@@ -48,7 +48,7 @@ from repro.experiments.harness import (
 from repro.session import CompareResult, SolveResult
 from repro.workloads.dynamic import rate_churn, step_change
 from repro.workloads.generator import generate_tree
-from tests.conftest import assert_valid, make_random_problem
+from tests.conftest import assert_valid, kernels_disabled, make_random_problem
 
 
 def churn_epochs(problem, epochs=6, seed=11, churn=0.25):
@@ -161,9 +161,11 @@ class TestSessionCaching:
         assert quiet.solution is None and not quiet.feasible
 
     def test_engine_override_matches_default(self):
-        problem = make_random_problem(8, size=40)
+        # Heterogeneous: the homogeneous Multiple solve builds no state.
+        problem = make_random_problem(8, size=40, homogeneous=False)
         fast = PlacementSession(problem).solve()
-        dict_engine = PlacementSession(problem, engine="dict").solve()
+        with kernels_disabled():
+            dict_engine = PlacementSession(problem).solve()
         assert solutions_identical(fast.solution, dict_engine.solution)
 
     def test_simulate_runs_on_the_cached_solution(self):
@@ -272,7 +274,8 @@ class TestShimEquivalence:
     def test_compare_engine_override_is_bit_identical(self):
         problem = make_random_problem(23, size=40)
         default = compare_policies(problem)
-        forced = compare_policies(problem, engine="dict")
+        with kernels_disabled():
+            forced = compare_policies(problem)
         for policy in default:
             assert solutions_identical(default[policy], forced[policy])
 

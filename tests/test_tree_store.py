@@ -385,6 +385,40 @@ class TestMemoryEstimate:
         assert charged >= decoded.nbytes + index.nbytes
         assert 0.5 <= charged / both_bytes <= 2.0
 
+    def test_estimate_charges_the_views_a_solve_and_a_bound_cache(self):
+        """``TreeIndex.nbytes``, and so the session's estimate, charges the
+        structural views cached on first use: the native kernel arrays a
+        solve builds and the flat chain positions an IPFP bound builds."""
+        from repro.algorithms.native_state import native_kernels_available
+
+        tree = TreeGenerator(3).generate(
+            GeneratorConfig(
+                size=4000, target_load=0.4, homogeneous=False,
+                client_attachment="leaves", max_children=3,
+            )
+        )
+        session = PlacementSession(ReplicaPlacementProblem(tree=tree))
+        index = session.index
+        cache = index._np_cache
+
+        def rises(step):
+            before = index.nbytes, session.memory_estimate()
+            step()
+            after = index.nbytes, session.memory_estimate()
+            assert after[1] - before[1] >= after[0] - before[0]
+            return after[0] - before[0]
+
+        grown = rises(lambda: session.solve(on_error="none"))
+        arrays = cache.get("native_arrays")
+        assert (arrays is not None) == native_kernels_available()
+        if arrays is not None:
+            buffers = [getattr(arrays, name) for name in type(arrays).__slots__]
+            assert grown >= sum(len(b) * b.itemsize for b in buffers if b is not None)
+
+        grown = rises(lambda: session.bound(method="ipfp"))
+        positions, offsets = cache["client_ancestor_positions"]
+        assert grown >= positions.nbytes + offsets.nbytes > 0
+
 
 def _generated_small():
     return TreeGenerator(5).generate(GeneratorConfig(size=20, target_load=0.3))
