@@ -51,7 +51,7 @@ and ``dynamic`` payloads are registered result types, round-trippable
 through :func:`repro.core.results.result_from_dict`; ``batch`` emits a
 ``{"type": "batch"}`` aggregate whose per-file ``solution`` entries decode
 with :func:`repro.core.serialization.solution_from_dict`.  No option
-picks the request-state engine: the one factory,
+picks the request-state engine; the platform decides: the one factory,
 :func:`repro.algorithms.common.make_state`, builds on the compiled kernels
 where they load and on the dict engine elsewhere, and
 ``REPRO_NATIVE_DISABLE=1`` forces that fallback.
