@@ -45,6 +45,14 @@ def record_bench(entry) -> None:
     BENCH_FILE.write_text(json.dumps(entries, indent=2) + "\n")
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the host has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux hosts
+        return os.cpu_count() or 1
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",

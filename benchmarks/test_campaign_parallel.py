@@ -12,13 +12,12 @@ ratio in ``BENCH_engine.json`` as trajectory data.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import asdict
 
 import pytest
 
-from benchmarks.conftest import record_bench
+from benchmarks.conftest import available_cpus, record_bench
 from repro.experiments.harness import ChurnCampaignConfig, run_churn_campaign
 
 WORKERS = 4
@@ -32,13 +31,6 @@ CONFIG = ChurnCampaignConfig(
     trees_per_level=2,
     size=60,
 )
-
-
-def available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
 
 
 def timed_campaign(workers):

@@ -30,12 +30,11 @@ compare: the entry is recorded and the floors are skipped.
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
 
-from benchmarks.conftest import record_bench
+from benchmarks.conftest import available_cpus, record_bench
 from repro.api import solve_many
 from repro.algorithms.native_state import native_kernels_available
 from repro.core.constraints import ConstraintSet
@@ -105,13 +104,6 @@ def costs(problems, solutions):
         None if solution is None else solution.cost(problem)
         for problem, solution in zip(problems, solutions)
     ]
-
-
-def available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
 
 
 @pytest.mark.bench

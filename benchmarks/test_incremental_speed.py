@@ -21,12 +21,11 @@ performance trajectory.
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
 
-from benchmarks.conftest import record_bench
+from benchmarks.conftest import available_cpus, record_bench
 from repro.api import solve_sequence
 from repro.core.problem import replica_counting_problem
 from repro.workloads.dynamic import rate_churn
@@ -65,13 +64,6 @@ def timed_sequence(mode):
         result = solve_sequence(epochs, policy=POLICY, mode=mode)
         best = min(best, time.perf_counter() - start)
     return best, result
-
-
-def available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
 
 
 @pytest.mark.bench

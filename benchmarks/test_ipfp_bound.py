@@ -20,12 +20,11 @@ the performance trajectory.
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
 
-from benchmarks.conftest import record_bench
+from benchmarks.conftest import available_cpus, record_bench
 from repro.core.constraints import ConstraintSet
 from repro.core.problem import ReplicaPlacementProblem, replica_cost_problem
 from repro.lp.bounds import lp_lower_bound, rational_relaxation_bound
@@ -67,13 +66,6 @@ def best_of(reps, fn):
         result = fn()
         best = min(best, time.perf_counter() - start)
     return best, result
-
-
-def available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
 
 
 @pytest.mark.bench

@@ -24,12 +24,11 @@ Times are best-of-3 to bound noisy-neighbour spikes.
 from __future__ import annotations
 
 import math
-import os
 import time
 
 import pytest
 
-from benchmarks.conftest import record_bench
+from benchmarks.conftest import available_cpus, record_bench
 from repro.api import bound_sequence, lower_bound
 from repro.core.constraints import ConstraintSet
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem, replica_counting_problem
@@ -53,13 +52,6 @@ REBOUND_CHURN = 0.08
 REBOUND_QUIET = 0.6
 REBOUND_SEED = 777
 REQUIRED_REBOUND_SPEEDUP = 1.5
-
-
-def available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
 
 
 def bandwidth_problem() -> ReplicaPlacementProblem:

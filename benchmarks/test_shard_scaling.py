@@ -7,7 +7,7 @@ sharding layer targets.  Two comparisons run on identical trees:
 * **peak memory** -- ``tracemalloc`` peak of one whole-tree
   ``portfolio_solve`` vs one ``solve_sharded`` on a pre-built
   :class:`~repro.core.partition.ShardPlan`.  The sharded path streams:
-  one sliced index is built, used and released per shard, and the region
+  one index is built, used and released per region, and the region
   solutions are consumed while stitching, so its recurring per-solve peak
   must come in **under** the whole-tree solve's.  The one-time partition
   cost (session/pool state, amortised over every subsequent epoch) is
@@ -23,13 +23,12 @@ the performance trajectory.
 
 from __future__ import annotations
 
-import os
 import time
 import tracemalloc
 
 import pytest
 
-from benchmarks.conftest import record_bench
+from benchmarks.conftest import available_cpus, record_bench
 from repro.algorithms.portfolio import portfolio_solve
 from repro.algorithms.sharded import solve_sharded
 from repro.core.constraints import ConstraintSet
@@ -74,13 +73,6 @@ def timed_update(session, client_id, reps=REPS):
         result = session.update(requests={client_id: old + 1.0})
         best = min(best, time.perf_counter() - start)
     return best, result
-
-
-def available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
 
 
 @pytest.mark.bench

@@ -23,14 +23,13 @@ trajectory.
 
 from __future__ import annotations
 
-import os
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from benchmarks.conftest import record_bench
+from benchmarks.conftest import available_cpus, record_bench
 from repro.api import solve_sequence
 from repro.core.problem import replica_counting_problem
 from repro.workloads.dynamic import as_base_problem
@@ -85,13 +84,6 @@ def best_of(reps, fn):
         result = fn()
         best = min(best, time.perf_counter() - start)
     return best, result
-
-
-def available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
 
 
 @pytest.mark.bench

@@ -194,8 +194,8 @@ def sharded_solving() -> None:
 
     Past ~10^4 clients the whole-tree pass is the wall.  ``shards=N`` cuts
     the tree at an antichain of high-level nodes, solves each subtree as an
-    independent problem on an index *sliced* from its contiguous DFS span
-    (the whole-tree index is never built), reconciles any overflow at the
+    independent problem on its own index (the whole-tree index is never
+    built), reconciles any overflow at the
     cut, and stitches a globally validated solution.  Inside a session the
     partition persists: a rate change confined to one shard re-solves only
     that shard, which is what ``repro dynamic --trajectory regional

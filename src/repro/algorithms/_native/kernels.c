@@ -910,94 +910,6 @@ k_best_fit(PyObject *self, PyObject *args)
     return PyLong_FromLongLong((long long)best);
 }
 
-/* thresholds_distance(client_depth, bounds, cpar, npar, nd, out)
- * Per-client minimal eligible server depth under hop-count QoS, climbing
- * each client's ancestors bottom-up; mirrors
- * TreeIndex.qos_depth_thresholds comparison for comparison. */
-static PyObject *
-k_thresholds_distance(PyObject *self, PyObject *args)
-{
-    PyObject *o_cd, *o_bounds, *o_cpar, *o_npar, *o_nd, *o_out;
-    if (!PyArg_ParseTuple(args, "OOOOOO", &o_cd, &o_bounds, &o_cpar, &o_npar,
-                          &o_nd, &o_out))
-        return NULL;
-    buf_t b[6] = {0};
-    if (get_buf(o_cd, &b[0], 0, "client_depth") ||
-        get_buf(o_bounds, &b[1], 0, "bounds") ||
-        get_buf(o_cpar, &b[2], 0, "cpar") || get_buf(o_npar, &b[3], 0, "npar") ||
-        get_buf(o_nd, &b[4], 0, "nd") || get_buf(o_out, &b[5], 1, "out")) {
-        release_all(b, 6);
-        return NULL;
-    }
-    const int64_t *cd = I64(b[0]);
-    const double *bounds = DBL(b[1]);
-    const int64_t *cpar = I64(b[2]), *npar = I64(b[3]), *nd = I64(b[4]);
-    int64_t *out = I64(b[5]);
-    int64_t n = (int64_t)(b[0].view.len / (Py_ssize_t)sizeof(int64_t));
-    for (int64_t ci = 0; ci < n; ci++) {
-        int64_t client_depth = cd[ci];
-        double bound = bounds[ci];
-        int64_t best = client_depth; /* sentinel: nothing eligible */
-        for (int64_t a = cpar[ci]; a >= 0; a = npar[a]) {
-            int64_t depth = nd[a];
-            if ((double)(client_depth - depth) <= bound)
-                best = depth;
-            else
-                break; /* monotone metric: everything above fails */
-        }
-        out[ci] = best;
-    }
-    release_all(b, 6);
-    Py_RETURN_NONE;
-}
-
-/* thresholds_latency(client_depth, bounds, client_uplink, node_uplink,
- *                    cpar, npar, nd, out)
- * Same, accumulating link communication times in path order (the
- * client's uplink, then each reached ancestor's) like the indexed Python
- * implementation. */
-static PyObject *
-k_thresholds_latency(PyObject *self, PyObject *args)
-{
-    PyObject *o_cd, *o_bounds, *o_cup, *o_nup, *o_cpar, *o_npar, *o_nd, *o_out;
-    if (!PyArg_ParseTuple(args, "OOOOOOOO", &o_cd, &o_bounds, &o_cup, &o_nup,
-                          &o_cpar, &o_npar, &o_nd, &o_out))
-        return NULL;
-    buf_t b[8] = {0};
-    if (get_buf(o_cd, &b[0], 0, "client_depth") ||
-        get_buf(o_bounds, &b[1], 0, "bounds") ||
-        get_buf(o_cup, &b[2], 0, "client_uplink") ||
-        get_buf(o_nup, &b[3], 0, "node_uplink") ||
-        get_buf(o_cpar, &b[4], 0, "cpar") || get_buf(o_npar, &b[5], 0, "npar") ||
-        get_buf(o_nd, &b[6], 0, "nd") || get_buf(o_out, &b[7], 1, "out")) {
-        release_all(b, 8);
-        return NULL;
-    }
-    const int64_t *cd = I64(b[0]);
-    const double *bounds = DBL(b[1]);
-    const double *cup = DBL(b[2]), *nup = DBL(b[3]);
-    const int64_t *cpar = I64(b[4]), *npar = I64(b[5]), *nd = I64(b[6]);
-    int64_t *out = I64(b[7]);
-    int64_t n = (int64_t)(b[0].view.len / (Py_ssize_t)sizeof(int64_t));
-    for (int64_t ci = 0; ci < n; ci++) {
-        double bound = bounds[ci];
-        int64_t best = cd[ci];
-        double latency = 0.0;
-        double comm = cup[ci];
-        for (int64_t a = cpar[ci]; a >= 0; a = npar[a]) {
-            latency += comm;
-            if (latency <= bound)
-                best = nd[a];
-            else
-                break;
-            comm = nup[a];
-        }
-        out[ci] = best;
-    }
-    release_all(b, 8);
-    Py_RETURN_NONE;
-}
-
 /* ------------------------------------------------------------------ */
 
 static PyMethodDef kernel_methods[] = {
@@ -1012,8 +924,6 @@ static PyMethodDef kernel_methods[] = {
     {"sweep_second", k_sweep_second, METH_VARARGS, "Top-down completion pass (second pass)."},
     {"sweep_greedy", k_sweep_greedy, METH_VARARGS, "MG's bottom-up saturating fold."},
     {"best_fit", k_best_fit, METH_VARARGS, "Best-fit ancestor for a whole client."},
-    {"thresholds_distance", k_thresholds_distance, METH_VARARGS, "Per-client QoS depth thresholds (hop metric)."},
-    {"thresholds_latency", k_thresholds_latency, METH_VARARGS, "Per-client QoS depth thresholds (latency metric)."},
     {NULL, NULL, 0, NULL},
 };
 

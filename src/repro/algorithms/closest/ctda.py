@@ -15,23 +15,12 @@ from collections import deque
 from typing import Optional
 
 from repro.algorithms.base import PlacementHeuristic, register_heuristic
-from repro.algorithms.common import RequestState, make_state
+from repro.algorithms.common import make_state
 from repro.core.policies import Policy
 from repro.core.problem import ReplicaPlacementProblem
 from repro.core.solution import Solution
 
-__all__ = ["ClosestTopDownAll", "closest_cover_eligible"]
-
-
-def closest_cover_eligible(state: RequestState, node_id) -> bool:
-    """Can ``node_id`` capture the whole remaining load of its subtree?
-
-    Thin wrapper kept for backwards compatibility: the eligibility test now
-    lives on the state (:meth:`RequestState.can_cover`) so each engine can
-    supply its own implementation -- the native engine checks the QoS of the
-    whole span in one kernel call instead of one predicate per client.
-    """
-    return state.can_cover(node_id)
+__all__ = ["ClosestTopDownAll"]
 
 
 @register_heuristic

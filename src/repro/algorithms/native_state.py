@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.algorithms import _native
 from repro.algorithms.common import RequestState, _TOL
-from repro.core.index import TreeIndex
+from repro.core.index import TreeIndex, supports_qos_thresholds
 from repro.core.problem import ReplicaPlacementProblem
 from repro.core.tree import NodeId, _floats, _ints, _view
 
@@ -143,7 +143,6 @@ class _NativeArrays:
         "cse",
         "nse",
         "nd",
-        "cd",
         "cap",
         "cpar",
         "npar",
@@ -156,7 +155,6 @@ class _NativeArrays:
         self.cse = array("q", index.client_span_end)
         self.nse = array("q", index.node_span_end)
         self.nd = array("q", index.node_depth)
-        self.cd = array("q", index.client_depth)
         self.cap = _floats(_view(index.store.capacity)[index._node_perm])
         self.cpar = array("q", index.client_parent)
         self.npar = array("q", index.node_parent)
@@ -202,55 +200,6 @@ def _native_arrays(index: TreeIndex) -> _NativeArrays:
     return arrays
 
 
-def _qos_threshold_array(index: TreeIndex, problem, kernels, arrays) -> array:
-    """Per-client QoS depth thresholds as an ``array('q')``, kernel-computed.
-
-    Stored in the index's threshold memo next to the list the pure-Python
-    path computes (under a ``("native", mode)`` key), and mirrored into the
-    plain-mode slot as a list so the eligible-servers cache and the LP
-    assembly never recompute it.  The kernel repeats the comparisons of
-    :meth:`TreeIndex.qos_depth_thresholds` operation for operation.
-    """
-    from repro.core.constraints import QoSMode
-
-    constraints = problem.constraints
-    mode = constraints.qos_mode
-    cache = index.qos_threshold_cache
-    key = ("native", mode)
-    thresholds = cache.get(key)
-    if thresholds is not None:
-        return thresholds
-    base = cache.get(mode)
-    if base is not None:
-        thresholds = array("q", base)
-    else:
-        bounds = array("d", index.client_qos())
-        thresholds = array("q", bytes(8 * index.n_clients))
-        if mode is QoSMode.DISTANCE:
-            kernels.thresholds_distance(
-                arrays.cd, bounds, arrays.cpar, arrays.npar, arrays.nd, thresholds
-            )
-        else:
-            uplink = index.uplink_comm
-            client_uplink = array("d", (uplink[cid] for cid in index.client_order))
-            node_uplink = array(
-                "d", (uplink.get(nid, 0.0) for nid in index.node_order)
-            )
-            kernels.thresholds_latency(
-                arrays.cd,
-                bounds,
-                client_uplink,
-                node_uplink,
-                arrays.cpar,
-                arrays.npar,
-                arrays.nd,
-                thresholds,
-            )
-        cache[mode] = list(thresholds)
-    cache[key] = thresholds
-    return thresholds
-
-
 class NativeRequestState(RequestState):
     """``RequestState`` whose hot methods run in compiled kernels.
 
@@ -291,29 +240,15 @@ class NativeRequestState(RequestState):
         self.replicas = set()
         self.amounts: Dict[Tuple[NodeId, NodeId], float] = {}
 
-        from repro.core.constraints import ConstraintSet
-        from repro.core.index import supports_qos_thresholds
-
-        constraints = problem.constraints
+        # Monotone QoS (the built-in modes, monotone subclasses): the
+        # kernels read the index's memoised thresholds, the array the dict
+        # engine's eligible servers and the LP assembly read too.  Any
+        # other QoS runs the inherited methods on the per-pair predicate.
         self._qos_thresholds = None
         self._qos_check = None
-        if constraints.has_qos:
-            if type(constraints) is ConstraintSet:
-                self._qos_thresholds = _qos_threshold_array(
-                    index, problem, kernels, arrays
-                )
-            elif supports_qos_thresholds(constraints):
-                # Monotone subclass (e.g. a classed metric set): the
-                # thresholds come from the generic Python walk -- the
-                # values, not their computation, are what the kernels
-                # consume -- mirrored into the index's native cache so
-                # sibling states and epoch forks share one array.
-                key = ("native", constraints)
-                cached = index.qos_threshold_cache.get(key)
-                if cached is None:
-                    cached = array("q", index.qos_depth_thresholds(problem))
-                    index.qos_threshold_cache[key] = cached
-                self._qos_thresholds = cached
+        if problem.constraints.has_qos:
+            if supports_qos_thresholds(problem.constraints):
+                self._qos_thresholds = index.qos_depth_thresholds(problem)
             else:
                 self._qos_check = problem.qos_satisfied
 

@@ -4,10 +4,10 @@ The pipeline mirrors the distributed part-merge idiom the ROADMAP names:
 
 1. **Partition** the problem at a small cut of high-level nodes
    (:func:`repro.core.partition.partition_problem`) into shard sub-problems
-   plus a residual top region, each indexed through
-   :meth:`TreeIndex.sliced` -- the whole-tree dense index is never built.
-2. **Solve regions independently** through the normal portfolio, either
-   sequentially or fanned over :func:`repro.api.chunked_pool_map`.  A shard
+   plus a residual top region, each indexed like any tree, by
+   :meth:`TreeIndex.for_tree` on first use -- the whole-tree dense index is
+   never built.
+2. **Solve regions independently** through the normal portfolio.  A shard
    whose clients fit its own capacity yields a sub-solution that is already
    globally valid: shard servers are ancestors only of shard clients,
    capacities are disjoint and no flow crosses the cut link.
@@ -43,7 +43,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.algorithms.portfolio import portfolio_solve
 from repro.core.exceptions import InfeasibleError
-from repro.core.index import TreeIndex
 from repro.core.partition import Shard, ShardPlan, ShardSpec, partition_problem
 from repro.core.policies import Policy
 from repro.core.problem import ReplicaPlacementProblem
@@ -51,7 +50,7 @@ from repro.core.solution import Assignment, Placement, Solution
 from repro.core.tree import Client, Link, NodeId, TreeNetwork
 from repro.core.validation import validate_solution
 
-__all__ = ["solve_sharded", "solve_regions", "stitch_solutions"]
+__all__ = ["solve_sharded", "stitch_solutions"]
 
 #: positive lower bound for synthetic boundary-client QoS (Client rejects 0).
 _MIN_QOS = 1e-9
@@ -79,29 +78,6 @@ def _solve_region(
         return portfolio_solve(problem, policy=policy, algorithm=algorithm)
     except InfeasibleError:
         return None
-
-
-def _solve_region_chunk(problems, policy, algorithm):
-    """Worker-side chunk: solve each region, mapping infeasible to None."""
-    return [_solve_region(problem, policy, algorithm) for problem in problems]
-
-
-def solve_regions(
-    problems: Sequence[ReplicaPlacementProblem],
-    *,
-    policy: Policy,
-    algorithm: Optional[str] = None,
-    workers: Optional[int] = None,
-) -> List[Optional[Solution]]:
-    """Solve independent region problems, optionally over a process pool."""
-    if workers is not None and workers >= 2 and len(problems) >= 2:
-        from repro.api import chunked_pool_map
-
-        def chunk(problems_chunk):
-            return _solve_region_chunk(problems_chunk, policy, algorithm)
-
-        return list(chunked_pool_map(chunk, list(problems), workers))
-    return _solve_region_chunk(problems, policy, algorithm)
 
 
 def stitch_solutions(
@@ -367,7 +343,6 @@ def solve_sharded(
     algorithm: Optional[str] = None,
     shards: Optional[ShardSpec] = None,
     plan: Optional[ShardPlan] = None,
-    workers: Optional[int] = None,
 ) -> Solution:
     """Solve ``problem`` shard by shard and stitch a validated solution.
 
@@ -389,26 +364,14 @@ def solve_sharded(
     if len(plan.shards) < 2:
         return portfolio_solve(problem, policy=policy, algorithm=algorithm)
 
-    region_problems = plan.region_problems()
-    if workers is not None and workers >= 2 and len(region_problems) >= 2:
-        # Prime per-shard indexes from contiguous DFS spans -- never a
-        # global DFS -- before the problems ship to the worker pool.
-        for shard in plan.shards:
-            TreeIndex.sliced(shard)
-        solutions = solve_regions(
-            region_problems, policy=policy, algorithm=algorithm, workers=workers
-        )
-    else:
-        # Stream shard by shard: slice one index, solve the region, release
-        # the index before touching the next shard, so the peak working set
-        # above the shared problem is one shard plus the accumulated
-        # per-region solutions -- not every shard's scaffolding at once.
-        solutions = []
-        for i, region_problem in enumerate(region_problems):
-            if i < len(plan.shards):
-                TreeIndex.sliced(plan.shards[i])
-            solutions.append(_solve_region(region_problem, policy, algorithm))
-            region_problem.tree._index_cache = None
+    # Stream region by region: the solve indexes the region's tree, and the
+    # index is released before the next region, so the peak working set
+    # above the shared problem is one region plus the accumulated
+    # per-region solutions -- not every shard's scaffolding at once.
+    solutions = []
+    for region_problem in plan.region_problems():
+        solutions.append(_solve_region(region_problem, policy, algorithm))
+        region_problem.tree._index_cache = None
     strategy = "independent"
     contended = [s.root for s, sol in zip(plan.shards, solutions) if sol is None]
     if any(solution is None for solution in solutions):

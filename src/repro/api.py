@@ -68,9 +68,8 @@ wall, and the answer is **sharding** (``solve(..., shards=N)``,
 ``PlacementSession(shards=N)``, ``repro solve --shards N``): the tree is
 partitioned at a small cut of high-level nodes
 (:func:`repro.core.partition.partition_problem`), each subtree shard is
-solved on its own sliced index
-(:meth:`repro.core.index.TreeIndex.sliced` -- contiguous DFS spans, the
-whole-tree dense index is never built), and shards that overflow their
+solved as a tree of its own, indexed on first use (the whole-tree dense
+index is never built), and shards that overflow their
 local capacity are reconciled at the cut before the per-shard solutions
 are stitched into one validated global solution
 (:func:`repro.algorithms.sharded.solve_sharded`).  Shard when trees are
@@ -241,7 +240,7 @@ def solve(
     shards:
         Optional sharded-solve spec (target shard count or explicit cut
         node sequence): partition the tree into subtree shards, solve each
-        on its own sliced index and reconcile at the cut (see
+        on its own index and reconcile at the cut (see
         :func:`repro.algorithms.sharded.solve_sharded`).  ``None``/``1``
         is the whole-tree path.
 

@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="partition the tree into N subtree shards, solve each on its own "
-        "sliced index and reconcile at the cut (default: whole-tree)",
+        "index and reconcile at the cut (default: whole-tree)",
     )
     workers = _option(
         "--workers",

@@ -23,14 +23,15 @@ position -- request rates, capacities and subtree sums straight from the
 columns.
 
 Scalar vectors are plain Python lists/tuples, indexed element by element
-from interpreted code (the QoS threshold walk, the structural queries);
-the native engine copies the ones its kernels read into ``array('q')``
-buffers once per topology, and its kernels climb the parent vectors
-instead of a copy of every chain.  Views only some paths read are built
-on first use, like the numpy mirrors: uplink times and root latencies
-(latency QoS), and the clients' ancestor chains (the pure-Python QoS
-walk, the LP eligibility check), which are the tree's memoised tuples,
-so ``TreeNetwork.ancestors`` and the index hand out the same ones.
+from interpreted code (the structural queries); the native engine copies
+the ones its kernels read into ``array('q')`` buffers once per topology,
+and its kernels climb the parent vectors instead of a copy of every chain.
+Views only some paths read are built on first use, like the numpy
+mirrors: the QoS depth thresholds (one numpy climb over the parent
+vectors per QoS mode) and the clients' ancestor chains (the QoS walk of
+constraint subclasses, the LP eligibility check), which are the tree's
+memoised tuples, so ``TreeNetwork.ancestors`` and the index hand out the
+same ones.
 
 The index is immutable, built once per tree (``TreeIndex.for_tree`` caches
 it on the tree instance) and shared by every state object built on the same
@@ -42,13 +43,13 @@ as soon as its last user drops it.
 from __future__ import annotations
 
 import sys
-from operator import add
-from typing import Dict, Iterable, List, Tuple
+from array import array
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
 from repro.core.exceptions import TreeStructureError
-from repro.core.tree import NodeId, TreeNetwork, _Store, _view
+from repro.core.tree import NodeId, TreeNetwork, _Store, _ints, _view
 
 __all__ = ["TreeIndex", "supports_qos_thresholds"]
 
@@ -148,21 +149,21 @@ class TreeIndex:
         self.node_depth = depth[node_perm].tolist()
         self.client_depth = depth[client_perm].tolist()
 
-        # ---- workload vectors ------------------------------------------- #
+        # ---- workload vectors (the subtree sums are the tree's column) -- #
         self._node_perm = node_perm
         self._client_slots = client_perm - n_nodes
-        self._gather(tree)
+        self.client_requests = _view(tree._requests)[self._client_slots].tolist()
+        self._subtree = tree._subtree
 
-        #: memoised per-client QoS depth thresholds, keyed by QoS mode
-        #: (filled lazily by the native engine, the eligible-servers cache
-        #: and the LP assembly; bounds live on the tree, so a mode fully
-        #: determines the thresholds).
-        self.qos_threshold_cache: Dict[object, List[int]] = {}
+        #: memoised per-client QoS depth thresholds, one ``array('q')`` per
+        #: QoS mode (or monotone constraints object), read by both engines,
+        #: the eligible-servers cache and the LP assembly; bounds live on
+        #: the tree, so a key fully determines the thresholds.
+        self.qos_threshold_cache: Dict[object, array] = {}
 
         #: lazily-built *structural* views (no workload data), shared
-        #: verbatim by epoch forks: uplink times, root latencies, the
-        #: clients' ancestor chains and the numpy mirrors of the vectorised
-        #: LP assembly and native engine.
+        #: verbatim by epoch forks: the clients' ancestor chains and the
+        #: numpy mirrors of the vectorised LP assembly and native engine.
         self._np_cache: Dict[str, object] = {}
 
     # ------------------------------------------------------------------ #
@@ -254,103 +255,6 @@ class TreeIndex:
         fork.client_requests = requests_vec
         return fork
 
-    def _gather(self, tree: TreeNetwork) -> None:
-        """The request vector, gathered from ``tree``'s column by position,
-        and the tree's subtree request sums (kept by reference)."""
-        self.client_requests = _view(tree._requests)[self._client_slots].tolist()
-        self._subtree = tree._subtree
-
-    @classmethod
-    def sliced(cls, shard) -> "TreeIndex":
-        """Index of one :class:`~repro.core.partition.Shard` sub-tree.
-
-        Shard sub-trees preserve the global link insertion order, so the
-        shard's internal nodes and clients are *contiguous DFS spans* of the
-        global layout.  When the global tree already carries an index, this
-        constructor slices those spans out and re-bases positions and depths
-        in O(|shard|) -- no whole-tree DFS.  When it does not (the sharded
-        solve path never builds one), the index is built directly from the
-        shard sub-tree, which is still O(|shard|): the full dense layout of
-        the global tree is never materialised either way.
-
-        The result is bit-identical to ``TreeIndex(shard.problem.tree)``
-        (pinned by the sharding test suite) and is cached on the shard tree
-        like :meth:`for_tree` would.
-        """
-        tree = shard.problem.tree
-        cached = tree._index_cache
-        if cached is not None:
-            return cached
-        source_tree = shard.source.tree
-        source = source_tree._index_cache
-        if source is None or shard.root not in source.node_pos:
-            index = cls(tree)
-        else:
-            index = source._slice_span(tree, shard.root)
-        tree._index_cache = index
-        return index
-
-    def _slice_span(self, tree: TreeNetwork, root: NodeId) -> "TreeIndex":
-        """Re-base the contiguous spans of ``subtree(root)`` onto ``tree``.
-
-        ``tree`` must be the shard sub-tree re-rooted at ``root`` with the
-        global link order preserved (what ``partition_problem`` emits), so
-        its DFS layout equals this index's span of ``root``.
-        """
-        sliced = TreeIndex.__new__(TreeIndex)
-        sliced.store = tree._store
-        i0 = self.node_pos[root]
-        i1 = self.node_span_end[i0]
-        c0 = self.client_span_start[i0]
-        c1 = self.client_span_end[i0]
-        depth0 = self.node_depth[i0]
-        sliced.n_nodes = i1 - i0
-        sliced.n_clients = c1 - c0
-        node_order = self.node_order[i0:i1]
-        client_order = self.client_order[c0:c1]
-        sliced.node_order = node_order
-        sliced.client_order = client_order
-        sliced.node_pos = {nid: i for i, nid in enumerate(node_order)}
-        sliced.client_pos = {cid: i for i, cid in enumerate(client_order)}
-        sliced.node_parent = [p - i0 for p in self.node_parent[i0:i1]]
-        sliced.node_parent[0] = -1  # the shard root has no parent link
-        sliced.node_depth = [d - depth0 for d in self.node_depth[i0:i1]]
-        sliced.client_parent = [p - i0 for p in self.client_parent[c0:c1]]
-        sliced.client_depth = [d - depth0 for d in self.client_depth[c0:c1]]
-        sliced.height = len(tree._store.levels) - 2
-        sliced.node_span_end = [e - i0 for e in self.node_span_end[i0:i1]]
-        sliced.client_span_start = [s - c0 for s in self.client_span_start[i0:i1]]
-        sliced.client_span_end = [e - c0 for e in self.client_span_end[i0:i1]]
-        # Every value comes from the shard tree's columns by its positions
-        # (and ancestor chains, read on first use, from its memo: they stop
-        # at the shard root).
-        pos = tree._store.pos
-        node_perm = list(map(pos.__getitem__, node_order))
-        client_perm = list(map(pos.__getitem__, client_order))
-        sliced._node_perm = np.array(node_perm, dtype=np.int64)
-        sliced._client_slots = np.array(client_perm, dtype=np.int64) - tree._store.n_nodes
-        sliced._gather(tree)
-        # Thresholds depend on shard-local depths; the memo starts empty.
-        sliced.qos_threshold_cache = {}
-        sliced._np_cache = {}
-        return sliced
-
-    @property
-    def uplink_comm(self) -> Dict[NodeId, float]:
-        """Communication time of every non-root element's uplink.
-
-        Only latency QoS reads it, so it is built on first use and shared
-        with epoch forks like the other structural views.
-        """
-        uplink = self._np_cache.get("uplink_comm")
-        if uplink is None:
-            store = self.store
-            children = store.link_order
-            uplink = self._np_cache["uplink_comm"] = dict(
-                zip(map(store.ids.__getitem__, children), map(store.comm.__getitem__, children))
-            )
-        return uplink
-
     @property
     def client_ancestors(self) -> Tuple[Tuple[NodeId, ...], ...]:
         """Every client's bottom-up ancestor chain, in client layout order.
@@ -370,10 +274,6 @@ class TreeIndex:
                 )
             )
         return chains
-
-    def client_qos(self) -> List[float]:
-        """QoS bound of every client, in client layout order."""
-        return _view(self.store.qos)[self._client_slots].tolist()
 
     @property
     def nbytes(self) -> int:
@@ -400,8 +300,6 @@ class TreeIndex:
         for key, value in self._np_cache.items():
             if key == "client_ancestors":
                 cached += sys.getsizeof(value) + 56 * n_nodes + 8 * sum(self.node_depth)
-            elif isinstance(value, dict):  # uplink times, root latencies
-                cached += sys.getsizeof(value) + 24 * len(value)
             else:  # a buffer, or a tuple of them (ids in a tuple are the store's)
                 parts = value if isinstance(value, tuple) else (value,)
                 cached += sum(_buffer_nbytes(part) for part in parts)
@@ -417,30 +315,33 @@ class TreeIndex:
     # ------------------------------------------------------------------ #
     # QoS depth thresholds
     # ------------------------------------------------------------------ #
-    def qos_depth_thresholds(self, problem) -> List[int]:
+    def qos_depth_thresholds(self, problem) -> array:
         """Per-client minimal eligible server depth under ``problem``'s QoS.
 
         Both built-in QoS metrics (hop distance, cumulative latency) are
         monotone non-decreasing towards the root, so the eligible ancestors
         of a client form a bottom-up prefix of its chain: an ancestor ``a``
-        is eligible iff ``depth(a) >= threshold``.  The comparisons below
-        reproduce ``problem.qos_satisfied`` operation for operation (hop
-        counts as float subtraction, latencies accumulated link by link in
-        path order), so boundary cases agree bit-for-bit.  Client bounds
-        live on the tree, so results are memoised per QoS mode.
+        is eligible iff ``depth(a) >= threshold`` (a client with none gets
+        its own depth).  All clients climb their parent vectors together,
+        one level per numpy step, adding one hop or the current uplink's
+        comm time from the client upward -- the order ``tree.latency`` sums
+        in -- so every comparison is the one ``problem.qos_satisfied``
+        makes and boundary cases agree bit-for-bit.
 
-        Defined for the exact built-in :class:`ConstraintSet` and for any
-        subclass that declares a monotone path metric (truthy
-        ``monotone_path_metric``, e.g. a
+        Also defined for any :class:`ConstraintSet` subclass declaring a
+        monotone path metric (truthy ``monotone_path_metric``, e.g. a
         :class:`~repro.core.constraints.ClassedConstraintSet` with
-        non-negative class weights) -- see
-        :func:`supports_qos_thresholds`.  A subclass with a non-monotone
-        metric cannot be represented by a single depth threshold, so
-        callers must keep per-pair ``qos_satisfied`` filtering for those
-        (raises ``ValueError``).  Built-in modes memoise per QoS mode;
-        subclasses memoise per constraints object (frozen and hashable).
+        non-negative class weights; see :func:`supports_qos_thresholds`),
+        by walking its own ``(ancestor, score)`` sequence.  A non-monotone
+        metric has no depth threshold: callers keep per-pair
+        ``qos_satisfied`` filtering for those (raises ``ValueError``).
+
+        Returns an ``array('q')`` in client layout order, which the native
+        kernels read as it is.  Client bounds live on the tree, so it is
+        memoised per QoS mode (built-in) or per constraints object
+        (subclasses, frozen and hashable).
         """
-        from repro.core.constraints import ConstraintSet
+        from repro.core.constraints import ConstraintSet, QoSMode
 
         constraints = problem.constraints
         if not supports_qos_thresholds(constraints):
@@ -452,65 +353,64 @@ class TreeIndex:
         builtin = type(constraints) is ConstraintSet
         key: object = constraints.qos_mode if builtin else constraints
         thresholds = self.qos_threshold_cache.get(key)
-        if thresholds is not None:
-            return thresholds
-
-        tree = problem.tree
-        bounds = self.client_qos()
-        thresholds = []
-        if not builtin:
-            # Generic monotone subclass walk: the subclass yields its own
-            # (ancestor, score) accumulation, reproduced operation for
-            # operation by its qos_metric so boundary cases agree
-            # bit-for-bit with the per-pair fallback.
-            scores_of = getattr(constraints, "iter_ancestor_scores", None)
-            for ci, client_id in enumerate(self.client_order):
-                bound = bounds[ci]
-                best = self.client_depth[ci]  # sentinel: nothing eligible
-                if scores_of is not None:
-                    pairs = scores_of(tree, client_id)
-                else:  # monotone subclass without the bulk iterator
-                    pairs = (
-                        (a, constraints.qos_metric(tree, client_id, a))
-                        for a in self.client_ancestors[ci]
-                    )
-                for ancestor, score in pairs:
-                    if score <= bound:
-                        best = tree.depth(ancestor)
-                    else:
-                        break  # monotone metric: everything above fails
-                thresholds.append(best)
-            self.qos_threshold_cache[key] = thresholds
-            return thresholds
-        from repro.core.constraints import QoSMode
-
-        by_distance = constraints.qos_mode is QoSMode.DISTANCE
-        uplink = self.uplink_comm
-        chains = () if by_distance else self.client_ancestors
-        for ci, client_id in enumerate(self.client_order):
-            bound = bounds[ci]
-            client_depth = self.client_depth[ci]
-            best = client_depth  # sentinel: nothing eligible
-            # The k-th ancestor (bottom-up, from 0) is client_depth - 1 - k deep.
-            if by_distance:
-                for hops in range(1, client_depth + 1):
-                    if float(hops) <= bound:
-                        best = client_depth - hops
-                    else:
-                        break  # monotone metric: everything above fails
+        if thresholds is None:
+            if builtin:
+                thresholds = self._climb_thresholds(constraints.qos_mode is QoSMode.DISTANCE)
             else:
-                latency = 0.0
-                comm = uplink[client_id]
-                for hops, ancestor in enumerate(chains[ci], 1):
-                    latency += comm
-                    if latency <= bound:
-                        best = client_depth - hops
-                    else:
-                        break
-                    comm = uplink.get(ancestor, 0.0)
-            thresholds.append(best)
-        self.qos_threshold_cache[key] = thresholds
+                thresholds = array("q", self._walk_thresholds(problem))
+            self.qos_threshold_cache[key] = thresholds
         return thresholds
+
+    def _climb_thresholds(self, by_distance: bool) -> array:
+        """The built-in metrics' thresholds, all clients climbing at once."""
+        store = self.store
+        depth = np.array(self.client_depth, dtype=np.int64)
+        thresholds = depth.copy()  # sentinel: nothing eligible
+        bound = _view(store.qos)[self._client_slots]
+        if by_distance:
+            step = np.ones(self.n_nodes)
+            metric = np.ones(self.n_clients)
+        else:
+            comm = _view(store.comm)
+            step = comm[self._node_perm]  # each node's uplink (0.0 at the root)
+            metric = comm[self._client_slots + store.n_nodes]
+        node_parent = np.array(self.node_parent, dtype=np.intp)
+        node_depth = np.array(self.node_depth, dtype=np.int64)
+        ancestor = np.array(self.client_parent, dtype=np.intp)
+        client = np.arange(self.n_clients)
+        while client.size:
+            within = metric <= bound  # False on a NaN bound, as in Python
+            thresholds[client[within]] = node_depth[ancestor[within]]
+            metric = metric + step[ancestor]
+            ancestor = node_parent[ancestor]
+            climbing = within & (ancestor >= 0)  # monotone: a failure stops
+            client, ancestor = client[climbing], ancestor[climbing]
+            metric, bound = metric[climbing], bound[climbing]
+        return _ints(thresholds)
+
+    def _walk_thresholds(self, problem):
+        """A monotone subclass's thresholds, client by client: the subclass
+        yields its own ``(ancestor, score)`` accumulation, the one its
+        ``qos_metric`` makes, so boundary cases agree bit-for-bit with the
+        per-pair fallback."""
+        tree, constraints = problem.tree, problem.constraints
+        bounds = _view(self.store.qos)[self._client_slots].tolist()
+        scores_of = getattr(constraints, "iter_ancestor_scores", None)
+        for ci, client_id in enumerate(self.client_order):
+            best = self.client_depth[ci]  # sentinel: nothing eligible
+            if scores_of is not None:
+                pairs = scores_of(tree, client_id)
+            else:  # monotone subclass without the bulk iterator
+                pairs = (
+                    (a, constraints.qos_metric(tree, client_id, a))
+                    for a in self.client_ancestors[ci]
+                )
+            for ancestor, score in pairs:
+                if score <= bounds[ci]:
+                    best = tree.depth(ancestor)
+                else:
+                    break  # monotone metric: everything above fails
+            yield best
 
     # ------------------------------------------------------------------ #
     # bulk structural views
@@ -597,39 +497,6 @@ class TreeIndex:
         """Total requests issued inside ``subtree(node_id)``, read from the
         tree's subtree column."""
         return self._subtree[self._node_perm[self.node_index(node_id)]]
-
-    def root_latency_of(self, element_id: NodeId) -> float:
-        """Sum of link communication times from an element up to the root."""
-        latencies = self._np_cache.get("root_latency")
-        if latencies is None:
-            latencies = self._np_cache["root_latency"] = self._root_latencies()
-        try:
-            return latencies[element_id]
-        except KeyError:
-            raise TreeStructureError(f"unknown element {element_id!r}") from None
-
-    def _root_latencies(self) -> Dict[NodeId, float]:
-        # Accumulated link by link in pre-order (parents first), so the
-        # floats depend only on the layout and a sliced index, which
-        # restarts at its shard root, matches a fresh build bit for bit.
-        uplink = self.uplink_comm
-        node_order = self.node_order
-        node_lat = [0.0]
-        add_latency = node_lat.append
-        for parent, comm in zip(self.node_parent[1:], map(uplink.__getitem__, node_order[1:])):
-            add_latency(node_lat[parent] + comm)
-        latencies = dict(zip(node_order, node_lat))
-        latencies.update(
-            zip(
-                self.client_order,
-                map(
-                    add,
-                    map(node_lat.__getitem__, self.client_parent),
-                    map(uplink.__getitem__, self.client_order),
-                ),
-            )
-        )
-        return latencies
 
     def __repr__(self) -> str:
         return f"TreeIndex(|N|={self.n_nodes}, |C|={self.n_clients})"

@@ -14,7 +14,7 @@ high-level internal nodes -- the **cut** -- and rewrites one global
   cut node (the region the cut "looks up into").
 
 The emitted :class:`ShardPlan` also summarises what cut-reconciliation
-needs: per-shard aggregate demand, capacity and residual capacity, and the
+needs: per-shard aggregate demand and capacity, and the
 **boundary QoS budget** of every shard client -- the slack a client's
 request still has left when it crosses the cut, i.e. its global bound minus
 the metric from the client to the shard root.  A request that must travel
@@ -63,8 +63,6 @@ class Shard:
         re-attaches overflow during reconciliation).
     problem:
         The shard's standalone :class:`ReplicaPlacementProblem`.
-    source:
-        The global problem this shard was cut from.
     demand, capacity:
         Aggregate client requests inside the shard and aggregate server
         capacity of its internal nodes.
@@ -79,15 +77,9 @@ class Shard:
     root: NodeId
     parent: NodeId
     problem: ReplicaPlacementProblem
-    source: ReplicaPlacementProblem = field(repr=False)
     demand: float
     capacity: float
     boundary_budgets: Mapping[NodeId, float] = field(repr=False)
-
-    @property
-    def residual_capacity(self) -> float:
-        """Capacity left in the shard once its own demand is served."""
-        return self.capacity - self.demand
 
     @property
     def contended(self) -> bool:
@@ -131,16 +123,6 @@ class ShardPlan:
     shards: Tuple[Shard, ...]
     residual: ReplicaPlacementProblem
     client_region: Mapping[NodeId, int] = field(repr=False)
-
-    @property
-    def n_regions(self) -> int:
-        """Shards plus the residual region."""
-        return len(self.shards) + 1
-
-    @property
-    def residual_region(self) -> int:
-        """The region index owning clients above the cut."""
-        return len(self.shards)
 
     def region_of(self, client_id: NodeId) -> int:
         """Region index owning ``client_id`` (residual when above the cut)."""
@@ -253,9 +235,9 @@ def partition_problem(
     ``shards`` is either a target shard count or an explicit cut sequence
     (``cut=`` is the explicit-only spelling).  Each shard's sub-tree keeps
     the global link insertion order, so its DFS layout is the contiguous
-    span the global :class:`~repro.core.index.TreeIndex` would assign it --
-    that is what lets :meth:`TreeIndex.sliced` build per-shard indexes
-    without a whole-tree pass.
+    span the global :class:`~repro.core.index.TreeIndex` would assign it:
+    a shard's own index equals that span, so per-shard solves enumerate
+    clients and nodes in the whole-tree order.
 
     A plan with fewer than two shards is still returned (callers treat it
     as "solve whole-tree"); the residual problem may legitimately contain
@@ -275,7 +257,7 @@ def partition_problem(
 
     # One pass assigning every element (by position) to its region: shard i
     # or the residual k.  Each region's tree takes its nodes and clients in
-    # global breadth-first order and its links in link order, sliced from
+    # global breadth-first order and its links in link order, gathered from
     # the global tree's columns.
     k = len(cut_nodes)
     store = tree._store
@@ -314,7 +296,6 @@ def partition_problem(
                 root=cut_id,
                 parent=tree.parent(cut_id),
                 problem=sub_problem,
-                source=problem,
                 demand=tree.subtree_requests(cut_id),
                 capacity=sub_tree.total_capacity(),
                 boundary_budgets=_boundary_budgets(

@@ -459,7 +459,7 @@ class TreeNetwork:
     def _sub_tree(self, nodes: np.ndarray, clients: np.ndarray, links: np.ndarray) -> "TreeNetwork":
         """A tree over some of this tree's elements, given by position and
         declared in the given order (``links`` lists link child positions),
-        with its columns sliced from this tree's."""
+        with its columns gathered from this tree's."""
         store = self._store
         ids, parent = store.ids, store.parent
         children = links.tolist()

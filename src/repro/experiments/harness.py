@@ -292,13 +292,6 @@ def _generate_campaign_trees(config: CampaignConfig) -> List[Tuple[float, TreeNe
     return plan
 
 
-def _evaluate_entry(entry: Tuple[float, TreeNetwork], config: CampaignConfig) -> InstanceRecord:
-    """Worker-side evaluation of one ``(load, tree)`` campaign entry."""
-    load, tree = entry
-    heuristics = [(name, get_heuristic(name)) for name in config.heuristics]
-    return evaluate_instance(tree, load, config, heuristics)
-
-
 def _evaluate_chunk(
     chunk: List[Tuple[float, TreeNetwork]], *, config: CampaignConfig
 ) -> List[InstanceRecord]:

@@ -138,7 +138,7 @@ class LinearProgramData:
         #: ``(data_positions, pair_ids)`` of the nnz entries whose coefficient
         #: equals the pair's request rate (single-server programs only).
         self._request_entries: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        #: cached eq/ub/lb row split (and sliced matrices) for the pure-LP
+        #: cached eq/ub/lb row split (and its row blocks) for the pure-LP
         #: backend; structural, hence shared by rate-only epoch patches.
         self._split_rows: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._split_matrices = None

@@ -157,7 +157,7 @@ def _solve_linprog(program: LinearProgramData, time_limit: Optional[float] = Non
 
     # linprog only accepts one-sided inequality rows plus equality rows, so
     # split the two-sided rows of the generic formulation.  The split (and
-    # the sliced matrices) is structural and cached on the program, so
+    # its row blocks) is structural and cached on the program, so
     # epoch-patched programs built by ``with_requests`` skip the per-epoch
     # re-slicing entirely; only the RHS vectors below are re-gathered.
     (eq_rows, ub_rows, lb_rows), (a_eq, a_ub) = program.linprog_split()

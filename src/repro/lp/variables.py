@@ -23,8 +23,8 @@ The ``x`` variables follow the DFS pre-order of the
 :class:`~repro.core.index.TreeIndex` and the ``y`` variables are
 client-major in DFS leaf order, each client's servers bottom-up.  That
 layout is what makes the vectorised assembly of
-:func:`repro.lp.formulation.build_program` a collection of span-sliced
-gathers:
+:func:`repro.lp.formulation.build_program` a collection of gathers over
+contiguous spans:
 
 * the pairs of one client form the contiguous column run
   ``client_pair_start[c] .. client_pair_end[c]``;

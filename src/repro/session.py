@@ -482,9 +482,9 @@ class PlacementSession:
         Optional sharded-solve specification: a target shard count or an
         explicit cut node sequence (see
         :func:`repro.core.partition.partition_problem`).  A sharded session
-        partitions the tree lazily, indexes each shard through
-        :meth:`TreeIndex.sliced` (the whole-tree dense index is never
-        built), keeps one :class:`IncrementalResolver` per shard, and on a
+        partitions the tree lazily, indexes each shard's tree on first use
+        (the whole-tree dense index is never built), keeps one
+        :class:`IncrementalResolver` per shard, and on a
         rate-only :meth:`update` re-solves **only** the shards owning the
         changed clients.  ``shards=1`` (or ``None``) is the classic
         whole-tree path, bit-identical to an unsharded session.
@@ -574,7 +574,6 @@ class PlacementSession:
         policy: Optional[Union[Policy, str]] = None,
         algorithm: Optional[str] = None,
         on_error: str = "raise",
-        sharded: Optional[bool] = None,
     ) -> SolveResult:
         """Solve the current epoch (warm caches, per-epoch memoised).
 
@@ -582,13 +581,8 @@ class PlacementSession:
         ``on_error="raise"`` (default) raises
         :class:`~repro.core.exceptions.InfeasibleError` like
         :func:`repro.api.solve`; ``"none"`` returns a :class:`SolveResult`
-        with ``solution=None`` instead (sequence semantics).
-
-        ``sharded`` overrides the session's sharding default for this call:
-        ``True`` forces the per-shard path (partitioning into the
-        constructor's ``shards`` spec, or two shards when none was given),
-        ``False`` forces the whole-tree path, ``None`` (default) follows
-        the constructor.  Overridden calls are memoised separately.
+        with ``solution=None`` instead (sequence semantics).  A session
+        built with ``shards`` solves shard by shard.
         """
         if on_error not in ("none", "raise"):
             raise ValueError(f"on_error must be 'none' or 'raise', got {on_error!r}")
@@ -598,17 +592,12 @@ class PlacementSession:
             )
         else:
             policy = Policy.parse(policy)
-        if sharded and self.shards is None:
-            self.shards = 2
-        use_sharded = self._sharded_active() if sharded is None else bool(sharded)
-        use_sharded = use_sharded and self._sharded_active()
-
-        key = (policy, algorithm) if sharded is None else (policy, algorithm, sharded)
+        key = (policy, algorithm)
         result = self._solve_cache.get(key)
         if result is not None:
             self.stats.solve_cache_hits += 1
         else:
-            if use_sharded:
+            if self._sharded_active():
                 solution, stats = self._sharded_resolve(policy, algorithm)
             else:
                 from repro.algorithms.incremental import IncrementalResolver
@@ -646,9 +635,9 @@ class PlacementSession:
 
         ``None`` for unsharded sessions (``shards`` unset or ``1``).  Built
         from the *current* epoch's problem on first access and kept until a
-        structural update invalidates it; building it primes per-shard
-        :meth:`~repro.core.index.TreeIndex.sliced` indexes lazily (the
-        whole-tree index is never constructed by the sharded path).
+        structural update invalidates it.  Each region's tree is indexed on
+        first use, like any tree (the whole-tree index is never constructed
+        by the sharded path).
         """
         if self.shards is None or (isinstance(self.shards, int) and self.shards <= 1):
             return None
@@ -687,13 +676,9 @@ class PlacementSession:
             solve_sharded,
             stitch_solutions,
         )
-        from repro.core.index import TreeIndex
 
         start = time.perf_counter()
         plan = self.shard_plan
-        for shard in plan.shards:
-            TreeIndex.sliced(shard)
-
         strategies: list = []
         solutions: list = []
         changed = 0
@@ -1218,14 +1203,11 @@ class PlacementSession:
             "stats": self.stats.to_dict(),
             "solves": [
                 {
-                    "policy": key[0].value,
-                    "algorithm": key[1],
+                    "policy": policy.value,
+                    "algorithm": algorithm,
                     "result": result.to_dict(),
                 }
-                # per-call sharded overrides use 3-tuple keys; those entries
-                # are transient and deliberately not persisted
-                for key, result in self._solve_cache.items()
-                if len(key) == 2
+                for (policy, algorithm), result in self._solve_cache.items()
             ],
             "bounds": [
                 {

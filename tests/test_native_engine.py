@@ -6,7 +6,7 @@ cannot see: the build-on-first-use kernel loader and its graceful
 degradation (``REPRO_NATIVE_DISABLE``, missing compilers) to the dict
 engine, the one-line fallback note, the platform -- never a setting --
 picking the engine, the ``repro doctor`` report (and its exit code when
-the state probe fails), the kernel-computed QoS threshold cache, and the
+the state probe fails), the QoS thresholds the kernels read, and the
 :class:`~repro.algorithms.native_state.VecMap` mapping views the
 heuristics read.  Every test here passes with *or*
 without a C compiler -- the no-compiler CI job runs this file too.
@@ -275,36 +275,11 @@ needs_kernels = pytest.mark.skipif(
 
 
 @needs_kernels
-def test_threshold_array_matches_python_thresholds():
-    for qos, constraints in (
-        ((2, 5), ConstraintSet.qos_distance()),
-        ((2, 5), ConstraintSet.qos_latency()),
-    ):
-        tree = TreeGenerator(11).generate(
-            GeneratorConfig(size=40, target_load=0.4, homogeneous=False, qos_hops=qos)
-        )
-        problem = ReplicaPlacementProblem(tree=tree, constraints=constraints)
-        state = make_state(problem)
-        assert isinstance(state, NativeRequestState)
-        # The kernel-computed array must equal the thresholds a fresh index
-        # computes in pure Python (the state's own index caches the kernel
-        # result, so comparing against it would be circular)...
-        from repro.core.index import TreeIndex
-
-        expected = TreeIndex.for_tree(tree).qos_depth_thresholds(problem)
-        index = state._index
-        cached = index.qos_threshold_cache[("native", constraints.qos_mode)]
-        assert list(cached) == list(expected)
-        # ...and the list mirror occupies the plain-mode slot.
-        assert index.qos_threshold_cache[constraints.qos_mode] == list(expected)
-
-
-@needs_kernels
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("mode", ["distance", "latency"])
 def test_kernel_thresholds_match_the_ancestor_walk(seed, mode):
-    """The threshold kernels climb parent positions; each client's threshold
-    is the depth of the last ancestor of the longest bottom-up prefix of
+    """The thresholds a native state hands its kernels: each client's is the
+    depth of the last ancestor of the longest bottom-up prefix of
     ``tree.ancestors`` that ``qos_satisfied`` accepts pair by pair."""
     tree = TreeGenerator(seed).generate(
         GeneratorConfig(

@@ -5,8 +5,8 @@ Pins the sharding layer end to end:
 * :func:`partition_problem` emits well-formed plans: antichain cuts, regions
   that partition the clients, residual/boundary bookkeeping, QoS budgets
   equal to the clients' global slack at the shard root;
-* :meth:`TreeIndex.sliced` equals a fresh per-shard index field for field,
-  and the sharded solve path never materialises the whole-tree index;
+* the sharded solve path indexes each shard's tree on first use and never
+  materialises the whole-tree index;
 * :func:`solve_sharded` is **bit-identical** to the whole-tree solve on
   forced instances whose shards are independent (no cut contention), and
   stays ``validate_solution``-feasible with a bounded cost gap on contended
@@ -26,7 +26,6 @@ from repro.algorithms.sharded import solve_sharded, stitch_solutions
 from repro.core.builder import TreeBuilder
 from repro.core.constraints import ConstraintSet
 from repro.core.exceptions import InfeasibleError
-from repro.core.index import TreeIndex
 from repro.core.partition import choose_cut, partition_problem
 from repro.core.policies import Policy
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem
@@ -194,61 +193,6 @@ class TestPartition:
 
 
 # --------------------------------------------------------------------------- #
-# sliced indexes
-# --------------------------------------------------------------------------- #
-_INDEX_FIELDS = tuple(
-    name
-    for name in TreeIndex.__slots__
-    if name not in ("tree", "qos_threshold_cache", "_np_cache")
-)
-
-
-def assert_index_equal(sliced: TreeIndex, fresh: TreeIndex):
-    import numpy as np
-
-    for name in _INDEX_FIELDS:
-        a, b = getattr(sliced, name), getattr(fresh, name)
-        if isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-        else:
-            assert a == b, name
-    # views built on first use rather than stored in slots
-    assert sliced.uplink_comm == fresh.uplink_comm
-    assert sliced.client_ancestors == fresh.client_ancestors
-    for element_id in fresh.node_order + fresh.client_order:
-        assert sliced.ancestors_of(element_id) == fresh.ancestors_of(element_id)
-        assert sliced.root_latency_of(element_id) == fresh.root_latency_of(element_id)
-
-
-class TestSlicedIndex:
-    def test_sliced_equals_fresh_with_source_index(self):
-        problem = make_random_problem(42, size=90, load=0.4)
-        TreeIndex.for_tree(problem.tree)  # prime the global index
-        plan = partition_problem(problem, shards=4)
-        for shard in plan.shards:
-            sliced = TreeIndex.sliced(shard)
-            fresh = TreeIndex(shard.problem.tree)
-            assert_index_equal(sliced, fresh)
-
-    def test_sliced_without_source_index_builds_fresh(self):
-        problem = make_random_problem(42, size=60, load=0.4)
-        plan = partition_problem(problem, shards=3)
-        assert problem.tree._index_cache is None
-        for shard in plan.shards:
-            sliced = TreeIndex.sliced(shard)
-            assert_index_equal(sliced, TreeIndex(shard.problem.tree))
-        # building shard indexes must not touch the whole-tree index
-        assert problem.tree._index_cache is None
-
-    def test_sliced_is_cached_like_for_tree(self):
-        problem = make_random_problem(9, size=60, load=0.4)
-        plan = partition_problem(problem, shards=2)
-        shard = plan.shards[0]
-        assert TreeIndex.sliced(shard) is TreeIndex.sliced(shard)
-        assert TreeIndex.sliced(shard) is TreeIndex.for_tree(shard.problem.tree)
-
-
-# --------------------------------------------------------------------------- #
 # cross-validation: sharded vs whole-tree
 # --------------------------------------------------------------------------- #
 VARIANTS = ("counting", "cost", "qos", "bandwidth")
@@ -409,14 +353,6 @@ class TestShardedSession:
         assert dict(a.solution.assignment.items()) == dict(
             b.solution.assignment.items()
         )
-
-    def test_solve_sharded_override_flag(self):
-        problem = _session_problem()
-        session = PlacementSession(problem)
-        forced = session.solve(sharded=True)
-        assert forced.solution.algorithm.startswith("sharded[")
-        plain = session.solve(sharded=False)
-        assert not plain.solution.algorithm.startswith("sharded[")
 
     def test_export_restore_round_trips_shards(self):
         problem = _session_problem()

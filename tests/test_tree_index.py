@@ -5,7 +5,7 @@ agree with the authoritative dict-based :class:`TreeNetwork` queries.  These
 tests draw a broad population of seeded random trees (plus the hand-built
 fixtures) and assert, element by element, that every structural quantity the
 index precomputes -- parents, depths, ancestor chains, subtree client spans,
-subtree node spans, request sums, root latencies -- matches the tree.
+subtree node spans, request sums, QoS depth thresholds -- matches the tree.
 """
 
 from __future__ import annotations
@@ -81,11 +81,6 @@ def assert_index_matches_tree(tree):
     for position, client_id in enumerate(index.client_order):
         assert index.client_requests[position] == float(tree.client(client_id).requests)
 
-    # --- root latencies -------------------------------------------------- #
-    for element_id in tree.node_ids + tree.client_ids:
-        expected = tree.latency(element_id, tree.root) if element_id != tree.root else 0.0
-        assert index.root_latency_of(element_id) == pytest.approx(expected)
-
 
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
 def test_index_matches_tree_on_random_trees(seed):
@@ -120,17 +115,34 @@ def test_index_rejects_unknown_ids(small_tree):
         index.client_index("nope")
     with pytest.raises(TreeStructureError):
         index.subtree_clients_of("c1")  # clients have no node span
-    with pytest.raises(TreeStructureError):
-        index.root_latency_of("nope")
+
+
+def float_order_tree():
+    """root -- n2 -- n1 -- c with uplink times 0.3, 0.2 and 0.1 and a 0.6
+    latency bound: summed from the client up, 0.1 + 0.2 + 0.3 is
+    0.6000000000000001 and excludes the root; the reverse order would sum
+    to 0.6 and admit it."""
+    return (
+        TreeBuilder()
+        .add_node("root", capacity=10)
+        .add_node("n2", capacity=10, parent="root", comm_time=0.3)
+        .add_node("n1", capacity=10, parent="n2", comm_time=0.2)
+        .add_client("c", requests=5, parent="n1", qos=0.6, comm_time=0.1)
+        .build()
+    )
 
 
 def test_qos_thresholds_match_eligible_servers():
-    """The depth thresholds reproduce the per-pair QoS filtering exactly."""
+    """The depth thresholds reproduce the per-pair QoS filtering exactly, and
+    both engines offer a server the same eligible clients (the native one
+    reads the thresholds, the dict one asks ``qos_satisfied`` pair by pair)."""
+    from repro.algorithms.common import make_state
     from repro.core.constraints import ConstraintSet
     from repro.core.problem import ReplicaPlacementProblem
+    from tests.conftest import ENGINES, on_engine
 
-    for seed in range(12):
-        tree = TreeGenerator(seed).generate(
+    trees = [
+        TreeGenerator(seed).generate(
             GeneratorConfig(
                 size=40,
                 target_load=0.4,
@@ -139,10 +151,15 @@ def test_qos_thresholds_match_eligible_servers():
                 link_comm_time=1.0 if seed % 2 == 0 else 2.0,
             )
         )
+        for seed in range(12)
+    ]
+    trees.append(float_order_tree())
+    for tree in trees:
         for constraints in (ConstraintSet.qos_distance(), ConstraintSet.qos_latency()):
             problem = ReplicaPlacementProblem(tree=tree, constraints=constraints)
             index = TreeIndex.for_tree(tree)
             thresholds = index.qos_depth_thresholds(problem)
+            eligible = {}
             for ci, client_id in enumerate(index.client_order):
                 expected = tuple(
                     ancestor
@@ -157,6 +174,40 @@ def test_qos_thresholds_match_eligible_servers():
                 assert via_threshold == expected
                 # eligible_servers (the memoised public query) agrees too.
                 assert problem.eligible_servers(client_id) == expected
+                eligible[client_id] = expected
+            for engine in ENGINES:
+                with on_engine(engine):
+                    state = make_state(problem)
+                for node_id in tree.node_ids:
+                    assert state.eligible_pending_clients(node_id) == [
+                        client_id
+                        for client_id in tree.subtree_clients(node_id)
+                        if tree.requests(client_id) > 0 and node_id in eligible[client_id]
+                    ], (engine, node_id)
+
+    latency = ReplicaPlacementProblem(
+        tree=trees[-1], constraints=ConstraintSet.qos_latency()
+    )
+    assert 0.1 + 0.2 + 0.3 > 0.6 >= 0.3 + 0.2 + 0.1
+    assert latency.eligible_servers("c") == ("n1", "n2")
+
+
+@pytest.mark.parametrize("mode", ["distance", "latency"])
+def test_qos_thresholds_read_no_ancestor_chain(mode):
+    """The thresholds climb the index's parent vectors: computing them on a
+    fresh index builds none of the tree's ancestor chains."""
+    from repro.core.constraints import ConstraintSet
+    from repro.core.problem import ReplicaPlacementProblem
+
+    tree = TreeGenerator(5).generate(
+        GeneratorConfig(size=120, target_load=0.4, qos_hops=(2, 6), link_comm_time=0.5)
+    )
+    constraints = getattr(ConstraintSet, f"qos_{mode}")()
+    problem = ReplicaPlacementProblem(tree=tree, constraints=constraints)
+    assert tree._store.memo.ancestors is None
+    thresholds = TreeIndex(tree).qos_depth_thresholds(problem)
+    assert len(thresholds) == len(tree.client_ids)
+    assert tree._store.memo.ancestors is None
 
 
 def test_infinite_qos_keeps_all_ancestors():
