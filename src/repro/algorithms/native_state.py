@@ -241,9 +241,9 @@ class NativeRequestState(RequestState):
         self.amounts: Dict[Tuple[NodeId, NodeId], float] = {}
 
         # Monotone QoS (the built-in modes, monotone subclasses): the
-        # kernels read the index's memoised thresholds, the array the dict
-        # engine's eligible servers and the LP assembly read too.  Any
-        # other QoS runs the inherited methods on the per-pair predicate.
+        # kernels read the index's memoised thresholds, the array
+        # ``eligible_servers`` and the LP assembly read too.  Any other QoS
+        # runs the inherited methods on the per-pair predicate.
         self._qos_thresholds = None
         self._qos_check = None
         if problem.constraints.has_qos:

@@ -364,8 +364,8 @@ class TreeIndex:
     def _climb_thresholds(self, by_distance: bool) -> array:
         """The built-in metrics' thresholds, all clients climbing at once."""
         store = self.store
-        depth = np.array(self.client_depth, dtype=np.int64)
-        thresholds = depth.copy()  # sentinel: nothing eligible
+        # A client's own depth is the sentinel: no ancestor eligible.
+        thresholds = np.array(self.client_depth, dtype=np.int64)
         bound = _view(store.qos)[self._client_slots]
         if by_distance:
             step = np.ones(self.n_nodes)

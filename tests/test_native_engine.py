@@ -280,7 +280,11 @@ needs_kernels = pytest.mark.skipif(
 def test_kernel_thresholds_match_the_ancestor_walk(seed, mode):
     """The thresholds a native state hands its kernels: each client's is the
     depth of the last ancestor of the longest bottom-up prefix of
-    ``tree.ancestors`` that ``qos_satisfied`` accepts pair by pair."""
+    ``tree.ancestors`` that ``qos_satisfied`` accepts pair by pair, and the
+    index's one memo entry for the mode, which ``eligible_servers`` and the
+    LP's variable layout read too."""
+    from repro.lp.variables import VariableSpace
+
     tree = TreeGenerator(seed).generate(
         GeneratorConfig(
             size=120,
@@ -303,6 +307,13 @@ def test_kernel_thresholds_match_the_ancestor_walk(seed, mode):
                 break
             expected = tree.depth(ancestor)
         assert state._qos_thresholds[ci] == expected, client_id
+        assert problem.eligible_servers(client_id) == tree.ancestors(client_id)[
+            : tree.depth(client_id) - expected
+        ]
+    VariableSpace(problem)
+    cache = state._index.qos_threshold_cache
+    assert list(cache) == [constraints.qos_mode]
+    assert cache[constraints.qos_mode] is state._qos_thresholds
 
 
 @needs_kernels
@@ -331,6 +342,25 @@ def test_native_multiple_solve_builds_no_ancestor_chains():
         if getattr(arrays, name) is not None
     }
     assert set(lengths.values()) <= {index.n_nodes, index.n_clients}, lengths
+
+
+@pytest.mark.parametrize("engine", ["dict", "native"])
+def test_plain_score_mode_raises_on_both_engines(engine):
+    """A plain ConstraintSet in the classed ``score`` mode has no metric and
+    no thresholds, so both engines ask ``qos_satisfied``, which raises."""
+    from repro.core.constraints import QoSMode
+    from tests.conftest import on_engine
+
+    tree = TreeGenerator(1).generate(
+        GeneratorConfig(size=30, target_load=0.4, homogeneous=False, qos_hops=(2, 4))
+    )
+    problem = ReplicaPlacementProblem(
+        tree=tree, constraints=ConstraintSet(qos_mode=QoSMode.SCORE)
+    )
+    with on_engine(engine):
+        state = make_state(problem)
+    with pytest.raises(ValueError, match="requires a ClassedConstraintSet"):
+        state.eligible_pending_clients(tree.root)
 
 
 @needs_kernels

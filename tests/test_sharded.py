@@ -26,6 +26,7 @@ from repro.algorithms.sharded import solve_sharded, stitch_solutions
 from repro.core.builder import TreeBuilder
 from repro.core.constraints import ConstraintSet
 from repro.core.exceptions import InfeasibleError
+from repro.core.index import TreeIndex
 from repro.core.partition import choose_cut, partition_problem
 from repro.core.policies import Policy
 from repro.core.problem import ProblemKind, ReplicaPlacementProblem
@@ -184,11 +185,16 @@ class TestPartition:
     def test_shard_problems_preserve_structure(self):
         problem = make_random_problem(13, size=70, load=0.4)
         plan = partition_problem(problem, shards=3)
+        whole = TreeIndex(problem.tree)
         for shard in plan.shards:
             sub = shard.problem.tree
             assert sub.root == shard.root
             for cid in sub.client_ids:
                 assert problem.tree.client(cid).requests == sub.client(cid).requests
+            # A shard's own index lays it out as the whole-tree span of its root.
+            index = TreeIndex(sub)
+            assert index.node_order == whole.subtree_nodes_of(shard.root)
+            assert index.client_order == whole.subtree_clients_of(shard.root)
         assert plan.residual.tree.root == problem.tree.root
 
 
