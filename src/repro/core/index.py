@@ -211,7 +211,7 @@ class TreeIndex:
         """Index of an epoch fork of this index's tree (same topology).
 
         Structural layouts (orders, spans, depths, the lazily built views
-        such as ancestor chains and link latencies, QoS threshold memo) are
+        such as ancestor chains and the kernel arrays, QoS threshold memo) are
         shared with this index; only the request vector is recomputed from
         ``tree``.
         ``changed_clients`` are the ids whose rate differs from this index's
