@@ -23,7 +23,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core.serialization import save_tree
 from repro.workloads.generator import generate_tree
-from tests.conftest import kernels_disabled
+from tests.conftest import ENGINES, kernels_disabled, on_engine
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -80,6 +80,7 @@ def test_every_subcommand_renders_its_help(argv, capsys):
     assert capsys.readouterr().out.startswith("usage: ")
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize(
     "command, flags, costs",
     [
@@ -89,31 +90,35 @@ def test_every_subcommand_renders_its_help(argv, capsys):
     ],
     ids=["solve", "batch", "dynamic"],
 )
-def test_fallback_engine_keeps_the_platform_engines_costs(
-    command, flags, costs, tree_file, capsys
+def test_engine_flag_keeps_the_default_engines_costs(
+    engine, command, flags, costs, tree_file, capsys
 ):
-    """Each command answers with the same costs on the platform's engine and
-    on the dict one ``REPRO_NATIVE_DISABLE=1`` forces."""
+    """Each command answers on ``engine`` -- the dict one under
+    ``REPRO_NATIVE_DISABLE=1``, else whatever the platform builds -- with
+    the dict engine's costs."""
     argv = [command, tree_file, *flags, "--json"]
     with kernels_disabled():
-        fallback, _ = run_json(argv, capsys)
-    platform, _ = run_json(argv, capsys)
-    assert costs(platform) == costs(fallback)
+        reference, _ = run_json(argv, capsys)
+    with on_engine(engine):
+        chosen, _ = run_json(argv, capsys)
+    assert costs(chosen) == costs(reference)
 
 
-def test_serve_on_the_fallback_engine_answers_with_the_platform_cost(tree_file, capsys):
-    """A ``serve`` process started with ``REPRO_NATIVE_DISABLE=1`` answers
-    with the cost this process solves on the platform's engine."""
+@pytest.mark.parametrize("engine", ENGINES)
+def test_serve_engine_flag_answers_with_the_default_cost(engine, tree_file, capsys):
+    """A ``serve`` process on ``engine`` (``REPRO_NATIVE_DISABLE=1`` in its
+    environment for the dict one) answers with this process's cost."""
     from repro.core.problem import ReplicaPlacementProblem
     from repro.core.serialization import load_tree, problem_to_dict
 
-    platform, _ = run_json(["solve", tree_file, "--json"], capsys)
+    default, _ = run_json(["solve", tree_file, "--json"], capsys)
     problem = problem_to_dict(ReplicaPlacementProblem(tree=load_tree(tree_file)))
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{SRC}{os.pathsep}{env.get('PYTHONPATH', '')}".rstrip(
         os.pathsep
     )
-    env["REPRO_NATIVE_DISABLE"] = "1"
+    if engine == "dict":
+        env["REPRO_NATIVE_DISABLE"] = "1"
     result = subprocess.run(
         [sys.executable, "-m", "repro", "serve", "--stdio"],
         input=json.dumps({"op": "solve", "problem": problem}) + "\n",
@@ -125,7 +130,7 @@ def test_serve_on_the_fallback_engine_answers_with_the_platform_cost(tree_file, 
     assert result.returncode == 0, result.stderr
     reply = json.loads(result.stdout)
     assert reply["type"] == "solve_result"
-    assert reply["cost"] == platform["cost"]
+    assert reply["cost"] == default["cost"]
 
 
 @pytest.mark.parametrize("command", ["solve", "batch", "dynamic", "serve"])
