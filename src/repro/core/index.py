@@ -324,9 +324,10 @@ class TreeIndex:
         is eligible iff ``depth(a) >= threshold`` (a client with none gets
         its own depth).  All clients climb their parent vectors together,
         one level per numpy step, adding one hop or the current uplink's
-        comm time from the client upward -- the order ``tree.latency`` sums
-        in -- so every comparison is the one ``problem.qos_satisfied``
-        makes and boundary cases agree bit-for-bit.
+        comm time from the client upward with plain ``+``, as
+        ``tree.latency`` adds, so every comparison is the one
+        ``problem.qos_satisfied`` makes and boundary cases agree
+        bit-for-bit on every Python.
 
         Also defined for any :class:`ConstraintSet` subclass declaring a
         monotone path metric (truthy ``monotone_path_metric``, e.g. a

@@ -843,8 +843,19 @@ class TreeNetwork:
             ) from None
 
     def latency(self, element_id: NodeId, ancestor_id: NodeId) -> float:
-        """Sum of link communication times on ``path[element_id -> ancestor_id]``."""
-        return sum(map(self._store.comm.__getitem__, self._path(element_id, ancestor_id)))
+        """Sum of link communication times on ``path[element_id -> ancestor_id]``.
+
+        Added link by link from ``element_id`` upward with plain ``+``:
+        ``sum()`` compensates float sums from Python 3.12 on, and the QoS
+        threshold climb of :class:`repro.core.index.TreeIndex` adds in
+        this order, so a latency bound admits the same servers per pair
+        and by threshold on every Python.
+        """
+        comm = self._store.comm
+        total = 0
+        for position in self._path(element_id, ancestor_id):
+            total += comm[position]
+        return total
 
     def subtree_clients(self, node_id: NodeId) -> Tuple[NodeId, ...]:
         """Clients located in ``subtree(node_id)`` (paper's ``clients(j)``)."""

@@ -132,6 +132,17 @@ def float_order_tree():
     )
 
 
+def test_latency_adds_links_from_the_element_up():
+    """``tree.latency`` adds uplink times from the element upward with plain
+    ``+`` (``sum()`` compensates float sums from Python 3.12 on, which would
+    read 0.6 here), the additions the threshold climb makes."""
+    tree = float_order_tree()
+    assert tree.latency("c", "root") == (0.1 + 0.2) + 0.3 > 0.6
+    assert tree.latency("c", "n2") == 0.1 + 0.2
+    assert tree.latency("n1", "root") == 0.2 + 0.3
+    assert tree.latency("c", "c") == 0
+
+
 def test_qos_thresholds_match_eligible_servers():
     """The depth thresholds reproduce the per-pair QoS filtering exactly, and
     both engines offer a server the same eligible clients (the native one
